@@ -16,6 +16,7 @@ import argparse
 import sys
 from collections import Counter
 
+from hessk3.eisenstein import ONE, ZERO
 from hessk3.hermitian import (
     B_COSETS,
     J_MAT,
@@ -23,19 +24,15 @@ from hessk3.hermitian import (
     coset_classify,
     embed_from_hgamma0,
     from_blocks,
-    he_conjt,
-    he_id,
-    he_mul,
-    he_neg,
-    m2e_id,
     word_matrix,
 )
+from hessk3.lattice import mat_conj_transpose, mat_id, mat_mul, mat_neg
 from hessk3.sampling import make_rng, sample_hgamma0_word
 
 
 def unitary_inverse(h):
     # h* J h = J, so h^{-1} = J^{-1} h* J with J^{-1} = -J
-    return he_mul(he_mul(he_neg(J_MAT), he_conjt(h)), J_MAT)
+    return mat_mul(mat_mul(mat_neg(J_MAT), mat_conj_transpose(h)), J_MAT)
 
 
 def in_base(h) -> bool:
@@ -44,8 +41,8 @@ def in_base(h) -> bool:
 
 
 def shift_avatar(b):
-    zero = tuple(tuple(x * 0 for x in row) for row in m2e_id())
-    return from_blocks(m2e_id(), b, zero, m2e_id())
+    one = mat_id(2, ONE, ZERO)
+    return from_blocks(one, b, mat_id(2, ZERO, ZERO), one)
 
 
 def build_pool(rng, steps):
@@ -70,12 +67,12 @@ def main(argv=None) -> int:
     reps = []  # (representative, inverse, label) per coset discovered
     counts = Counter()
     for _ in range(args.samples):
-        h = he_id()
+        h = mat_id(4, ONE, ZERO)
         for _ in range(rng.randint(1, args.length)):
-            h = he_mul(h, rng.choice(pool))
+            h = mat_mul(h, rng.choice(pool))
         label = "base" if in_base(h) else coset_classify(h)
         for k, (_, rep_inv, rep_label) in enumerate(reps):
-            if in_base(he_mul(h, rep_inv)):
+            if in_base(mat_mul(h, rep_inv)):
                 if rep_label != label:
                     print(f"INCONSISTENT: {label} vs {rep_label}", file=sys.stderr)
                     return 1

@@ -56,6 +56,14 @@ def parse_int(v, field: str) -> int:
     return v
 
 
+def parse_flag(doc: dict, name: str) -> bool:
+    """A JSON boolean; a missing key means false."""
+    v = doc.get(name, False)
+    if not isinstance(v, bool):
+        _fail(name, f"expected a JSON boolean, got {type(v).__name__}")
+    return v
+
+
 def parse_eisenstein(v, field: str) -> Eisenstein:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         _fail(field, "expected a two-element integer array")
@@ -128,16 +136,22 @@ def parse_herm_word(v, field: str):
     return word
 
 
+def parse_json(text: str, field: str):
+    # the decoder recurses once per nesting level, so a deep enough
+    # document raises RecursionError rather than JSONDecodeError
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def load_document(args) -> dict:
     if getattr(args, "input", None):
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"input document: {exc}") from None
+    doc = parse_json(text, "input document")
     if not isinstance(doc, dict):
         raise ValueError("input document: expected a JSON object")
     return doc
@@ -299,8 +313,8 @@ def cmd_correspond(args) -> int:
         )
         return 0
     word = parse_herm_word(field_of(doc, "word"), "word")
-    uses_t = bool(doc.get("uses_t", False))
-    uses_w = bool(doc.get("uses_w", False))
+    uses_t = parse_flag(doc, "uses_t")
+    uses_w = parse_flag(doc, "uses_w")
     g = correspond.herm_to_orth(uses_t, uses_w, word)
     emit(
         cmd,
@@ -312,10 +326,7 @@ def cmd_correspond(args) -> int:
 
 def cmd_heegner(args) -> int:
     if args.tau is not None:
-        try:
-            raw = json.loads(args.tau)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"tau: {exc}") from None
+        raw = parse_json(args.tau, "tau")
     else:
         raw = field_of(load_document(args), "tau")
     tau = parse_tower_matrix(raw, "tau", 2)

@@ -23,9 +23,17 @@ period domain.
 
 from __future__ import annotations
 
-from .eisenstein import OMEGA, OMEGA2, UNITS, Eisenstein, _round_half_to_zero, eis_divmod
+from .eisenstein import (
+    OMEGA,
+    OMEGA2,
+    UNITS,
+    Eisenstein,
+    _round_half_to_zero,
+    best_unit,
+    eis_divmod,
+)
 from .errors import require
-from .hermitian import m2e, m2e_det, m2e_pow
+from .hermitian import m2e, m2e_pow
 from .lattice import (
     G0,
     G0I42,
@@ -44,10 +52,13 @@ from .lattice import (
     block_parity,
     det_int,
     is_orthogonal,
+    mat_det2,
     mat_id,
+    mat_inverse_int,
     mat_mul,
     mat_neg,
     mat_pow,
+    mat_scale,
     orientation,
     residual_m,
     translation_h,
@@ -75,7 +86,7 @@ def psi_hom(a):
     the entry pattern is quadratic in the input, with the real rows given
     by norms and doubled real parts and the two tail rows by w-coefficients.
     """
-    if not m2e_det(a).is_unit():
+    if not mat_det2(a).is_unit():
         raise ValueError("matrix must have unit determinant")
     a1, a2 = a[0][0], a[0][1]
     a3, a4 = a[1][0], a[1][1]
@@ -218,20 +229,10 @@ def herm_word_to_orth(word, uses_t: bool = False, uses_w: bool = False):
     return out
 
 
-# (s, t) with UNITS[k] = (-1)^s w^t, in the fixed unit order
-_UNIT_ST = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
-
-
-def _rotation_powers(z: Eisenstein):
-    """Unit rotation maximizing the doubled real part of z, earliest wins."""
-    best_val = None
-    best = (0, 0)
-    for k, u in enumerate(UNITS):
-        val = (u * z).two_re()
-        if best_val is None or val > best_val:
-            best_val = val
-            best = _UNIT_ST[k]
-    return best
+# (s, t) with u = (-1)^s w^t for each unit u; on the A2 tail, i42 acts as
+# -1 and u2 as w, through the tail block of U2
+_UNIT_ST = dict(zip(UNITS, ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))))
+_U2_TAIL = tuple(r[4:] for r in U2[4:])
 
 
 def decompose_so0(x):
@@ -260,7 +261,8 @@ def decompose_so0(x):
         out_left.append((name, -p))
 
     def rotate_tail(z: Eisenstein):
-        s, t = _rotation_powers(z)
+        # the unit rotation maximizing the doubled real part of z
+        s, t = _UNIT_ST[best_unit(lambda u: (u * z).two_re())]
         lmul("u2", t)
         lmul("i42", s)
 
@@ -276,10 +278,10 @@ def decompose_so0(x):
         require(guard < 10000, "row-three reduction did not terminate")
         a2, a3 = work[1][1], work[2][1]
         # the translation rows carry -2 m, so the quotient enters unnegated
-        c = _round(a2, 2 * a3)
+        c = _round_half_to_zero(a2, 2 * a3)
         lmul("h2", c)
         a2, a3 = work[1][1], work[2][1]
-        q = -_round(a3, a2)
+        q = -_round_half_to_zero(a3, a2)
         require(q != 0, "no progress clearing row three")
         lmul("h1p", q)
         require(abs(work[2][1]) < abs(a3), "row three failed to shrink")
@@ -322,10 +324,10 @@ def decompose_so0(x):
         guard += 1
         require(guard < 10000, "row-four reduction did not terminate")
         a2, a4 = work[1][1], work[3][1]
-        c = _round(a2, 2 * a4)
+        c = _round_half_to_zero(a2, 2 * a4)
         lmul("h1", c)
         a2, a4 = work[1][1], work[3][1]
-        q = -_round(a4, a2)
+        q = -_round_half_to_zero(a4, a2)
         require(q != 0, "no progress clearing row four")
         lmul("h2p", q)
         require(abs(work[3][1]) < abs(a4), "row four failed to shrink")
@@ -348,7 +350,7 @@ def decompose_so0(x):
         for i in range(6)
     )
     require(is_orthogonal(y), "block complement is not an isometry")
-    t_part = mat_mul(_inv_orth(y), work)
+    t_part = mat_mul(mat_inverse_int(y), work)
     mvec = (t_part[2][0], t_part[3][0], t_part[4][0], t_part[5][0])
     require(t_part == translation_h(*mvec), "residual is not a translation")
     for name, p in zip(("h1", "h2", "h3", "h4"), mvec):
@@ -380,26 +382,15 @@ def decompose_so0(x):
 
     # -- align the A2 tail block ------------------------------------------
 
-    p_blk = ((work[4][4], work[4][5]), (work[5][4], work[5][5]))
-    found = False
-    for t in range(3):
-        for s in range(2):
-            r_pow = mat_pow(U2, t)
-            cand = tuple(
-                tuple(
-                    (-1 if s else 1) * sum(r_pow[4 + i][4 + k] * p_blk[k][j] for k in range(2))
-                    for j in range(2)
-                )
-                for i in range(2)
-            )
-            if cand == ((1, 0), (0, 1)):
-                lmul("u2", t)
-                lmul("i42", s)
-                found = True
-                break
-        if found:
+    p_blk = tuple(r[4:] for r in work[4:])
+    for s, t in _UNIT_ST.values():
+        rot = mat_scale(mat_pow(_U2_TAIL, t), (-1) ** s)
+        if mat_mul(rot, p_blk) == mat_id(2):
+            lmul("u2", t)
+            lmul("i42", s)
             break
-    require(found, "tail block is not a unit rotation")
+    else:
+        require(False, "tail block is not a unit rotation")
 
     # -- residual unipotent ------------------------------------------------
 
@@ -416,16 +407,8 @@ def decompose_so0(x):
     return word
 
 
-def _round(p: int, q: int) -> int:
-    return _round_half_to_zero(p, q)
-
-
 def _sign(n: int) -> int:
     return 1 if n > 0 else (-1 if n < 0 else 0)
-
-
-def _inv_orth(y):
-    return mat_pow(y, -1)
 
 
 def orth_to_herm(g):

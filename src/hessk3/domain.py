@@ -14,7 +14,7 @@ All tests are exact; nothing here touches floats.
 from __future__ import annotations
 
 from .errors import require
-from .lattice import GRAM, N
+from .lattice import N, mat_det2, qpair
 from .tower import (
     C_OMEGA,
     C_OMEGA2,
@@ -23,7 +23,6 @@ from .tower import (
     SQRT3_I,
     Cyclo12,
     Mat2C,
-    m2_det,
     sign_sqrt3,
 )
 
@@ -36,8 +35,6 @@ __all__ = [
     "psi",
     "psi_inv",
     "h2_contains",
-    "quadric_value",
-    "positivity_value",
 ]
 
 Point = tuple
@@ -49,34 +46,12 @@ def _c(v) -> Cyclo12:
     return Cyclo12(v)
 
 
-def quadric_value(z: Point) -> Cyclo12:
-    """t(z) Q z over the field."""
-    total = C_ZERO
-    for i in range(N):
-        row = GRAM[i]
-        for j in range(N):
-            if row[j]:
-                total = total + z[i] * z[j] * row[j]
-    return total
-
-
-def positivity_value(z: Point) -> Cyclo12:
-    """t(z) Q conj(z); real whenever it matters, checked by the caller."""
-    total = C_ZERO
-    for i in range(N):
-        row = GRAM[i]
-        for j in range(N):
-            if row[j]:
-                total = total + z[i] * z[j].conj() * row[j]
-    return total
-
-
 def dm_from_chart(z3, z4, z5, z6) -> Point:
     """Lift chart coordinates to the quadric; z1 = 1, z2 solves t(z) Q z = 0."""
     z3, z4, z5, z6 = _c(z3), _c(z4), _c(z5), _c(z6)
     z2 = (z3 * z4 - z5 * z5 + z5 * z6 - z6 * z6) * (-2)
     z = (C_ONE, z2, z3, z4, z5, z6)
-    require(quadric_value(z).is_zero(), "chart lift missed the quadric")
+    require(qpair(z, z).is_zero(), "chart lift missed the quadric")
     return z
 
 
@@ -86,13 +61,16 @@ Q0 = dm_from_chart(Cyclo12(0, 0, 2, 0), Cyclo12(0, 0, 2, 0), 0, 0)
 def dm_membership(z: Point) -> str:
     """Component of the domain: "plus", "minus", or "none".
 
-    Membership needs t(z) Q z = 0 and t(z) Q conj(z) > 0; the component is
-    the sign of Im z3, which is nonzero on the domain since the positivity
-    forces Im z3 * Im z4 > 0 in the chart.
+    The point must be chart normalized (z1 = 1), or ValueError.  Membership
+    needs t(z) Q z = 0 and t(z) Q conj(z) > 0; the component is the sign of
+    Im z3, which is nonzero on the domain since the positivity forces
+    Im z3 * Im z4 > 0 in the chart.
     """
-    if not quadric_value(z).is_zero():
+    if z[0] != C_ONE:
+        raise ValueError("point is not chart normalized (z1 = 1)")
+    if not qpair(z, z).is_zero():
         return "none"
-    pos = positivity_value(z)
+    pos = qpair(z, tuple(x.conj() for x in z))
     require(pos.is_real(), "Hermitian norm of a point is not real")
     if sign_sqrt3(pos.a, pos.b) <= 0:
         return "none"
@@ -148,7 +126,7 @@ def h2_contains(tau: Mat2C) -> bool:
     y = tuple(
         tuple((tau[i][j] - tau[j][i].conj()) / two_i for j in range(2)) for i in range(2)
     )
-    d = y[0][0] * y[1][1] - y[0][1] * y[1][0]
+    d = mat_det2(y)
     require(d.is_real(), "det of the imaginary part is not real")
     if sign_sqrt3(d.a, d.b) <= 0:
         return False

@@ -20,6 +20,7 @@ __all__ = [
     "OMEGA",
     "OMEGA2",
     "UNITS",
+    "best_unit",
     "eis_divmod",
     "exact_div",
     "canonical_associate",
@@ -69,18 +70,6 @@ class Eisenstein:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Eisenstein":
-        if n < 0:
-            raise ValueError("negative power of an Eisenstein integer")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conj(self) -> "Eisenstein":
         """Complex conjugate: w maps to w^2 = -1 - w."""
         return Eisenstein(self.a - self.b, -self.b)
@@ -127,6 +116,11 @@ UNITS = (
     Eisenstein(-1, -1),
     Eisenstein(1, 1),
 )
+
+
+def best_unit(score) -> Eisenstein:
+    """The unit u maximizing score(u); the earliest in UNITS wins a tie."""
+    return max(UNITS, key=score)
 
 
 def eis_divmod(x: Eisenstein, y: Eisenstein) -> tuple[Eisenstein, Eisenstein]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .domain import Point, h2_contains, psi
 from .errors import require
-from .lattice import GRAM, det_int, orthogonal_complement, qpair
+from .lattice import GRAM, det_int, mat_det2, orthogonal_complement, qpair
 from .tower import C_OMEGA, C_OMEGA2, C_ONE, C_ZERO, Cyclo12, Mat2C
 
 __all__ = [
@@ -61,8 +61,7 @@ B_SHIFTS: tuple[Mat2C, ...] = (
 def heegner_membership(tau: Mat2C) -> HeegnerFlags:
     if not h2_contains(tau):
         raise ValueError("point is not in the half-space")
-    det = tau[0][0] * tau[1][1] - tau[0][1] * tau[1][0]
-    node = (det * 2 + C_ONE).is_zero()
+    node = (mat_det2(tau) * 2 + C_ONE).is_zero()
     eckardt = (tau[0][1] + tau[1][0]).is_zero()
     ns = (tau[0][1] - tau[1][0]).is_zero()
     shifted = tau[0][1] - C_OMEGA * _HALF

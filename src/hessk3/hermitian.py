@@ -33,35 +33,31 @@ from .eisenstein import (
     ZERO,
     Eisenstein,
     _round_half_to_zero,
+    best_unit,
     eis_divmod,
     g2_column_reduce,
 )
 from .errors import require
-from .tower import (
-    Mat2C,
-    from_eisenstein,
-    m2_add,
-    m2_inv,
-    m2_mul,
-    m2_scale,
-    m2_transpose,
+from .lattice import (
+    mat_add,
+    mat_conj_transpose,
+    mat_det2,
+    mat_id,
+    mat_inv2,
+    mat_mul,
+    mat_neg,
+    mat_scale,
+    mat_sub,
+    mat_transpose,
+    power,
 )
+from .tower import Mat2C, from_eisenstein
 
 __all__ = [
     "m2e",
-    "m2e_id",
-    "m2e_mul",
-    "m2e_sub",
-    "m2e_neg",
-    "m2e_conjt",
-    "m2e_det",
     "m2e_inv",
     "m2e_pow",
     "m2e_mod2",
-    "he_id",
-    "he_mul",
-    "he_conjt",
-    "he_neg",
     "blocks",
     "from_blocks",
     "J_MAT",
@@ -107,56 +103,20 @@ def m2e(rows):
     return tuple(out)
 
 
-def m2e_id():
-    return ((ONE, ZERO), (ZERO, ONE))
-
-
-def m2e_mul(a, b):
-    return tuple(
-        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)
-    )
-
-
-def m2e_sub(a, b):
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(2)) for i in range(2))
-
-
-def m2e_neg(a):
-    return tuple(tuple(-a[i][j] for j in range(2)) for i in range(2))
-
-
-def m2e_scale(a, s):
-    return tuple(tuple(a[i][j] * s for j in range(2)) for i in range(2))
-
-
-def m2e_conjt(a):
-    return ((a[0][0].conj(), a[1][0].conj()), (a[0][1].conj(), a[1][1].conj()))
-
-
-def m2e_det(a) -> Eisenstein:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+_I2 = mat_id(2, ONE, ZERO)
+_Z2 = ((ZERO, ZERO), (ZERO, ZERO))
 
 
 def m2e_inv(a):
     """Inverse of a matrix with unit determinant (d^(-1) = conj(d))."""
-    d = m2e_det(a)
+    d = mat_det2(a)
     if not d.is_unit():
         raise ValueError("determinant is not a unit")
-    di = d.conj()
-    return ((a[1][1] * di, -a[0][1] * di), (-a[1][0] * di, a[0][0] * di))
+    return mat_inv2(a, d.conj())
 
 
 def m2e_pow(a, k: int):
-    if k < 0:
-        return m2e_pow(m2e_inv(a), -k)
-    out = m2e_id()
-    base = a
-    while k:
-        if k & 1:
-            out = m2e_mul(out, base)
-        base = m2e_mul(base, base)
-        k >>= 1
-    return out
+    return power(a, k, _I2, mat_mul, m2e_inv)
 
 
 def m2e_mod2(a):
@@ -172,25 +132,6 @@ def _m2e_odd_id(a) -> bool:
 
 
 # -- 4x4 matrices ------------------------------------------------------------
-
-
-def he_id():
-    return tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
-
-
-def he_mul(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(4)), ZERO) for j in range(4))
-        for i in range(4)
-    )
-
-
-def he_conjt(a):
-    return tuple(tuple(a[j][i].conj() for j in range(4)) for i in range(4))
-
-
-def he_neg(a):
-    return tuple(tuple(-x for x in r) for r in a)
 
 
 def blocks(g):
@@ -210,11 +151,9 @@ def from_blocks(a, b, c, d):
     return tuple(rows)
 
 
-_Z2 = ((ZERO, ZERO), (ZERO, ZERO))
-
-J_MAT = from_blocks(_Z2, m2e_id(), m2e_neg(m2e_id()), _Z2)
+J_MAT = from_blocks(_Z2, _I2, mat_neg(_I2), _Z2)
 # The half-shift conjugate of J-translations; W* J W = 2 J and W^2 = -2 I.
-W_MAT = from_blocks(_Z2, m2e_neg(m2e_id()), m2e_scale(m2e_id(), 2), _Z2)
+W_MAT = from_blocks(_Z2, mat_neg(_I2), mat_scale(_I2, 2), _Z2)
 
 
 def herm_b(m):
@@ -224,21 +163,21 @@ def herm_b(m):
 
 
 def g_upper(m):
-    return from_blocks(m2e_id(), herm_b(m), _Z2, m2e_id())
+    return from_blocks(_I2, herm_b(m), _Z2, _I2)
 
 
 def g_lower(m):
-    return from_blocks(m2e_id(), _Z2, m2e_scale(herm_b(m), 2), m2e_id())
+    return from_blocks(_I2, _Z2, mat_scale(herm_b(m), 2), _I2)
 
 
 def g_a(a):
-    if not m2e_det(a).is_unit():
+    if not mat_det2(a).is_unit():
         raise ValueError("gA block must have unit determinant")
-    return from_blocks(a, _Z2, _Z2, m2e_inv(m2e_conjt(a)))
+    return from_blocks(a, _Z2, _Z2, m2e_inv(mat_conj_transpose(a)))
 
 
 def membership(g) -> str:
-    if he_mul(he_conjt(g), he_mul(J_MAT, g)) != J_MAT:
+    if mat_mul(mat_conj_transpose(g), mat_mul(J_MAT, g)) != J_MAT:
         return "none"
     _, _, c, _ = blocks(g)
     if not _m2e_even(c):
@@ -258,23 +197,23 @@ def _block_to_field(b) -> Mat2C:
 
 def moebius(g, tau: Mat2C) -> Mat2C:
     a, b, c, d = (_block_to_field(x) for x in blocks(g))
-    num = m2_add(m2_mul(a, tau), b)
-    den = m2_add(m2_mul(c, tau), d)
-    det = den[0][0] * den[1][1] - den[0][1] * den[1][0]
+    num = mat_add(mat_mul(a, tau), b)
+    den = mat_add(mat_mul(c, tau), d)
+    det = mat_det2(den)
     require(not det.is_zero(), "singular denominator in the matrix action")
-    return m2_mul(num, m2_inv(den))
+    return mat_mul(num, mat_inv2(den, det.inverse()))
 
 
 def involution_T(tau: Mat2C) -> Mat2C:
     if not h2_contains(tau):
         raise ValueError("transpose involution needs a half-space point")
-    return m2_transpose(tau)
+    return mat_transpose(tau)
 
 
 def involution_W(tau: Mat2C) -> Mat2C:
     if not h2_contains(tau):
         raise ValueError("inversion involution needs a half-space point")
-    return m2_scale(m2_inv(tau), Fraction(-1, 2))
+    return mat_scale(mat_inv2(tau, mat_det2(tau).inverse()), Fraction(-1, 2))
 
 
 # -- words ---------------------------------------------------------------------
@@ -303,9 +242,9 @@ def token_inverse(tok):
 
 
 def word_matrix(word):
-    out = he_id()
+    out = mat_id(4, ONE, ZERO)
     for tok in word:
-        out = he_mul(out, token_matrix(tok))
+        out = mat_mul(out, token_matrix(tok))
     return out
 
 
@@ -354,7 +293,7 @@ def decompose_hgamma1(g):
 
     def lmul(tok):
         nonlocal work
-        work = he_mul(token_matrix(tok), work)
+        work = mat_mul(token_matrix(tok), work)
         left_inv.append(token_inverse(tok))
 
     def clear_even_partner(odd_idx: int, even_idx: int, col: int, slot: int):
@@ -390,7 +329,9 @@ def decompose_hgamma1(g):
 
     # (ii) shrink (row one, row four) of column one with antidiagonal
     # translations.  Full Eisenstein quotients give the usual geometric
-    # Euclid; both quotients round to zero only in the band
+    # Euclid; a row-four quotient is taken only when its remainder is
+    # strictly smaller, since a nonzero quotient can leave the norm as it
+    # was.  Both quotients round to zero only in the band
     # 4 N(half) <= 3 N(alpha) <= 9 N(half), where a single best-unit step
     # is strict on one side or the other.
     def gbl_mult(w: Eisenstein):
@@ -407,11 +348,10 @@ def decompose_hgamma1(g):
         require(guard < 10000, "antidiagonal descent did not terminate")
         alpha = work[0][0]
         half = _div2(work[3][0])
-        q, _ = eis_divmod(half, alpha)
-        if not q.is_zero():
-            before = half.norm()
+        q, r = eis_divmod(half, alpha)
+        if not q.is_zero() and r.norm() < half.norm():
             gbl_mult(-q)
-            require(_div2(work[3][0]).norm() < before, "no descent in row four")
+            require(_div2(work[3][0]).norm() < half.norm(), "no descent in row four")
             continue
         q, _ = eis_divmod(alpha, work[3][0])
         if not q.is_zero():
@@ -419,11 +359,11 @@ def decompose_hgamma1(g):
             gbu_mult(-q)
             require(work[0][0].norm() < before, "no descent in row one")
             continue
-        eps = _best_unit(lambda e: (e * half.conj() * alpha).two_re())
+        eps = best_unit(lambda e: (e * half.conj() * alpha).two_re())
         if (eps * half.conj() * alpha).two_re() > alpha.norm():
             gbl_mult(-eps)
         else:
-            eps = _best_unit(lambda e: (e * alpha.conj() * half).two_re())
+            eps = best_unit(lambda e: (e * alpha.conj() * half).two_re())
             before = alpha.norm()
             gbu_mult(-eps)
             require(work[0][0].norm() < before, "no descent in row one")
@@ -438,10 +378,10 @@ def decompose_hgamma1(g):
         for j in (0, 1):
             require(work[i][j].is_zero(), "lower-left block did not vanish")
     a_r = ((work[0][0], work[0][1]), (work[1][0], work[1][1]))
-    require(m2e_det(a_r).is_unit(), "residual A block is not invertible")
+    require(mat_det2(a_r).is_unit(), "residual A block is not invertible")
     require(_m2e_odd_id(a_r), "residual A block left the congruence kernel")
     b_r = ((work[0][2], work[0][3]), (work[1][2], work[1][3]))
-    h = m2e_mul(m2e_inv(a_r), b_r)
+    h = mat_mul(m2e_inv(a_r), b_r)
     require(
         h[0][0].b == 0 and h[1][1].b == 0 and h[1][0] == h[0][1].conj(),
         "residual translation block is not Hermitian integral",
@@ -449,22 +389,12 @@ def decompose_hgamma1(g):
     mvec = (h[0][0].a, h[1][1].a, h[0][1].a, h[0][1].b)
 
     word = list(left_inv)
-    if a_r != m2e_id():
+    if a_r != _I2:
         word.append(("gA", a_r))
     if any(mvec):
         word.append(("gBu", mvec))
     require(word_matrix(word) == g, "decomposition does not multiply back")
     return word
-
-
-def _best_unit(score) -> Eisenstein:
-    best = None
-    best_val = None
-    for u in UNITS:
-        v = score(u)
-        if best_val is None or v > best_val:
-            best, best_val = u, v
-    return best
 
 
 # -- mod-2 reduction and section ------------------------------------------------
@@ -525,12 +455,12 @@ def _section_table() -> dict:
     global _SECTION
     if _SECTION is None:
         gens = _section_generators()
-        table = {m2e_mod2(m2e_id()): m2e_id()}
-        queue = [m2e_id()]
+        table = {m2e_mod2(_I2): _I2}
+        queue = [_I2]
         while queue:
             cur = queue.pop(0)
             for gen in gens:
-                nxt = m2e_mul(gen, cur)
+                nxt = mat_mul(gen, cur)
                 key = m2e_mod2(nxt)
                 if key not in table:
                     table[key] = nxt
@@ -557,10 +487,10 @@ def decompose_hgamma0(g):
     if cls not in ("gamma0", "gamma1"):
         raise ValueError("matrix is not in the gamma0 congruence subgroup")
     lift = section_lift(f_mod2(g))
-    rem = he_mul(g_a(m2e_inv(lift)), g)
+    rem = mat_mul(g_a(m2e_inv(lift)), g)
     require(membership(rem) == "gamma1", "section quotient left gamma1")
     word = decompose_hgamma1(rem)
-    require(he_mul(g_a(lift), word_matrix(word)) == g, "gamma0 factorization failed")
+    require(mat_mul(g_a(lift), word_matrix(word)) == g, "gamma0 factorization failed")
     return lift, word
 
 
@@ -608,7 +538,7 @@ def coset_classify(h):
     hits = [
         i
         for i, bi in enumerate(B_COSETS, start=1)
-        if _m2e_even(m2e_sub(b, m2e_mul(a, bi)))
+        if _m2e_even(mat_sub(b, mat_mul(a, bi)))
     ]
     require(len(hits) <= 1, "two half-shift cosets matched at once")
     return hits[0] if hits else "uncovered"
@@ -620,14 +550,11 @@ def embed_from_hgamma0(h):
         raise ValueError("embedding needs a gamma0 element")
     a, b, c, d = blocks(h)
     half_c = tuple(tuple(_div2(x) for x in r) for r in c)
-    out = from_blocks(a, m2e_scale(b, 2), half_c, d)
+    out = from_blocks(a, mat_scale(b, 2), half_c, d)
     require(membership(out) != "none", "conjugated element left the group")
     return out
 
 
 def equal_mod_units(x, y) -> bool:
     """Equality of 4x4 matrices up to one of the six unit scalars."""
-    for u in UNITS:
-        if all(x[i][j] * u == y[i][j] for i in range(4) for j in range(4)):
-            return True
-    return False
+    return any(mat_scale(x, u) == y for u in UNITS)

@@ -6,23 +6,35 @@ order 48 with its torsion quadratic form, the congruence subgroups cut out
 by that form, the translation isometries, and orthogonal complements of
 primitive vectors.
 
-Matrices act on column vectors; composition is matrix product.
+Matrices act on column vectors; composition is matrix product.  The
+matrix kernel below is ring-generic: the same product, power, transpose
+and 2x2 inverse serve integer, Eisenstein and field matrices alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import add, mul, sub
 
 from .errors import require
 
 __all__ = [
     "GRAM",
     "QPRIME",
+    "power",
     "mat_id",
     "mat_mul",
     "mat_vec",
-    "mat_transpose",
+    "mat_add",
+    "mat_sub",
     "mat_neg",
+    "mat_scale",
+    "mat_transpose",
+    "mat_conj_transpose",
+    "mat_det2",
+    "mat_inv2",
     "mat_pow",
     "det_int",
     "mat_inverse_int",
@@ -88,29 +100,78 @@ QPRIME = (
 )
 
 
-# -- integer matrix helpers ----------------------------------------------
+# -- matrices over any ring ----------------------------------------------
+#
+# Matrices are tuples of row tuples.  Entries only need +, - and *, so one
+# kernel serves int, Eisenstein and Cyclo12 matrices; a ring whose identity
+# is not the integer 1 passes its own one and zero.
 
 
-def mat_id(n: int = N):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def power(x, k: int, one, times=mul, invert=None):
+    """x**k by square-and-multiply, starting from the ring's own identity.
+
+    times is the ring product; a negative k needs invert, the ring inverse.
+    """
+    if k < 0:
+        if invert is None:
+            raise ValueError("negative power without an inverse")
+        x, k = invert(x), -k
+    out = one
+    while k:
+        if k & 1:
+            out = times(out, x)
+        x = times(x, x)
+        k >>= 1
+    return out
+
+
+def mat_id(n: int = N, one=1, zero=0):
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def mat_mul(a, b):
-    n = len(a)
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a)
+    return tuple(tuple(reduce(add, map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(r[k] * v[k] for k in range(len(v))) for r in a)
+    return tuple(reduce(add, map(mul, r, v)) for r in a)
+
+
+def mat_add(a, b):
+    return tuple(tuple(map(add, ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_neg(a):
+    return tuple(tuple(-x for x in r) for r in a)
+
+
+def mat_scale(a, s):
+    return tuple(tuple(x * s for x in r) for r in a)
 
 
 def mat_transpose(a):
     return tuple(zip(*a))
 
 
-def mat_neg(a):
-    return tuple(tuple(-x for x in r) for r in a)
+def mat_conj_transpose(a):
+    return tuple(tuple(x.conj() for x in col) for col in zip(*a))
+
+
+def mat_det2(a):
+    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+
+def mat_inv2(a, det_inv):
+    """Inverse of a 2x2 matrix, given the ring inverse of its determinant."""
+    return (
+        (a[1][1] * det_inv, -a[0][1] * det_inv),
+        (-a[1][0] * det_inv, a[0][0] * det_inv),
+    )
 
 
 def det_int(m) -> int:
@@ -159,16 +220,7 @@ def mat_inverse_int(m):
 
 
 def mat_pow(m, k: int):
-    if k < 0:
-        return mat_pow(mat_inverse_int(m), -k)
-    out = mat_id(len(m))
-    base = m
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
+    return power(m, k, mat_id(len(m)), mat_mul, mat_inverse_int)
 
 
 def qpair(x, y):
@@ -350,6 +402,20 @@ D3: DiscElt = (_f(0), _f(0), _f(0), _f(0), _f(1, 6), _f(1, 3))
 D4: DiscElt = (_f(0), _f(0), _f(0), _f(0), _f(1, 3), _f(1, 6))
 DISC_GENS = (D1, D2, D3, D4)
 
+
+
+def _disc_words(y1, y2, y3, y4):
+    """The 144 words a y1 + b y2 + c y3 + d y4 with a, b < 2 and c, d < 6."""
+    for a in range(2):
+        for b in range(2):
+            for c in range(6):
+                for d in range(6):
+                    yield disc_add(
+                        disc_add(disc_scale(a, y1), disc_scale(b, y2)),
+                        disc_add(disc_scale(c, y3), disc_scale(d, y4)),
+                    )
+
+
 _DISC_CACHE: list | None = None
 
 
@@ -357,16 +423,7 @@ def disc_group() -> list:
     """All 48 elements, sorted; generated by D1, D2, D3, D4."""
     global _DISC_CACHE
     if _DISC_CACHE is None:
-        seen = set()
-        for a in range(2):
-            for b in range(2):
-                for c in range(6):
-                    for d in range(6):
-                        x = disc_add(
-                            disc_add(disc_scale(a, D1), disc_scale(b, D2)),
-                            disc_add(disc_scale(c, D3), disc_scale(d, D4)),
-                        )
-                        seen.add(x)
+        seen = set(_disc_words(*DISC_GENS))
         require(len(seen) == 48, "discriminant group does not have order 48")
         _DISC_CACHE = sorted(seen)
     return _DISC_CACHE
@@ -513,23 +570,9 @@ def enumerate_disc_orthogonal() -> list:
 
 def _expand_map(y1, y2, y3, y4):
     mapping = {}
-    for a in range(2):
-        for b in range(2):
-            for c in range(6):
-                for d in range(6):
-                    src = disc_add(
-                        disc_add(disc_scale(a, D1), disc_scale(b, D2)),
-                        disc_add(disc_scale(c, D3), disc_scale(d, D4)),
-                    )
-                    dst = disc_add(
-                        disc_add(disc_scale(a, y1), disc_scale(b, y2)),
-                        disc_add(disc_scale(c, y3), disc_scale(d, y4)),
-                    )
-                    if src in mapping:
-                        if mapping[src] != dst:
-                            return None
-                    else:
-                        mapping[src] = dst
+    for src, dst in zip(_disc_words(*DISC_GENS), _disc_words(y1, y2, y3, y4)):
+        if mapping.setdefault(src, dst) != dst:
+            return None
     return mapping
 
 
@@ -546,10 +589,7 @@ def orthogonal_complement(v):
     v = tuple(int(x) for x in v)
     if not any(v):
         raise ValueError("complement of the zero vector")
-    g = 0
-    for x in v:
-        g = _gcd(g, x)
-    if g != 1:
+    if gcd(*v) != 1:
         raise ValueError("vector is not primitive")
     w = list(mat_vec(GRAM, v))
     cols = [[1 if i == j else 0 for i in range(N)] for j in range(N)]
@@ -573,10 +613,3 @@ def orthogonal_complement(v):
         require(qpair(v, b) == 0, "complement basis vector not orthogonal")
     gram = tuple(tuple(qpair(x, y) for y in basis) for x in basis)
     return basis, gram
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import require
+from .lattice import power
 
 NVARS = 5
 
@@ -92,14 +93,7 @@ class Poly5:
 
     def __pow__(self, n: int) -> "Poly5":
         require(n >= 0, "negative polynomial power")
-        out = Poly5.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, Poly5.const(1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly5) and self.terms == other.terms

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .domain import Point, dm_from_chart, psi
 from .eisenstein import Eisenstein
-from .hermitian import m2e, m2e_mul
-from .lattice import mat_id, mat_mul, mat_pow, U1, W0
+from .hermitian import m2e
+from .lattice import mat_id, mat_mul, U1, W0
 from .tower import Cyclo12
 
 __all__ = [
@@ -65,11 +65,11 @@ def sample_g2_matrix(rng, steps: int = 5):
     for _ in range(steps):
         kind = rng.randrange(4)
         if kind < 2:
-            out = m2e_mul(out, _elementary(rng, even=True))
+            out = mat_mul(out, _elementary(rng, even=True))
         elif kind == 2:
-            out = m2e_mul(out, m2e(((1, 0), (0, -1))))
+            out = mat_mul(out, m2e(((1, 0), (0, -1))))
         else:
-            out = m2e_mul(out, m2e(((-1, 0), (0, -1))))
+            out = mat_mul(out, m2e(((-1, 0), (0, -1))))
     return out
 
 
@@ -80,10 +80,10 @@ def sample_gl2_matrix(rng, steps: int = 5):
     out = m2e(((1, 0), (0, 1)))
     for _ in range(steps):
         if rng.randrange(3):
-            out = m2e_mul(out, _elementary(rng, even=False))
+            out = mat_mul(out, _elementary(rng, even=False))
         else:
             u = UNITS[rng.randrange(6)]
-            out = m2e_mul(out, m2e(((u, 0), (0, 1))))
+            out = mat_mul(out, m2e(((u, 0), (0, 1))))
     return out
 
 

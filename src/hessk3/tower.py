@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .eisenstein import Eisenstein
 from .errors import require
+from .lattice import power
 
 __all__ = [
     "Cyclo12",
@@ -27,16 +28,6 @@ __all__ = [
     "from_eisenstein",
     "sign_sqrt3",
     "tower_sign_real",
-    "m2_mul",
-    "m2_add",
-    "m2_sub",
-    "m2_neg",
-    "m2_scale",
-    "m2_det",
-    "m2_inv",
-    "m2_transpose",
-    "m2_conj_transpose",
-    "m2_id",
 ]
 
 _Q = Fraction
@@ -107,16 +98,7 @@ class Cyclo12:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = C_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, C_ONE, invert=Cyclo12.inverse)
 
     def conj(self):
         """Complex conjugation: i -> -i, sqrt3 fixed."""
@@ -225,56 +207,6 @@ def tower_sign_real(x: Cyclo12) -> int:
     return sign_sqrt3(x.a, x.b)
 
 
-# -- 2x2 matrices over the field ----------------------------------------
-#
-# Stored as tuples of tuples.  Only the handful of operations the upper
-# half-space needs.
-
+# 2x2 matrices over the field, as tuples of row tuples; their arithmetic is
+# the ring-generic kernel in `lattice`.
 Mat2C = tuple[tuple[Cyclo12, Cyclo12], tuple[Cyclo12, Cyclo12]]
-
-
-def m2_id() -> Mat2C:
-    return ((C_ONE, C_ZERO), (C_ZERO, C_ONE))
-
-
-def m2_mul(x: Mat2C, y: Mat2C) -> Mat2C:
-    return tuple(
-        tuple(sum((x[i][k] * y[k][j] for k in range(2)), C_ZERO) for j in range(2))
-        for i in range(2)
-    )
-
-
-def m2_add(x: Mat2C, y: Mat2C) -> Mat2C:
-    return tuple(tuple(x[i][j] + y[i][j] for j in range(2)) for i in range(2))
-
-
-def m2_sub(x: Mat2C, y: Mat2C) -> Mat2C:
-    return tuple(tuple(x[i][j] - y[i][j] for j in range(2)) for i in range(2))
-
-
-def m2_neg(x: Mat2C) -> Mat2C:
-    return tuple(tuple(-x[i][j] for j in range(2)) for i in range(2))
-
-
-def m2_scale(x: Mat2C, s) -> Mat2C:
-    return tuple(tuple(x[i][j] * s for j in range(2)) for i in range(2))
-
-
-def m2_det(x: Mat2C) -> Cyclo12:
-    return x[0][0] * x[1][1] - x[0][1] * x[1][0]
-
-
-def m2_inv(x: Mat2C) -> Mat2C:
-    d = m2_det(x)
-    if d.is_zero():
-        raise ZeroDivisionError("singular 2x2 matrix")
-    di = d.inverse()
-    return ((x[1][1] * di, -x[0][1] * di), (-x[1][0] * di, x[0][0] * di))
-
-
-def m2_transpose(x: Mat2C) -> Mat2C:
-    return ((x[0][0], x[1][0]), (x[0][1], x[1][1]))
-
-
-def m2_conj_transpose(x: Mat2C) -> Mat2C:
-    return ((x[0][0].conj(), x[1][0].conj()), (x[0][1].conj(), x[1][1].conj()))

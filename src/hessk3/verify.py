@@ -24,7 +24,6 @@ from .hermitian import (
     equal_mod_units,
     g_a,
     g_upper,
-    he_mul,
     involution_W,
     m2e,
     m2e_mod2,
@@ -49,11 +48,11 @@ from .lattice import (
     is_in_k3,
     mat_id,
     mat_mul,
+    mat_transpose,
     to_s5,
     translation_h,
     two_torsion,
 )
-from .tower import m2_transpose
 
 __all__ = ["Check", "SUITES", "run_suite", "run_all"]
 
@@ -178,7 +177,7 @@ def suite_group_iso(seed: int):
     for _ in range(200):
         a = sampling.sample_gl2_matrix(rng, 4)
         b = sampling.sample_gl2_matrix(rng, 4)
-        if correspond.psi_hom(hermitian.m2e_mul(a, b)) != mat_mul(
+        if correspond.psi_hom(mat_mul(a, b)) != mat_mul(
             correspond.psi_hom(a), correspond.psi_hom(b)
         ):
             hom_ok = False
@@ -256,7 +255,7 @@ def suite_enr_iso(seed: int):
     for _ in range(12):
         z = sampling.sample_chart_point(rng)
         lhs = psi(act(G0I42, z))
-        rhs = m2_transpose(moebius(flip, involution_W(psi(z))))
+        rhs = mat_transpose(moebius(flip, involution_W(psi(z))))
         if lhs != rhs:
             wprime_ok = False
             break
@@ -370,7 +369,7 @@ def suite_heegner(seed: int):
     )
     emb = hermitian.embed_from_hgamma0(word_matrix(sampling.sample_hgamma0_word(rng, 4)))
     _add(checks, "gamma0-classifies-uncovered", hermitian.coset_classify(emb) == "uncovered")
-    shifted = he_mul(emb, g_upper((0, 1, 0, 0)))
+    shifted = mat_mul(emb, g_upper((0, 1, 0, 0)))
     _add(checks, "shifted-gamma0-classifies-2", hermitian.coset_classify(shifted) == 2)
     return checks
 
@@ -392,7 +391,7 @@ def suite_decompose_fuzz(seed: int):
         word = sampling.sample_hgamma0_word(rng, rng.randint(1, 6))
         g = word_matrix(word)
         lift, tail_word = decompose_hgamma0(g)
-        if he_mul(g_a(lift), word_matrix(tail_word)) != g:
+        if mat_mul(g_a(lift), word_matrix(tail_word)) != g:
             herm0_ok = False
             break
     _add(checks, "gamma0-section-factorization", herm0_ok)

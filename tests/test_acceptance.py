@@ -34,7 +34,6 @@ from hessk3.hermitian import (
     involution_W,
     m2e,
     m2e_mod2,
-    m2e_mul,
     moebius,
     p1_action,
     p1_f4_points,
@@ -54,12 +53,12 @@ from hessk3.lattice import (
     is_in_enr,
     mat_id,
     mat_mul,
+    mat_transpose,
     to_s5,
     translation_h,
     V_CLASSES,
 )
 from hessk3.poly import reciprocal_clear
-from hessk3.tower import m2_transpose
 
 E_ZERO = Eisenstein(0, 0)
 E_ONE = Eisenstein(1, 0)
@@ -121,7 +120,7 @@ def test_c04_psi_is_multiplicative_with_scalar_kernel():
     for _ in range(200):
         a = sampling.sample_gl2_matrix(rng, 4)
         b = sampling.sample_gl2_matrix(rng, 4)
-        assert correspond.psi_hom(m2e_mul(a, b)) == mat_mul(
+        assert correspond.psi_hom(mat_mul(a, b)) == mat_mul(
             correspond.psi_hom(a), correspond.psi_hom(b)
         )
     ident = mat_id(6)
@@ -262,7 +261,7 @@ def test_c08_congruence_words_and_w_prime_law():
     for _ in range(20):
         z = sampling.sample_chart_point(rng)
         lhs = psi(act(G0I42, z))
-        rhs = m2_transpose(moebius(flip, involution_W(psi(z))))
+        rhs = mat_transpose(moebius(flip, involution_W(psi(z))))
         assert lhs == rhs
 
 

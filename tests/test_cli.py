@@ -10,7 +10,8 @@ import pytest
 from hessk3 import cli
 from hessk3.correspond import orth_word_matrix
 from hessk3.domain import Q0
-from hessk3.hermitian import W_MAT, g_upper, he_id, word_matrix
+from hessk3.eisenstein import ONE, ZERO
+from hessk3.hermitian import W_MAT, g_upper, word_matrix
 from hessk3.lattice import G1, mat_id, translation_h
 
 ENVELOPE_KEYS = {"command", "inputs", "outputs", "status", "diagnostics"}
@@ -157,7 +158,7 @@ def test_herm_decompose_round_trip(capsys, monkeypatch):
 
 def test_herm_mod2_and_coset(capsys, monkeypatch):
     rc, doc = run_cli(
-        ["herm", "mod2"], stdin_doc={"matrix": eis_rows(he_id())},
+        ["herm", "mod2"], stdin_doc={"matrix": eis_rows(mat_id(4, ONE, ZERO))},
         monkeypatch=monkeypatch, capsys=capsys,
     )
     assert rc == 0
@@ -242,6 +243,54 @@ def test_missing_field(capsys, monkeypatch):
     assert "matrix" in doc["diagnostics"][0]
 
 
+def test_map_rejects_unnormalized_point(capsys, monkeypatch):
+    z = [[str(c) for c in (2 * x).coords()] for x in Q0]
+    rc, doc = run_cli(["map", "z-to-tau"], stdin_doc={"z": z}, monkeypatch=monkeypatch, capsys=capsys)
+    assert rc == 2
+    assert doc["status"] == "error"
+    assert "chart normalized" in doc["diagnostics"][0]
+
+
+@pytest.mark.parametrize("value", ["false", 0, None, [], "true"])
+@pytest.mark.parametrize("flag", ["uses_t", "uses_w"])
+def test_h2o_flags_must_be_json_booleans(flag, value, capsys, monkeypatch):
+    rc, doc = run_cli(
+        ["correspond", "h2o"], stdin_doc={flag: value, "word": []},
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert rc == 2
+    assert doc["diagnostics"] == [f"{flag}: expected a JSON boolean, got {type(value).__name__}"]
+
+
+def test_h2o_flags_default_to_false(capsys, monkeypatch):
+    rc, doc = run_cli(
+        ["correspond", "h2o"], stdin_doc={"uses_w": False, "word": []},
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert rc == 0
+    assert doc["inputs"]["uses_t"] is False and doc["inputs"]["uses_w"] is False
+    assert doc["outputs"]["matrix"] == [list(r) for r in mat_id(6)]
+
+
+DEEP_ARRAY = "[" * 5000 + "]" * 5000
+
+
+def test_deep_stdin_document_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_ARRAY))
+    rc = cli.main(["orth", "check"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert doc["status"] == "error"
+    assert doc["diagnostics"][0].startswith("input document: maximum recursion depth")
+
+
+def test_deep_inline_tau_is_an_input_error(capsys):
+    rc, doc = run_cli(["heegner", "--tau", DEEP_ARRAY], capsys=capsys)
+    assert rc == 2
+    assert doc["command"] == "heegner"
+    assert doc["diagnostics"][0].startswith("tau: maximum recursion depth")
+
+
 def test_unknown_suite_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "nonsense"])
@@ -254,6 +303,13 @@ def test_verify_suite_runs(capsys, monkeypatch):
     assert doc["outputs"]["passed"] is True
     assert doc["outputs"]["suite"] == "delta-sing"
     assert all(set(c) == {"check_id", "passed", "detail"} for c in doc["outputs"]["checks"])
+
+
+@pytest.mark.parametrize("seed", [2, 6, 7, 28])
+def test_decompose_fuzz_seeds_that_once_stalled_in_row_four(seed, capsys):
+    rc, doc = run_cli(["verify", "--suite", "decompose-fuzz", "--seed", str(seed)], capsys=capsys)
+    assert rc == 0
+    assert doc["outputs"]["passed"] is True
 
 
 def test_verify_reports_are_byte_deterministic_across_processes():

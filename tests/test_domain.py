@@ -9,13 +9,11 @@ from hessk3.domain import (
     dm_from_chart,
     dm_membership,
     h2_contains,
-    positivity_value,
     psi,
     psi_inv,
-    quadric_value,
 )
-from hessk3.lattice import G0, G1, MINUS_I6, U0, U1, mat_id, mat_mul, translation_h
-from hessk3.tower import C_ZERO, Cyclo12, I_UNIT, m2_det
+from hessk3.lattice import G0, G1, MINUS_I6, U0, U1, mat_det2, mat_id, mat_mul, qpair, translation_h
+from hessk3.tower import C_ZERO, Cyclo12, I_UNIT
 
 
 def conj_point(z):
@@ -28,16 +26,16 @@ def test_base_point():
     assert psi(Q0) == ((two_i, C_ZERO), (C_ZERO, two_i))
     assert Q0[0] == Cyclo12(1)
     # z2 = -2 det psi(z) on the quadric
-    assert Q0[1] == m2_det(psi(Q0)) * (-2)
+    assert Q0[1] == mat_det2(psi(Q0)) * (-2)
 
 
 def test_chart_lift_and_membership():
     rng = sampling.make_rng(11)
     for _ in range(25):
         z = sampling.sample_chart_point(rng)
-        assert quadric_value(z).is_zero()
+        assert qpair(z, z).is_zero()
         assert dm_membership(z) == "plus"
-        assert z[1] == m2_det(psi(z)) * (-2)
+        assert z[1] == mat_det2(psi(z)) * (-2)
         zbar = conj_point(z)
         assert dm_membership(zbar) == "minus"
         with pytest.raises(ValueError, match="plus component"):
@@ -50,6 +48,17 @@ def test_membership_rejections():
     assert dm_membership(e1) == "none"
     off = (Cyclo12(1), Cyclo12(1), C_ZERO, C_ZERO, C_ZERO, C_ZERO)
     assert dm_membership(off) == "none"
+
+
+def test_unnormalized_points_are_rejected():
+    # 2 Q0 and i Q0 are the same projective point as Q0, but the component
+    # and the matrix coordinate are read off z1 = 1 only
+    for scale in (Cyclo12(2), I_UNIT):
+        z = tuple(scale * x for x in Q0)
+        with pytest.raises(ValueError, match="chart normalized"):
+            dm_membership(z)
+        with pytest.raises(ValueError, match="chart normalized"):
+            psi(z)
 
 
 def test_psi_round_trip():
@@ -86,8 +95,8 @@ def test_action_is_projective_and_compatible():
         assert act(a, act(b, z)) == act(mat_mul(a, b), z)
         # integer isometries preserve the quadric and the Hermitian norm sign
         w = act(a, z)
-        assert quadric_value(w).is_zero()
-        pos = positivity_value(w)
+        assert qpair(w, w).is_zero()
+        pos = qpair(w, conj_point(w))
         assert not pos.is_zero()
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from hessk3 import sampling
-from hessk3.eisenstein import OMEGA, OMEGA2, Eisenstein
+from hessk3.eisenstein import OMEGA, OMEGA2, ONE, ZERO, Eisenstein
 from hessk3.hermitian import (
     B_COSETS,
     F4_ELEMS,
@@ -25,10 +25,6 @@ from hessk3.hermitian import (
     g_lower,
     g_upper,
     gl2f4_group,
-    he_conjt,
-    he_id,
-    he_mul,
-    he_neg,
     herm_b,
     involution_T,
     involution_W,
@@ -44,13 +40,15 @@ from hessk3.hermitian import (
     token_matrix,
     word_matrix,
 )
-from hessk3.tower import from_eisenstein, m2_sub
+from hessk3.lattice import mat_conj_transpose, mat_id, mat_mul, mat_neg, mat_sub
+from hessk3.tower import from_eisenstein
 
+I4 = mat_id(4, ONE, ZERO)
 GAMMA0_ONLY = g_a(m2e(((OMEGA, 0), (0, 1))))
 
 
 def unitary_defect(g):
-    return he_mul(he_conjt(g), he_mul(J_MAT, g))
+    return mat_mul(mat_conj_transpose(g), mat_mul(J_MAT, g))
 
 
 def test_block_round_trip():
@@ -60,7 +58,7 @@ def test_block_round_trip():
 
 def test_generators_are_unitary():
     for g in (
-        he_id(),
+        I4,
         g_upper((1, 0, -2, 3)),
         g_lower((0, 1, 1, -1)),
         g_a(m2e(((1, Eisenstein(0, 2)), (0, 1)))),
@@ -71,13 +69,13 @@ def test_generators_are_unitary():
 
 
 def test_membership_levels():
-    assert membership(he_id()) == "gamma1"
+    assert membership(I4) == "gamma1"
     assert membership(g_upper((2, 1, 0, -1))) == "gamma1"
     assert membership(g_lower((1, 1, 1, 1))) == "gamma1"
     assert membership(GAMMA0_ONLY) == "gamma0"
     assert membership(J_MAT) == "full"
     assert membership(W_MAT) == "none"
-    assert membership(he_neg(he_id())) == "gamma1"
+    assert membership(mat_neg(I4)) == "gamma1"
 
 
 def test_g_a_rejects_non_unit_determinant():
@@ -93,17 +91,17 @@ def test_herm_b_is_hermitian_and_additive():
     assert b[1][0] == b[0][1].conj()
     ma, mb = (1, 2, -1, 0), (0, -3, 2, 4)
     msum = tuple(x + y for x, y in zip(ma, mb))
-    assert he_mul(g_upper(ma), g_upper(mb)) == g_upper(msum)
-    assert he_mul(g_lower(ma), g_lower(mb)) == g_lower(msum)
+    assert mat_mul(g_upper(ma), g_upper(mb)) == g_upper(msum)
+    assert mat_mul(g_lower(ma), g_lower(mb)) == g_lower(msum)
 
 
 def test_w_mat_relations():
-    minus_two_id = tuple(tuple(x * (-2) for x in r) for r in he_id())
-    assert he_mul(W_MAT, W_MAT) == minus_two_id
+    minus_two_id = tuple(tuple(x * (-2) for x in r) for r in I4)
+    assert mat_mul(W_MAT, W_MAT) == minus_two_id
     # W swaps the two translation families
     for m in ((1, 0, 0, 0), (0, 0, 0, 1), (2, -1, 3, 1)):
         mneg = tuple(-x for x in m)
-        assert he_mul(W_MAT, g_upper(m)) == he_mul(g_lower(mneg), W_MAT)
+        assert mat_mul(W_MAT, g_upper(m)) == mat_mul(g_lower(mneg), W_MAT)
 
 
 def test_moebius_is_an_action():
@@ -116,15 +114,15 @@ def test_moebius_is_an_action():
     ]
     for _ in range(12):
         tau = sampling.sample_h2_tau(rng)
-        assert moebius(he_id(), tau) == tau
+        assert moebius(I4, tau) == tau
         a = gens[rng.randrange(len(gens))]
         b = gens[rng.randrange(len(gens))]
-        assert moebius(he_mul(a, b), tau) == moebius(a, moebius(b, tau))
+        assert moebius(mat_mul(a, b), tau) == moebius(a, moebius(b, tau))
     # the upper translation is literal addition by B(m)
     tau = sampling.sample_h2_tau(rng)
     shifted = moebius(g_upper((1, 2, 0, -1)), tau)
     bm = tuple(tuple(from_eisenstein(x) for x in r) for r in herm_b((1, 2, 0, -1)))
-    assert m2_sub(shifted, tau) == bm
+    assert mat_sub(shifted, tau) == bm
 
 
 def test_involutions():
@@ -147,7 +145,26 @@ def test_word_round_trip_gamma1():
         assert word_matrix(redone) == g
     # inverse tokens really invert
     for tok in (("gA", m2e(((1, 2), (0, 1)))), ("gBu", (1, -2, 0, 3)), ("gBl", (0, 1, 1, 1))):
-        assert he_mul(token_matrix(tok), token_matrix(token_inverse(tok))) == he_id()
+        assert mat_mul(token_matrix(tok), token_matrix(token_inverse(tok))) == I4
+
+
+# A gamma1 element whose column-one descent once stalled in row four: the
+# Eisenstein quotient there was nonzero but did not shrink the norm.
+ROW_FOUR_STALL = tuple(
+    tuple(Eisenstein(*x) for x in row)
+    for row in (
+        ((-1, -2), (0, 0), (0, 0), (0, 1)),
+        ((0, 0), (-1, -2), (1, 1), (0, 0)),
+        ((0, 0), (2, 0), (-1, 0), (0, 0)),
+        ((-2, 0), (0, 0), (0, 0), (1, 0)),
+    )
+)
+
+
+def test_row_four_step_only_takes_shrinking_quotients():
+    assert membership(ROW_FOUR_STALL) == "gamma1"
+    word = decompose_hgamma1(ROW_FOUR_STALL)
+    assert word_matrix(word) == ROW_FOUR_STALL
 
 
 def test_decompose_rejections():
@@ -166,7 +183,7 @@ def test_word_round_trip_gamma0():
         g = word_matrix(word)
         assert membership(g) in ("gamma0", "gamma1")
         lift, tail = decompose_hgamma0(g)
-        assert he_mul(g_a(lift), word_matrix(tail)) == g
+        assert mat_mul(g_a(lift), word_matrix(tail)) == g
         assert m2e_mod2(lift) == f_mod2(g)
 
 
@@ -188,7 +205,7 @@ def test_mod2_reduction_is_a_homomorphism():
     for _ in range(15):
         g = word_matrix(sampling.sample_hgamma0_word(rng, 3))
         h = word_matrix(sampling.sample_hgamma0_word(rng, 3))
-        assert f_mod2(he_mul(g, h)) == f4_mat_mul(f_mod2(g), f_mod2(h))
+        assert f_mod2(mat_mul(g, h)) == f4_mat_mul(f_mod2(g), f_mod2(h))
     with pytest.raises(ValueError, match="mod-2 reduction needs a gamma0 element"):
         f_mod2(J_MAT)
 
@@ -229,7 +246,7 @@ COSET_CASES = [
     (g_upper((0, 1, 0, 0)), 2),
     (g_upper((0, 0, 0, 1)), 3),
     (g_upper((2, 2, 0, 0)), "uncovered"),
-    (he_id(), "uncovered"),
+    (I4, "uncovered"),
 ]
 
 
@@ -255,8 +272,8 @@ def test_embed_is_a_homomorphism():
     for _ in range(10):
         g = word_matrix(sampling.sample_hgamma0_word(rng, 3))
         h = word_matrix(sampling.sample_hgamma0_word(rng, 3))
-        assert he_mul(embed_from_hgamma0(g), embed_from_hgamma0(h)) == embed_from_hgamma0(
-            he_mul(g, h)
+        assert mat_mul(embed_from_hgamma0(g), embed_from_hgamma0(h)) == embed_from_hgamma0(
+            mat_mul(g, h)
         )
     with pytest.raises(ValueError, match="embedding needs a gamma0 element"):
         embed_from_hgamma0(J_MAT)
@@ -266,5 +283,5 @@ def test_equal_mod_units():
     g = g_upper((1, 2, -1, 0))
     scaled = tuple(tuple(x * OMEGA2 for x in r) for r in g)
     assert equal_mod_units(g, scaled)
-    assert equal_mod_units(g, he_neg(g))
+    assert equal_mod_units(g, mat_neg(g))
     assert not equal_mod_units(g, g_upper((1, 2, -1, 1)))

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hessk3 import lattice
+from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.lattice import (
     DISC_GENS,
     G0,
@@ -47,6 +48,7 @@ from hessk3.lattice import (
     translation_h,
     two_torsion,
 )
+from hessk3.tower import C_ONE, C_ZERO, Cyclo12
 
 D1, D2, D3, D4 = DISC_GENS
 
@@ -83,6 +85,65 @@ def test_matrix_helpers():
         mat_inverse_int(((1, 1), (1, 1)))
     with pytest.raises(Exception, match="not integral"):
         mat_inverse_int(((2, 0), (0, 1)))
+
+
+def _naive_product(a, b):
+    n = len(b)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j]) for j in range(n))
+        for i in range(len(a))
+    )
+
+
+def _kernel_cases():
+    """(matrix a, matrix b, one, zero) over Z, Z[w] and Q(sqrt3, i)."""
+    e = Eisenstein
+    c = Cyclo12
+    return [
+        (G1, translation_h(1, -2, 0, 3), 1, 0),
+        (
+            ((e(1, 2), e(0, 1)), (e(-1, 0), e(3, -1))),
+            ((e(0, 1), e(2, 2)), (e(1, 0), e(-1, 1))),
+            ONE,
+            ZERO,
+        ),
+        (
+            ((c(1, 2, 0, 1), c(0, 0, 1)), (c(-1, Fraction(1, 2)), c(3))),
+            ((c(0, 1), c(2, 0, 0, -1)), (c(1), c(0, 0, -1, 1))),
+            C_ONE,
+            C_ZERO,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("a, b, one, zero", _kernel_cases())
+def test_matrix_kernel_is_ring_generic(a, b, one, zero):
+    n = len(a)
+    ident = lattice.mat_id(n, one, zero)
+    ab = lattice.mat_mul(a, b)
+    assert ab == _naive_product(a, b)
+    assert lattice.mat_mul(ident, a) == a == lattice.mat_mul(a, ident)
+    assert lattice.mat_mul(ab, a) == lattice.mat_mul(a, lattice.mat_mul(b, a))
+    assert lattice.mat_vec(a, lattice.mat_transpose(b)[0]) == lattice.mat_transpose(ab)[0]
+    # square-and-multiply against repeated products; k = 0 is the ring's identity
+    prod = ident
+    for k in range(6):
+        assert lattice.power(a, k, ident, lattice.mat_mul) == prod
+        prod = lattice.mat_mul(prod, a)
+    assert all(type(x) is type(one) for row in lattice.power(a, 0, ident, lattice.mat_mul) for x in row)
+    with pytest.raises(ValueError, match="negative power"):
+        lattice.power(a, -1, ident, lattice.mat_mul)
+    # additive structure
+    assert lattice.mat_sub(lattice.mat_add(a, b), b) == a
+    assert lattice.mat_add(a, lattice.mat_neg(a)) == lattice.mat_scale(a, zero)
+    assert lattice.mat_scale(a, one) == a
+    assert lattice.mat_transpose(lattice.mat_transpose(ab)) == ab
+    if n == 2:
+        assert lattice.mat_det2(ab) == lattice.mat_det2(a) * lattice.mat_det2(b)
+    if not isinstance(one, int):
+        # conjugate transpose is an antihomomorphism
+        ct = lattice.mat_conj_transpose
+        assert ct(ab) == lattice.mat_mul(ct(b), ct(a))
 
 
 def test_named_generators_are_isometries():
