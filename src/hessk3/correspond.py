@@ -49,7 +49,8 @@ from .lattice import (
     U2,
     W0,
     W0_INV,
-    block_parity,
+    _block_parity,
+    _orientation,
     det_int,
     is_orthogonal,
     mat_det2,
@@ -59,7 +60,6 @@ from .lattice import (
     mat_neg,
     mat_pow,
     mat_scale,
-    orientation,
     residual_m,
     translation_h,
 )
@@ -129,12 +129,12 @@ def psi_hom(a):
 
 def is_so0(g) -> bool:
     """Determinant one, diagonal parity, plus orientation."""
-    return (
-        is_orthogonal(g)
-        and det_int(g) == 1
-        and block_parity(g) == "diagonal"
-        and orientation(g) == "plus"
-    )
+    return is_orthogonal(g) and _in_so0(g)
+
+
+def _in_so0(g) -> bool:
+    """is_so0 for a matrix already known to be an isometry."""
+    return det_int(g) == 1 and _block_parity(g) == "diagonal" and _orientation(g) == "plus"
 
 
 ORTH_TOKEN_MATS = {
@@ -246,7 +246,7 @@ def decompose_so0(x):
     """
     if not is_orthogonal(x):
         raise ValueError("matrix does not preserve the form")
-    if det_int(x) != 1 or block_parity(x) != "diagonal" or orientation(x) != "plus":
+    if not _in_so0(x):
         raise ValueError("matrix is not in the even orthogonal subgroup")
 
     work = x
@@ -419,13 +419,13 @@ def orth_to_herm(g):
     """
     if not is_orthogonal(g):
         raise ValueError("matrix does not preserve the form")
-    if orientation(g) != "plus":
+    if _orientation(g) != "plus":
         raise ValueError("matrix reverses the positive-plane orientation")
     work = g
     uses_t = det_int(work) == -1
     if uses_t:
         work = mat_mul(U1, work)
-    uses_w = block_parity(work) == "antidiagonal"
+    uses_w = _block_parity(work) == "antidiagonal"
     if uses_w:
         work = mat_mul(W0_INV, work)
     word = decompose_so0(work)

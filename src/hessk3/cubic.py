@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import require
+from .errors import rational, require
 from .poly import NVARS, Poly5, elem_sym_polys, halve_exponents, reciprocal_clear
 
 __all__ = [
@@ -38,12 +38,8 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def elem_sym_values(lam):
-    lam = tuple(_frac(x) for x in lam)
+    lam = tuple(rational(x) for x in lam)
     require(len(lam) == NVARS, "need exactly five coefficients")
     out = []
     polys = elem_sym_polys()
@@ -63,13 +59,19 @@ class InvariantSet:
 
 
 def classical_invariants(lam) -> InvariantSet:
+    return _invariant_parts(lam)[0]
+
+
+def _invariant_parts(lam):
+    """The invariants, sigma5 and the Vandermonde product prod_{i<j}
+    (lam_i - lam_j), each computed once."""
     s1, s2, s3, s4, s5 = elem_sym_values(lam)
-    lam = tuple(_frac(x) for x in lam)
+    lam = tuple(rational(x) for x in lam)
     diff = Fraction(1)
     for i in range(NVARS):
         for j in range(i + 1, NVARS):
             diff *= lam[i] - lam[j]
-    return InvariantSet(
+    inv = InvariantSet(
         i8=s4 * s4 - 4 * s3 * s5,
         i16=s1 * s5 ** 3,
         i24=s4 * s5 ** 4,
@@ -77,6 +79,7 @@ def classical_invariants(lam) -> InvariantSet:
         i40=s5 ** 8,
         i100=diff * s5 ** 18,
     )
+    return inv, s5, diff
 
 
 _DS_CACHE: dict = {}
@@ -121,7 +124,7 @@ def delta_sing_invariant_poly() -> Poly5:
 
 
 def delta_sing(lam) -> Fraction:
-    lam = tuple(_frac(x) for x in lam)
+    lam = tuple(rational(x) for x in lam)
     return delta_sing_invariant_poly().eval(lam)
 
 
@@ -154,7 +157,7 @@ def delta_km_bridge_poly() -> Poly5:
 def delta_km(lam) -> Fraction:
     """Kummer locus value at mu = 1/lam; zero iff the double cover picks up
     sixteen nodes."""
-    lam = tuple(_frac(x) for x in lam)
+    lam = tuple(rational(x) for x in lam)
     for x in lam:
         if x == 0:
             raise ValueError("Sylvester degenerate for mu")
@@ -164,7 +167,7 @@ def delta_km(lam) -> Fraction:
 
 def hessian_equations(lam):
     """The hyperplane sum X_i and the quartic sum_i prod_{j != i} lam_j X_j."""
-    lam = tuple(_frac(x) for x in lam)
+    lam = tuple(rational(x) for x in lam)
     hyper = Poly5.zero()
     for i in range(NVARS):
         hyper = hyper + Poly5.var(i)
@@ -204,7 +207,7 @@ def hessian_line_check(lam, pair) -> bool:
 def enriques_partner_check(lam) -> bool:
     """The coordinate swap X -> Y with Y_i = prod_{j != i} lam_j X_j sends
     the quartic to the hyperplane times sigma5^4 (prod X)^3, exactly."""
-    lam = tuple(_frac(x) for x in lam)
+    lam = tuple(rational(x) for x in lam)
     hyper, quartic = hessian_equations(lam)
     ys = []
     for i in range(NVARS):
@@ -250,16 +253,11 @@ class LocusReport:
 
 
 def classify(lam) -> LocusReport:
-    lam = tuple(_frac(x) for x in lam)
-    inv = classical_invariants(lam)
-    s5 = elem_sym_values(lam)[4]
+    lam = tuple(rational(x) for x in lam)
+    inv, s5, diff = _invariant_parts(lam)
     degenerate = s5 == 0
     ds = delta_sing(lam)
     dk = None if degenerate else delta_km(lam)
-    diff = Fraction(1)
-    for i in range(NVARS):
-        for j in range(i + 1, NVARS):
-            diff *= lam[i] - lam[j]
     return LocusReport(
         invariants=inv,
         delta_sing=ds,

@@ -48,24 +48,33 @@ class Eisenstein:
     b: int
 
     def __add__(self, other: "Eisenstein | int") -> "Eisenstein":
-        other = _coerce(other)
-        return Eisenstein(self.a + other.a, self.b + other.b)
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return Eisenstein(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Eisenstein | int") -> "Eisenstein":
-        other = _coerce(other)
-        return Eisenstein(self.a - other.a, self.b - other.b)
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return Eisenstein(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other: "Eisenstein | int") -> "Eisenstein":
-        return _coerce(other) - self
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __neg__(self) -> "Eisenstein":
         return Eisenstein(-self.a, -self.b)
 
     def __mul__(self, other: "Eisenstein | int") -> "Eisenstein":
-        other = _coerce(other)
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
         return Eisenstein(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
 
     __rmul__ = __mul__
@@ -94,12 +103,14 @@ class Eisenstein:
         return f"Eis({self.a},{self.b})"
 
 
-def _coerce(v: "Eisenstein | int") -> Eisenstein:
+def _coerce(v) -> "Eisenstein | None":
+    """v in Z[w], or None, so that the operator returns NotImplemented and
+    Python raises TypeError or tries the other operand."""
     if isinstance(v, Eisenstein):
         return v
     if isinstance(v, int):
         return Eisenstein(v, 0)
-    return NotImplemented
+    return None
 
 
 ZERO = Eisenstein(0, 0)

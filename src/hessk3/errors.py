@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types and the input guard for exact rationals.
 
 ValueError is reserved for caller mistakes: malformed input or violated
 preconditions.  InvariantViolation means the library itself derived
@@ -7,6 +7,8 @@ assertion failed, so the surrounding computation cannot be trusted.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class InvariantViolation(AssertionError):
@@ -17,3 +19,13 @@ def require(condition: bool, message: str) -> None:
     """Check an internal invariant; active regardless of python -O."""
     if not condition:
         raise InvariantViolation(message)
+
+
+def rational(x) -> Fraction:
+    """x as a Fraction; only an int or a Fraction is accepted, so a float
+    never enters exact arithmetic."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")

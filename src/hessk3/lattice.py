@@ -108,21 +108,26 @@ QPRIME = (
 
 
 def power(x, k: int, one, times=mul, invert=None):
-    """x**k by square-and-multiply, starting from the ring's own identity.
+    """x**k by square-and-multiply; one, the ring's own identity, is x**0.
 
     times is the ring product; a negative k needs invert, the ring inverse.
+    Neither the identity nor a square past the top bit enters a product,
+    so k = 1, 2, 3, 4 cost 0, 1, 2, 2 products.
     """
     if k < 0:
         if invert is None:
             raise ValueError("negative power without an inverse")
         x, k = invert(x), -k
-    out = one
-    while k:
+    if k == 0:
+        return one
+    out = None
+    while True:
         if k & 1:
-            out = times(out, x)
-        x = times(x, x)
+            out = x if out is None else times(out, x)
         k >>= 1
-    return out
+        if not k:
+            return out
+        x = times(x, x)
 
 
 def mat_id(n: int = N, one=1, zero=0):
@@ -330,6 +335,11 @@ G0I42 = mat_mul(G0, I42)
 def orientation(g) -> str:
     if not is_orthogonal(g):
         raise ValueError("orientation of a non-isometry")
+    return _orientation(g)
+
+
+def _orientation(g) -> str:
+    """orientation of a matrix already known to be an isometry."""
     x = tuple(g[k][0] + 8 * g[k][1] for k in range(N))
     y = tuple(2 * (g[k][2] + g[k][3]) for k in range(N))
     if (x[0], y[0]) != (0, 0):
@@ -356,6 +366,11 @@ def block_parity(g) -> str:
     """
     if not is_orthogonal(g):
         raise ValueError("block parity of a non-isometry")
+    return _block_parity(g)
+
+
+def _block_parity(g) -> str:
+    """block_parity of a matrix already known to be an isometry."""
     blk = ((g[0][0] & 1, g[0][1] & 1), (g[1][0] & 1, g[1][1] & 1))
     if blk == ((1, 0), (0, 1)):
         return "diagonal"
@@ -511,7 +526,7 @@ def is_in_enr(g) -> bool:
 def _check_oplus(g) -> None:
     if not is_orthogonal(g):
         raise ValueError("not an isometry")
-    if orientation(g) != "plus":
+    if _orientation(g) != "plus":
         raise ValueError("isometry swaps the two components")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import require
+from .errors import rational, require
 from .lattice import power
 
 NVARS = 5
@@ -122,7 +122,7 @@ class Poly5:
         return None
 
     def eval(self, point) -> Fraction:
-        point = [Fraction(p) for p in point]
+        point = [rational(p) for p in point]
         require(len(point) == NVARS, "evaluation point has wrong arity")
         total = Fraction(0)
         for e, c in self.terms.items():

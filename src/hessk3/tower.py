@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .eisenstein import Eisenstein
-from .errors import require
+from .errors import rational, require
 from .lattice import power
 
 __all__ = [
@@ -34,15 +34,21 @@ _Q = Fraction
 
 
 class Cyclo12:
-    """a + b*sqrt3 + c*i + d*sqrt3*i with rational a, b, c, d."""
+    """a + b*sqrt3 + c*i + d*sqrt3*i with rational a, b, c, d.
+
+    Coordinates are ints or Fractions; anything else is a TypeError.
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = _Q(a)
-        self.b = _Q(b)
-        self.c = _Q(c)
-        self.d = _Q(d)
+        self.a = rational(a)
+        self.b = rational(b)
+        self.c = rational(c)
+        self.d = rational(d)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     # -- ring structure -------------------------------------------------
 
@@ -181,7 +187,7 @@ def from_eisenstein(e: Eisenstein) -> Cyclo12:
 
 def sign_sqrt3(a: Fraction, b: Fraction) -> int:
     """Exact sign of a + b*sqrt3 for rational a, b."""
-    a, b = _Q(a), _Q(b)
+    a, b = rational(a), rational(b)
     if a == 0 and b == 0:
         return 0
     if b == 0:

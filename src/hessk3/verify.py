@@ -1,8 +1,13 @@
-"""Named verification suites.
+"""Named verification suites: the one home of every exact check.
 
 Each suite runs a list of exact checks and returns a JSON-friendly report;
-same seed, same report, byte for byte.  The checks mirror the test suite's
-acceptance gates but at fuzzing sizes tuned for interactive use.
+same seed and sizes, same report, byte for byte.  A suite takes a seed and
+`sizes`, which maps a check id to its sample count, or to (count, longest
+word) where the check samples words of random length.  `SIZES` holds the
+interactive defaults behind `hessk3 verify`; the acceptance tests run the
+same suites at their own seeds and larger gate sizes.  A new check id goes
+at the end of its suite, so the rng draws of the checks before it, and so
+their entries, stay the same.
 
 Where a commonly stated identity is off by a scalar class (the mod-2
 kernel of the 2x2 to 6x6 homomorphism, and one generator preimage), the
@@ -12,24 +17,29 @@ uncorrected literal form fails, so the discrepancy stays visible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import correspond, cubic, heegner, hermitian, lattice, poly, sampling
 from .domain import act, psi
-from .eisenstein import OMEGA, OMEGA2, ONE, UNITS, Eisenstein
+from .eisenstein import OMEGA2, ONE, UNITS, Eisenstein
 from .hermitian import (
     decompose_hgamma0,
     decompose_hgamma1,
     equal_mod_units,
+    f_mod2,
     g_a,
     g_upper,
+    involution_T,
     involution_W,
     m2e,
     m2e_mod2,
     moebius,
     p1_action,
     p1_f4_points,
+    token_matrix,
     word_matrix,
 )
 from .lattice import (
@@ -39,6 +49,8 @@ from .lattice import (
     D4,
     G0I42,
     MINUS_I6,
+    U1,
+    W0,
     disc_act,
     disc_b,
     disc_group,
@@ -54,7 +66,41 @@ from .lattice import (
     two_torsion,
 )
 
-__all__ = ["Check", "SUITES", "run_suite", "run_all"]
+__all__ = ["Check", "SIZES", "SUITES", "run_suite", "run_all"]
+
+LOCI = ("node", "eckardt", "ns", "km")
+
+# Interactive sample counts, and word-length caps, by check id.  A count
+# shared by checks drawn in one loop sits under the first of them.
+SIZES = {
+    # quotient-group
+    "five-class-map-multiplicative": 30,
+    "translations-additive": 100,
+    "k3-subgroup-is-trivial-action": 40,
+    # group-iso
+    "psi-multiplicative": 200,
+    "psi-mod2-kernel-is-scalar-class": 214,
+    "identity-preimages-are-unit-scalars": 20,
+    "dictionary-equivariance-on-chart-points": 2,
+    "gamma0-words-mod2-in-gl2f4": (10, 6),
+    # enr-iso
+    "gamma1-words-land-in-enr": (60, 6),
+    "w-prime-is-transpose-flip-inversion": 12,
+    # delta-km
+    "km-scales-by-eighth": 20,
+    "ten-points-on-the-quartic": 6,
+    "kummer-locus-coincidence": 10,
+    # heegner
+    **{f"on-locus-{name}": 25 for name in LOCI},
+    "three-descriptions-agree-generic": 25,
+    "half-shift-orbit-relations": 10,
+    # decompose-fuzz
+    "gamma1-words-multiply-back": (60, 8),
+    "gamma0-section-factorization": (40, 6),
+    "even-subgroup-words-multiply-back": (60, 8),
+    "orthogonal-transport-mod-center": (30, 6),
+    "hermitian-round-trip-mod-units": (20, 5),
+}
 
 
 @dataclass(frozen=True)
@@ -64,17 +110,102 @@ class Check:
     detail: str = ""
 
 
-def _add(checks, check_id, cond, detail=""):
-    checks.append(Check(check_id, bool(cond), detail))
+class _Run:
+    """The checks of one suite run, with its rng and its sizes."""
+
+    def __init__(self, seed: int, sizes: dict):
+        self.rng = sampling.make_rng(seed)
+        self.sizes = sizes
+        self.checks: list[Check] = []
+
+    def add(self, check_id, cond, detail=""):
+        self.checks.append(Check(check_id, bool(cond), detail))
+
+    def samples(self, check_id, sample):
+        """sample(rng), once per count of the check; where the check has a
+        word-length cap, sample(rng, n) with n drawn up to the cap first."""
+        size, rng = self.sizes[check_id], self.rng
+        if isinstance(size, int):
+            return (sample(rng) for _ in range(size))
+        count, longest = size
+        return (sample(rng, rng.randint(1, longest)) for _ in range(count))
+
+    def every(self, check_id, sample, claim):
+        """The check passes when claim holds for each sample; the first
+        failure ends the draws."""
+        self.add(check_id, all(map(claim, self.samples(check_id, sample))))
+
+
+def _scalar(u):
+    return ((u, Eisenstein(0, 0)), (Eisenstein(0, 0), u))
+
+
+def _psi_multiplies(pair) -> bool:
+    a, b = pair
+    psi_hom = correspond.psi_hom
+    return psi_hom(mat_mul(a, b)) == mat_mul(psi_hom(a), psi_hom(b))
+
+
+def _s5_multiplies(pair) -> bool:
+    a, b = pair
+    sa, sb = to_s5(a), to_s5(b)
+    return to_s5(mat_mul(a, b)) == tuple(sa[sb[i]] for i in range(5))
+
+
+def _translations_add(pair) -> bool:
+    ma, mb = pair
+    lhs = mat_mul(translation_h(*ma), translation_h(*mb))
+    return lhs == translation_h(*(x + y for x, y in zip(ma, mb)))
+
+
+def _dictionary_equivariant(z) -> bool:
+    """Each dictionary pair, and U1 against T and W0 against W, acts
+    identically at z through psi."""
+    tau = psi(z)
+    return (
+        all(
+            psi(act(orth, z)) == moebius(token_matrix(tok), tau)
+            for _, orth, tok in correspond.DICTIONARY_PAIRS
+        )
+        and psi(act(U1, z)) == involution_T(tau)
+        and psi(act(W0, z)) == involution_W(tau)
+    )
+
+
+def _w_prime_law(z) -> bool:
+    flip = g_a(m2e(((0, 1), (1, 0))))
+    return psi(act(G0I42, z)) == mat_transpose(moebius(flip, involution_W(psi(z))))
+
+
+def _on_kummer_invariant_locus(lam) -> bool:
+    inv = cubic.classical_invariants(lam)
+    return inv.i8 * inv.i24 + 8 * inv.i32 == 0
+
+
+def _descriptions_agree(z) -> bool:
+    try:
+        heegner.perp_equivalence(z)
+    except AssertionError:
+        return False
+    return True
+
+
+def _gamma0_factors(g) -> bool:
+    lift, tail_word = decompose_hgamma0(g)
+    return mat_mul(g_a(lift), word_matrix(tail_word)) == g
+
+
+def _hermitian_round_trip(word) -> bool:
+    uses_t, uses_w, back = correspond.orth_to_herm(correspond.herm_word_to_orth(word))
+    return not uses_t and not uses_w and equal_mod_units(word_matrix(back), word_matrix(word))
 
 
 # -- suites -------------------------------------------------------------------
 
 
-def suite_disc_group(seed: int):
-    checks = []
-    group = disc_group()
-    _add(checks, "disc-group-order-48", len(group) == 48)
+def suite_disc_group(seed: int, sizes: dict):
+    run = _Run(seed, sizes)
+    run.add("disc-group-order-48", len(disc_group()) == 48)
     q_vals = {
         "q-d1": (disc_q(D1), Fraction(0)),
         "q-d1-plus-d2": (disc_q(lattice.disc_add(D1, D2)), Fraction(1)),
@@ -83,12 +214,12 @@ def suite_disc_group(seed: int):
         "q-d4": (disc_q(D4), Fraction(5, 3)),
     }
     for cid, (got, want) in q_vals.items():
-        _add(checks, cid, got == want, f"got {got}")
-    _add(checks, "b-d1-d2", disc_b(D1, D2) == Fraction(1, 2))
-    _add(checks, "b-d3-d4", disc_b(D3, D4) == Fraction(5, 6))
-    _add(checks, "b-d1-d3", disc_b(D1, D3) == 0)
+        run.add(cid, got == want, f"got {got}")
+    run.add("b-d1-d2", disc_b(D1, D2) == Fraction(1, 2))
+    run.add("b-d3-d4", disc_b(D3, D4) == Fraction(5, 6))
+    run.add("b-d1-d3", disc_b(D1, D3) == 0)
     auts = enumerate_disc_orthogonal()
-    _add(checks, "disc-orthogonal-order-240", len(auts) == 240, f"got {len(auts)}")
+    run.add("disc-orthogonal-order-240", len(auts) == 240, f"got {len(auts)}")
     image = set()
     kernel = 0
     for aut in auts:
@@ -96,14 +227,17 @@ def suite_disc_group(seed: int):
         image.add(perm)
         if perm == (0, 1, 2, 3, 4):
             kernel += 1
-    _add(checks, "five-class-image-order-120", len(image) == 120, f"got {len(image)}")
-    _add(checks, "five-class-kernel-order-2", kernel == 2, f"got {kernel}")
-    return checks
+    run.add(
+        "five-class-image-order-120",
+        image == set(itertools.permutations(range(5))),
+        f"got {len(image)}",
+    )
+    run.add("five-class-kernel-order-2", kernel == 2, f"got {kernel}")
+    return run.checks
 
 
-def suite_quotient_group(seed: int):
-    checks = []
-    rng = sampling.make_rng(seed)
+def suite_quotient_group(seed: int, sizes: dict):
+    run = _Run(seed, sizes)
     frozen = {
         "g1-perm": (lattice.G1, (3, 1, 4, 0, 2)),
         "g2-perm": (lattice.G2, (4, 1, 3, 2, 0)),
@@ -115,47 +249,33 @@ def suite_quotient_group(seed: int):
     }
     for cid, (mat, want) in frozen.items():
         got = to_s5(mat)
-        _add(checks, cid, got == want, f"got {got}")
-    hom_ok = True
-    for _ in range(30):
-        a = sampling.sample_orth_plus(rng, 4)
-        b = sampling.sample_orth_plus(rng, 4)
-        sa, sb = to_s5(a), to_s5(b)
-        sab = to_s5(mat_mul(a, b))
-        composed = tuple(sa[sb[i]] for i in range(5))
-        if sab != composed:
-            hom_ok = False
-            break
-    _add(checks, "five-class-map-multiplicative", hom_ok)
-    add_ok = True
-    for _ in range(100):
-        ma = tuple(rng.randint(-4, 4) for _ in range(4))
-        mb = tuple(rng.randint(-4, 4) for _ in range(4))
-        lhs = mat_mul(translation_h(*ma), translation_h(*mb))
-        rhs = translation_h(*(x + y for x, y in zip(ma, mb)))
-        if lhs != rhs:
-            add_ok = False
-            break
-    _add(checks, "translations-additive", add_ok)
+        run.add(cid, got == want, f"got {got}")
+    run.every(
+        "five-class-map-multiplicative",
+        lambda rng: (sampling.sample_orth_plus(rng, 4), sampling.sample_orth_plus(rng, 4)),
+        _s5_multiplies,
+    )
+    run.every(
+        "translations-additive",
+        lambda rng: tuple(tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(2)),
+        _translations_add,
+    )
     k3_ok = True
     enr_ok = True
     tt = two_torsion()
-    for _ in range(40):
-        g = sampling.sample_orth_so0(rng, 5)
-        trivial = all(disc_act(g, d) == d for d in (D1, D2, D3, D4))
-        if is_in_k3(g) != trivial:
+    so0 = partial(sampling.sample_orth_so0, length=5)
+    for g in run.samples("k3-subgroup-is-trivial-action", so0):
+        if is_in_k3(g) != all(disc_act(g, d) == d for d in (D1, D2, D3, D4)):
             k3_ok = False
-        fixes_tt = all(disc_act(g, t) == t for t in tt)
-        if is_in_enr(g) != fixes_tt:
+        if is_in_enr(g) != all(disc_act(g, t) == t for t in tt):
             enr_ok = False
-    _add(checks, "k3-subgroup-is-trivial-action", k3_ok)
-    _add(checks, "enr-subgroup-fixes-two-torsion", enr_ok)
-    return checks
+    run.add("k3-subgroup-is-trivial-action", k3_ok)
+    run.add("enr-subgroup-fixes-two-torsion", enr_ok)
+    return run.checks
 
 
-def suite_group_iso(seed: int):
-    checks = []
-    rng = sampling.make_rng(seed)
+def suite_group_iso(seed: int, sizes: dict):
+    run = _Run(seed, sizes)
     pairs = {
         "image-g1": (m2e(((1, 0), (1, 1))), lattice.G1),
         "image-g2": (m2e(((1, 0), (OMEGA2, 1))), lattice.G2),
@@ -165,41 +285,34 @@ def suite_group_iso(seed: int):
         "image-u2-corrected": (m2e(((1, 0), (0, OMEGA2))), lattice.U2),
     }
     for cid, (a, want) in pairs.items():
-        _add(checks, cid, correspond.psi_hom(a) == want)
+        run.add(cid, correspond.psi_hom(a) == want)
     literal = correspond.psi_hom(m2e(((0, -1), (1, -1))))
-    _add(
-        checks,
+    run.add(
         "image-u2-literal-form-fails",
         literal != lattice.U2,
         "preimage of u2 is diag(1, w^2), not the order-three elementary",
     )
-    hom_ok = True
-    for _ in range(200):
-        a = sampling.sample_gl2_matrix(rng, 4)
-        b = sampling.sample_gl2_matrix(rng, 4)
-        if correspond.psi_hom(mat_mul(a, b)) != mat_mul(
-            correspond.psi_hom(a), correspond.psi_hom(b)
-        ):
-            hom_ok = False
-            break
-    _add(checks, "psi-multiplicative", hom_ok)
+    run.every(
+        "psi-multiplicative",
+        lambda rng: (sampling.sample_gl2_matrix(rng, 4), sampling.sample_gl2_matrix(rng, 4)),
+        _psi_multiplies,
+    )
     ident = mat_id(6)
-    _add(
-        checks,
+    scalars = [_scalar(u) for u in UNITS]
+    run.add(
         "psi-kernel-scalars",
-        all(correspond.psi_hom(((u, Eisenstein(0, 0)), (Eisenstein(0, 0), u))) == ident for u in UNITS),
+        len(scalars) == 6 and all(correspond.psi_hom(a) == ident for a in scalars),
     )
     # mod-2 criterion: the image is even iff A is a unit multiple of a
-    # matrix congruent to the identity
-    scalar_ok = True
+    # matrix congruent to the identity; the six unit scalars come first,
+    # then even and general samples alternate
+    scalar_reps = {m2e_mod2(a) for a in scalars}
+    ident_rep = m2e_mod2(_scalar(ONE))
+    scalar_ok = len(scalar_reps) == 3
     literal_fails = False
-    for k in range(220):
-        if k < 6:
-            a = ((UNITS[k], Eisenstein(0, 0)), (Eisenstein(0, 0), UNITS[k]))
-        elif k % 2:
-            a = sampling.sample_gl2_matrix(rng, 4)
-        else:
-            a = sampling.sample_g2_matrix(rng, 4)
+    samplers = (sampling.sample_g2_matrix, sampling.sample_gl2_matrix)
+    count = sizes["psi-mod2-kernel-is-scalar-class"]
+    for a in scalars + [samplers[k % 2](run.rng, 4) for k in range(count)]:
         im = correspond.psi_hom(a)
         even = all(
             (im[i][j] - (1 if i == j else 0)) % 2 == 0
@@ -207,121 +320,130 @@ def suite_group_iso(seed: int):
             for j in range(6)
         )
         amod = m2e_mod2(a)
-        scalar_class = any(
-            amod == m2e_mod2(((u, Eisenstein(0, 0)), (Eisenstein(0, 0), u))) for u in (ONE, OMEGA, OMEGA2)
-        )
-        strict = amod == m2e_mod2(((ONE, Eisenstein(0, 0)), (Eisenstein(0, 0), ONE)))
-        if even != scalar_class:
+        if even != (amod in scalar_reps):
             scalar_ok = False
-        if even != strict:
+        if even != (amod == ident_rep):
             literal_fails = True
-    _add(checks, "psi-mod2-kernel-is-scalar-class", scalar_ok)
-    _add(
-        checks,
+    run.add("psi-mod2-kernel-is-scalar-class", scalar_ok)
+    run.add(
         "psi-mod2-literal-kernel-fails",
         literal_fails,
         "scalar units map to even images without being congruent to 1",
     )
     # mod-2 image: all of GL2(F4), acting by even permutations on the five
-    # projective points
+    # projective points, with the three scalar classes acting trivially
     gl = hermitian.gl2f4_group()
-    _add(checks, "mod2-image-order-180", len(gl) == 180, f"got {len(gl)}")
+    run.add("mod2-image-order-180", len(gl) == 180, f"got {len(gl)}")
     pts = p1_f4_points()
     perms = set()
     all_even = True
+    trivial = 0
     for fm in gl:
         perm = tuple(pts.index(p1_action(fm, p)) for p in pts)
         perms.add(perm)
+        trivial += perm == (0, 1, 2, 3, 4)
         if _perm_sign(perm) != 1:
             all_even = False
-    _add(checks, "p1-action-order-60", len(perms) == 60, f"got {len(perms)}")
-    _add(checks, "p1-action-all-even", all_even)
-    return checks
+    run.add("p1-action-order-60", len(pts) == 5 and len(perms) == 60, f"got {len(perms)}")
+    run.add("p1-action-all-even", all_even)
+    # the only sampled preimages of the identity are the six unit scalars
+    run.every(
+        "identity-preimages-are-unit-scalars",
+        partial(sampling.sample_gl2_matrix, steps=4),
+        lambda a: a in scalars or correspond.psi_hom(a) != ident,
+    )
+    run.every(
+        "dictionary-equivariance-on-chart-points",
+        sampling.sample_chart_point,
+        _dictionary_equivariant,
+    )
+    gl_set = set(gl)
+    run.every(
+        "gamma0-words-mod2-in-gl2f4",
+        sampling.sample_hgamma0_word,
+        lambda word: f_mod2(word_matrix(word)) in gl_set,
+    )
+    run.add("p1-kernel-order-3", trivial == 3, f"got {trivial}")
+    return run.checks
 
 
-def suite_enr_iso(seed: int):
-    checks = []
-    rng = sampling.make_rng(seed)
-    enr_ok = True
-    for _ in range(60):
-        word = sampling.sample_hgamma1_word(rng, rng.randint(1, 6))
-        g = correspond.herm_word_to_orth(word)
-        if not is_in_enr(g):
-            enr_ok = False
-            break
-    _add(checks, "gamma1-words-land-in-enr", enr_ok)
-    wprime_ok = True
-    flip = g_a(m2e(((0, 1), (1, 0))))
-    for _ in range(12):
-        z = sampling.sample_chart_point(rng)
-        lhs = psi(act(G0I42, z))
-        rhs = mat_transpose(moebius(flip, involution_W(psi(z))))
-        if lhs != rhs:
-            wprime_ok = False
-            break
-    _add(checks, "w-prime-is-transpose-flip-inversion", wprime_ok)
-    return checks
+def suite_enr_iso(seed: int, sizes: dict):
+    run = _Run(seed, sizes)
+    run.every(
+        "gamma1-words-land-in-enr",
+        sampling.sample_hgamma1_word,
+        lambda word: is_in_enr(correspond.herm_word_to_orth(word)),
+    )
+    run.every("w-prime-is-transpose-flip-inversion", sampling.sample_chart_point, _w_prime_law)
+    return run.checks
 
 
-def suite_delta_sing(seed: int):
-    checks = []
-    _add(
-        checks,
+def suite_delta_sing(seed: int, sizes: dict):
+    run = _Run(seed, sizes)
+    run.add(
         "product-form-equals-invariant-form",
         cubic.delta_sing_poly() == cubic.delta_sing_invariant_poly(),
     )
     ones = (1, 1, 1, 1, 1)
-    _add(checks, "value-at-ones", cubic.delta_sing(ones) == -1215)
-    special = (1, 1, 1, 1, Fraction(1, 16))
-    _add(checks, "value-at-quadruple-point", cubic.delta_sing(special) == 0)
+    run.add(
+        "value-at-ones",
+        cubic.delta_sing(ones) == -1215 and cubic.delta_sing_poly().eval(ones) == -1215,
+    )
+    run.add("value-at-quadruple-point", cubic.delta_sing((1, 1, 1, 1, Fraction(1, 16))) == 0)
     inv = cubic.classical_invariants(ones)
-    _add(
-        checks,
+    run.add(
         "invariants-at-ones",
         (inv.i8, inv.i16, inv.i24, inv.i32, inv.i40, inv.i100)
         == (-15, 5, 5, 10, 1, 0),
     )
-    return checks
+    return run.checks
 
 
-def suite_delta_km(seed: int):
-    checks = []
-    rng = sampling.make_rng(seed)
-    bridge = cubic.delta_km_bridge_poly()
-    _add(
-        checks,
+def suite_delta_km(seed: int, sizes: dict):
+    run = _Run(seed, sizes)
+    run.add(
         "bridge-identity",
-        poly.reciprocal_clear(cubic.delta_km_mu_poly(), 3) == bridge,
+        poly.reciprocal_clear(cubic.delta_km_mu_poly(), 3) == cubic.delta_km_bridge_poly(),
     )
-    _add(checks, "km-value-at-ones", cubic.delta_km((1, 1, 1, 1, 1)) == 5)
-    scale_ok = True
-    for _ in range(20):
-        lam = sampling.sample_lambda(rng)
-        if cubic.delta_km(tuple(2 * x for x in lam)) * 8 != cubic.delta_km(lam):
-            scale_ok = False
-            break
-    _add(checks, "km-scales-by-eighth", scale_ok)
+    run.add("km-value-at-ones", cubic.delta_km((1, 1, 1, 1, 1)) == 5)
+    run.every(
+        "km-scales-by-eighth",
+        sampling.sample_lambda,
+        lambda lam: cubic.delta_km(tuple(2 * x for x in lam)) * 8 == cubic.delta_km(lam),
+    )
     hess_ok = True
     swap_ok = True
-    for _ in range(6):
-        lam = sampling.sample_lambda(rng)
+    nodes = cubic.hessian_singular_points()
+    for lam in run.samples("ten-points-on-the-quartic", sampling.sample_lambda):
         hyper, quartic = cubic.hessian_equations(lam)
-        for pt in cubic.hessian_singular_points():
+        for pt in nodes:
             if hyper.eval(pt) != 0 or quartic.eval(pt) != 0:
                 hess_ok = False
-        for pair in ((0, 1), (1, 3), (2, 4)):
+        for pair in itertools.combinations(range(5), 2):
             if not cubic.hessian_line_check(lam, pair):
                 hess_ok = False
         if not cubic.enriques_partner_check(lam):
             swap_ok = False
-    _add(checks, "ten-points-on-the-quartic", hess_ok)
-    _add(checks, "partner-coordinate-swap", swap_ok)
-    return checks
+    run.add("ten-points-on-the-quartic", hess_ok)
+    run.add("partner-coordinate-swap", swap_ok)
+    # away from sigma5 = 0, delta_km vanishes exactly where
+    # I8 I24 + 8 I32 does: the witness orbit lies on both, and samples
+    # lie on both or on neither
+    witness = (1, 3, 3, -2, -2)
+    orbit = {witness} | {tuple(3 * x for x in p) for p in itertools.permutations(witness)}
+    on_orbit = all(cubic.delta_km(lam) == 0 and _on_kummer_invariant_locus(lam) for lam in orbit)
+    samples = run.samples("kummer-locus-coincidence", sampling.sample_lambda)
+    run.add(
+        "kummer-locus-coincidence",
+        on_orbit
+        and all((cubic.delta_km(lam) == 0) == _on_kummer_invariant_locus(lam) for lam in samples),
+    )
+    run.add("ten-distinct-nodes", len(set(nodes)) == 10)
+    return run.checks
 
 
-def suite_heegner(seed: int):
-    checks = []
-    rng = sampling.make_rng(seed)
+def suite_heegner(seed: int, sizes: dict):
+    run = _Run(seed, sizes)
     samplers = {
         "node": sampling.sample_node_point,
         "eckardt": sampling.sample_eckardt_point,
@@ -329,104 +451,64 @@ def suite_heegner(seed: int):
         "km": sampling.sample_km_point,
     }
     for name, sampler in samplers.items():
-        ok = True
-        for _ in range(25):
-            z = sampler(rng)
-            flags = heegner.perp_equivalence(z)
-            if not getattr(flags, name):
-                ok = False
-                break
-        _add(checks, f"on-locus-{name}", ok)
-    generic_ok = True
-    for _ in range(25):
-        z = sampling.sample_chart_point(rng)
-        try:
-            heegner.perp_equivalence(z)
-        except AssertionError:
-            generic_ok = False
-            break
-    _add(checks, "three-descriptions-agree-generic", generic_ok)
-    for name in ("node", "eckardt", "ns", "km"):
+        run.every(
+            f"on-locus-{name}",
+            sampler,
+            lambda z, name=name: getattr(heegner.perp_equivalence(z), name),
+        )
+    run.every(
+        "three-descriptions-agree-generic", sampling.sample_chart_point, _descriptions_agree
+    )
+    for name in LOCI:
         ok = True
         try:
             heegner.complement_gram_verify(name)
         except AssertionError:
             ok = False
-        _add(checks, f"complement-gram-{name}", ok)
-    orbit_ok = True
-    for _ in range(10):
-        tau = psi(sampling.sample_ns_point(rng))
-        if not heegner.orbit_relation_check(tau):
-            orbit_ok = False
-            break
-    _add(checks, "half-shift-orbit-relations", orbit_ok)
+        run.add(f"complement-gram-{name}", ok)
+    run.every(
+        "half-shift-orbit-relations",
+        sampling.sample_ns_point,
+        lambda z: heegner.orbit_relation_check(psi(z)),
+    )
     # coset classification spot checks; g_upper((0,0,0,1)) is the integral
     # avatar of the third half shift
-    _add(
-        checks,
-        "coset-of-third-shift",
-        hermitian.coset_classify(g_upper((0, 0, 0, 1))) == 3,
-    )
-    emb = hermitian.embed_from_hgamma0(word_matrix(sampling.sample_hgamma0_word(rng, 4)))
-    _add(checks, "gamma0-classifies-uncovered", hermitian.coset_classify(emb) == "uncovered")
+    run.add("coset-of-third-shift", hermitian.coset_classify(g_upper((0, 0, 0, 1))) == 3)
+    emb = hermitian.embed_from_hgamma0(word_matrix(sampling.sample_hgamma0_word(run.rng, 4)))
+    run.add("gamma0-classifies-uncovered", hermitian.coset_classify(emb) == "uncovered")
     shifted = mat_mul(emb, g_upper((0, 1, 0, 0)))
-    _add(checks, "shifted-gamma0-classifies-2", hermitian.coset_classify(shifted) == 2)
-    return checks
+    run.add("shifted-gamma0-classifies-2", hermitian.coset_classify(shifted) == 2)
+    return run.checks
 
 
-def suite_decompose_fuzz(seed: int):
-    checks = []
-    rng = sampling.make_rng(seed)
-    herm_ok = True
-    for _ in range(60):
-        word = sampling.sample_hgamma1_word(rng, rng.randint(1, 8))
-        g = word_matrix(word)
-        back = word_matrix(decompose_hgamma1(g))
-        if back != g:
-            herm_ok = False
-            break
-    _add(checks, "gamma1-words-multiply-back", herm_ok)
-    herm0_ok = True
-    for _ in range(40):
-        word = sampling.sample_hgamma0_word(rng, rng.randint(1, 6))
-        g = word_matrix(word)
-        lift, tail_word = decompose_hgamma0(g)
-        if mat_mul(g_a(lift), word_matrix(tail_word)) != g:
-            herm0_ok = False
-            break
-    _add(checks, "gamma0-section-factorization", herm0_ok)
-    so0_ok = True
-    for _ in range(60):
-        x = sampling.sample_orth_so0(rng, rng.randint(1, 8))
-        word = correspond.decompose_so0(x)
-        if correspond.orth_word_matrix(word) != x:
-            so0_ok = False
-            break
-    _add(checks, "even-subgroup-words-multiply-back", so0_ok)
-    transport_ok = True
-    for _ in range(30):
-        g = sampling.sample_orth_plus(rng, rng.randint(1, 6))
-        uses_t, uses_w, word = correspond.orth_to_herm(g)
-        back = correspond.herm_to_orth(uses_t, uses_w, word)
-        if not correspond.equal_mod_center(back, g):
-            transport_ok = False
-            break
-    _add(checks, "orthogonal-transport-mod-center", transport_ok)
-    herm_round_ok = True
-    for _ in range(20):
-        word = sampling.sample_hgamma0_word(rng, rng.randint(1, 5))
-        h = word_matrix(word)
-        g = correspond.herm_word_to_orth(word)
-        uses_t, uses_w, back_word = correspond.orth_to_herm(g)
-        if uses_t or uses_w:
-            herm_round_ok = False
-            break
-        back = word_matrix(back_word)
-        if not equal_mod_units(back, h):
-            herm_round_ok = False
-            break
-    _add(checks, "hermitian-round-trip-mod-units", herm_round_ok)
-    return checks
+def suite_decompose_fuzz(seed: int, sizes: dict):
+    run = _Run(seed, sizes)
+    run.every(
+        "gamma1-words-multiply-back",
+        lambda rng, n: word_matrix(sampling.sample_hgamma1_word(rng, n)),
+        lambda g: word_matrix(decompose_hgamma1(g)) == g,
+    )
+    run.every(
+        "gamma0-section-factorization",
+        lambda rng, n: word_matrix(sampling.sample_hgamma0_word(rng, n)),
+        _gamma0_factors,
+    )
+    run.every(
+        "even-subgroup-words-multiply-back",
+        sampling.sample_orth_so0,
+        lambda x: correspond.orth_word_matrix(correspond.decompose_so0(x)) == x,
+    )
+    run.every(
+        "orthogonal-transport-mod-center",
+        sampling.sample_orth_plus,
+        lambda g: correspond.equal_mod_center(
+            correspond.herm_to_orth(*correspond.orth_to_herm(g)), g
+        ),
+    )
+    run.every(
+        "hermitian-round-trip-mod-units", sampling.sample_hgamma0_word, _hermitian_round_trip
+    )
+    return run.checks
 
 
 def _perm_sign(perm) -> int:
@@ -458,10 +540,14 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0) -> dict:
+def run_suite(name: str, seed: int = 0, sizes: dict | None = None) -> dict:
+    """One suite's report; sizes overrides entries of SIZES by check id."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    checks = SUITES[name](seed)
+    unknown = set(sizes or ()) - set(SIZES)
+    if unknown:
+        raise ValueError(f"no sized check {sorted(unknown)[0]!r}")
+    checks = SUITES[name](seed, {**SIZES, **(sizes or {})})
     return {
         "suite": name,
         "seed": seed,

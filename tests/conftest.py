@@ -1,10 +1,12 @@
 """Shared fixtures and the acceptance report.
 
-Tests in test_acceptance.py are named test_cNN_*; the hook below collects
-their outcomes per criterion and prints one PASS/FAIL line each at the end
-of the run.  Clauses marked xfail(strict=True) assert a commonly stated
-literal form that the computation refutes; they count as documented, not
-as failures, and flipping one (an unexpected pass) fails the run.
+Tests in test_acceptance.py are named test_cNN_*; each runs a
+hessk3.verify suite at its criterion's seed and gate sizes (c12 excepted),
+and the hook below collects their outcomes per criterion and prints one
+PASS/FAIL line each at the end of the run.  Clauses marked
+xfail(strict=True) assert a commonly stated literal form that the
+computation refutes; they count as documented, not as failures, and
+flipping one (an unexpected pass) fails the run.
 """
 
 import re

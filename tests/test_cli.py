@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hessk3 import cli
+from hessk3 import cli, verify
 from hessk3.correspond import orth_word_matrix
 from hessk3.domain import Q0
 from hessk3.eisenstein import ONE, ZERO
@@ -295,6 +295,12 @@ def test_unknown_suite_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_suite_sizes_must_name_sized_checks():
+    # a misspelt id would otherwise run the check at its default size
+    with pytest.raises(ValueError, match="no sized check 'psi-multiplicative-typo'"):
+        verify.run_suite("group-iso", 0, {"psi-multiplicative-typo": 1})
 
 
 def test_verify_suite_runs(capsys, monkeypatch):

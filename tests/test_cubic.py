@@ -130,6 +130,13 @@ def test_hessian_lines_and_partner():
         assert enriques_partner_check(lam)
 
 
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError, match="float"):
+        classify((0.5, 1, 2, 3, 4))
+    with pytest.raises(TypeError, match="float"):
+        classical_invariants((1, 2, 3, 4, 5.0))
+
+
 def test_classify_reports():
     rep = classify(ONES)
     assert not rep.singular

@@ -31,6 +31,22 @@ def test_ring_basics():
     assert len(set(UNITS)) == 6
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda x: x + 0.5,
+        lambda x: 0.5 + x,
+        lambda x: x - 0.5,
+        lambda x: 0.5 - x,
+        lambda x: x * 0.5,
+        lambda x: 0.5 * x,
+    ],
+)
+def test_float_operand_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op(Eisenstein(1, 0))
+
+
 def test_conj_and_two_re():
     x = Eisenstein(3, 5)
     assert x.conj() == Eisenstein(-2, -5)

@@ -146,6 +146,23 @@ def test_matrix_kernel_is_ring_generic(a, b, one, zero):
         assert ct(ab) == lattice.mat_mul(ct(b), ct(a))
 
 
+def test_power_spends_no_product_on_the_identity():
+    # k = 1, 2, 3, 4 take 0, 1, 2, 2 products; a negative k inverts first
+    for k, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (-2, 1)):
+        calls = []
+
+        def times(a, b):
+            calls.append(k)
+            return lattice.mat_mul(a, b)
+
+        got = lattice.power(G1, k, mat_id(), times, mat_inverse_int)
+        want = mat_id()
+        for _ in range(abs(k)):
+            want = mat_mul(want, G1 if k > 0 else mat_inverse_int(G1))
+        assert got == want
+        assert len(calls) == products
+
+
 def test_named_generators_are_isometries():
     for g in NAMED:
         assert is_orthogonal(g)
@@ -197,6 +214,24 @@ def test_block_parity():
     assert block_parity(W0) == "antidiagonal"
     for g in (G1, G2, U0, U1, U2, I42, MINUS_I6, translation_h(1, 2, -1, 0)):
         assert block_parity(g) == "diagonal"
+    with pytest.raises(ValueError, match="block parity of a non-isometry"):
+        block_parity(tuple(tuple(2 * x for x in r) for r in mat_id()))
+
+
+def test_one_isometry_test_per_call(monkeypatch):
+    from hessk3 import correspond
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_orthogonal(g)
+
+    monkeypatch.setattr(lattice, "is_orthogonal", counted)
+    monkeypatch.setattr(correspond, "is_orthogonal", counted)
+    assert correspond.is_so0(G1)
+    assert is_in_enr(MINUS_I6) and is_in_k3(mat_id())
+    assert len(calls) == 3
 
 
 def test_disc_group_order_and_exponents():

@@ -81,6 +81,20 @@ def test_inverse(x):
         assert C_ONE / x == x.inverse()
 
 
+def test_truth_value_is_nonzero():
+    # lattice.qpair skips zero coordinates through this
+    assert not Cyclo12(0)
+    assert not C_ZERO
+    assert Cyclo12(0, 0, 1)
+    assert Cyclo12(0, 0, 0, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("args", [(0.5,), (1, 0.0), (0, 0, 0, float("nan"))])
+def test_floats_are_rejected(args):
+    with pytest.raises(TypeError, match="float"):
+        Cyclo12(*args)
+
+
 def test_real_imag_split():
     x = Cyclo12(Fraction(1, 2), -3, Fraction(5, 7), 2)
     assert x.real() == Cyclo12(Fraction(1, 2), -3)
