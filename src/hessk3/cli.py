@@ -11,7 +11,8 @@ are 4-tuples of rational strings (coefficients of 1, sqrt3, i, sqrt3 i),
 matrices are row-major nested lists.
 
 Exit codes: 0 on success, 1 when a membership or verification check comes
-back negative or an internal invariant trips, 2 for unusable input.
+back negative or an internal invariant trips, 2 for unusable input or a
+usage error (whose envelope has command "usage" and echoes the arguments).
 """
 
 from __future__ import annotations
@@ -76,37 +77,27 @@ def parse_tower(v, field: str) -> Cyclo12:
     return Cyclo12(*(parse_rational(x, f"{field}[{i}]") for i, x in enumerate(v)))
 
 
-def parse_int_matrix(v, field: str, n: int):
+def _parse_matrix(v, field: str, n: int, entry, shape: str, row_of: str = "entries"):
     if not isinstance(v, (list, tuple)) or len(v) != n:
-        _fail(field, f"expected a {n}x{n} integer matrix")
+        _fail(field, f"expected a {n}x{n} {shape}")
     rows = []
     for i, row in enumerate(v):
         if not isinstance(row, (list, tuple)) or len(row) != n:
-            _fail(field, f"row {i} is not a list of {n} integers")
-        rows.append(tuple(parse_int(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)))
+            _fail(field, f"row {i} is not a list of {n} {row_of}")
+        rows.append(tuple(entry(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)))
     return tuple(rows)
+
+
+def parse_int_matrix(v, field: str, n: int):
+    return _parse_matrix(v, field, n, parse_int, "integer matrix", "integers")
 
 
 def parse_eis_matrix(v, field: str, n: int):
-    if not isinstance(v, (list, tuple)) or len(v) != n:
-        _fail(field, f"expected a {n}x{n} matrix of [a, b] pairs")
-    rows = []
-    for i, row in enumerate(v):
-        if not isinstance(row, (list, tuple)) or len(row) != n:
-            _fail(field, f"row {i} is not a list of {n} entries")
-        rows.append(tuple(parse_eisenstein(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)))
-    return tuple(rows)
+    return _parse_matrix(v, field, n, parse_eisenstein, "matrix of [a, b] pairs")
 
 
 def parse_tower_matrix(v, field: str, n: int):
-    if not isinstance(v, (list, tuple)) or len(v) != n:
-        _fail(field, f"expected a {n}x{n} matrix of field elements")
-    rows = []
-    for i, row in enumerate(v):
-        if not isinstance(row, (list, tuple)) or len(row) != n:
-            _fail(field, f"row {i} is not a list of {n} entries")
-        rows.append(tuple(parse_tower(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)))
-    return tuple(rows)
+    return _parse_matrix(v, field, n, parse_tower, "matrix of field elements")
 
 
 def parse_point(v, field: str):
@@ -240,15 +231,16 @@ def cmd_orth(args) -> int:
     inputs = {"matrix": [list(r) for r in g]}
     cmd = f"orth.{args.action}"
     if args.action == "check":
+        # one isometry test; the rest take it as known
         ok = lattice.is_orthogonal(g)
         outputs = {"is_isometry": ok}
         if ok:
             outputs["determinant"] = lattice.det_int(g)
-            outputs["orientation"] = lattice.orientation(g)
-            outputs["block_parity"] = lattice.block_parity(g)
+            outputs["orientation"] = lattice._orientation(g)
+            outputs["block_parity"] = lattice._block_parity(g)
             if outputs["orientation"] == "plus":
-                outputs["in_k3_kernel"] = lattice.is_in_k3(g)
-                outputs["in_enr_kernel"] = lattice.is_in_enr(g)
+                outputs["in_k3_kernel"] = lattice._in_k3(g)
+                outputs["in_enr_kernel"] = lattice._in_enr(g)
         emit(cmd, inputs, outputs)
         return 0 if ok else 1
     if args.action == "decompose":
@@ -257,7 +249,9 @@ def cmd_orth(args) -> int:
         return 0
     if args.action == "disc-action":
         images = lattice.disc_action(g)
-        emit(cmd, inputs, {"generator_images": [[fmt_rational(x) for x in img] for img in images]})
+        # an element is stored as 6x mod 6; print the coset vector x
+        rows = [[fmt_rational(Fraction(r, 6)) for r in img] for img in images]
+        emit(cmd, inputs, {"generator_images": rows})
         return 0
     images = lattice.to_s5(g)
     emit(cmd, inputs, {"permutation": list(images)})
@@ -351,8 +345,24 @@ def cmd_verify(args) -> int:
 # -- wiring ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error becomes an exit-2 envelope, not usage text on stderr;
+    # subparsers inherit the class
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _bind_lambda(argv: list) -> list:
+    """Join "--lambda VALUE" into "--lambda=VALUE": as a word of its own, a
+    value such as -1,2,3,4,5 reads as an unknown option."""
+    if "--lambda" in argv[:-1]:
+        i = argv.index("--lambda")
+        return argv[:i] + [f"--lambda={argv[i + 1]}"] + argv[i + 2 :]
+    return argv
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hessk3", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="hessk3", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="classical invariants and loci of a quintuple")
@@ -393,21 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    if getattr(args, "action", None):
-        command = f"{command}.{args.action}"
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, inputs = "usage", {"argv": argv}
     try:
+        args = build_parser().parse_args(_bind_lambda(argv))
+        command, inputs = args.command, {}
+        if getattr(args, "action", None):
+            command = f"{command}.{args.action}"
         return args.func(args)
     except InvariantViolation as exc:
-        emit(command, {}, None, status="error", diagnostics=[str(exc)])
+        emit(command, inputs, None, status="error", diagnostics=[str(exc)])
         return 1
-    except ValueError as exc:
-        emit(command, {}, None, status="error", diagnostics=[str(exc)])
-        return 2
-    except OSError as exc:
-        emit(command, {}, None, status="error", diagnostics=[str(exc)])
+    except (ValueError, OSError) as exc:
+        emit(command, inputs, None, status="error", diagnostics=[str(exc)])
         return 2
 
 

@@ -53,9 +53,9 @@ from .lattice import (
     _orientation,
     det_int,
     is_orthogonal,
+    isometry_inverse,
     mat_det2,
     mat_id,
-    mat_inverse_int,
     mat_mul,
     mat_neg,
     mat_pow,
@@ -350,7 +350,7 @@ def decompose_so0(x):
         for i in range(6)
     )
     require(is_orthogonal(y), "block complement is not an isometry")
-    t_part = mat_mul(mat_inverse_int(y), work)
+    t_part = mat_mul(isometry_inverse(y), work)
     mvec = (t_part[2][0], t_part[3][0], t_part[4][0], t_part[5][0])
     require(t_part == translation_h(*mvec), "residual is not a translation")
     for name, p in zip(("h1", "h2", "h3", "h4"), mvec):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import gcd
 from operator import add, mul, sub
 
@@ -37,7 +38,7 @@ __all__ = [
     "mat_inv2",
     "mat_pow",
     "det_int",
-    "mat_inverse_int",
+    "isometry_inverse",
     "is_orthogonal",
     "qpair",
     "orientation",
@@ -46,9 +47,7 @@ __all__ = [
     "residual_m",
     "is_in_k3",
     "is_in_enr",
-    "disc_reduce",
     "disc_add",
-    "disc_neg",
     "disc_scale",
     "disc_order",
     "disc_q",
@@ -201,35 +200,36 @@ def det_int(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def mat_inverse_int(m):
-    """Exact inverse of an integer matrix whose inverse is integral."""
-    n = len(m)
-    a = [
-        [Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, r in enumerate(m)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    inv = [r[n:] for r in a]
-    require(all(x.denominator == 1 for r in inv for x in r), "inverse is not integral")
-    return tuple(tuple(int(x) for x in r) for r in inv)
+# 12 Q^-1 is integral: Q^-1 is U + U/2 + A2(2)^-1, and A2(2) has
+# determinant 12.
+_GRAM_INV12 = (
+    (0, 12, 0, 0, 0, 0),
+    (12, 0, 0, 0, 0, 0),
+    (0, 0, 0, 6, 0, 0),
+    (0, 0, 6, 0, 0, 0),
+    (0, 0, 0, 0, -4, -2),
+    (0, 0, 0, 0, -2, -4),
+)
+
+
+def isometry_inverse(g):
+    """g^-1 = Q^-1 t(g) Q for an isometry g; any other matrix is a ValueError.
+
+    t(g) Q g = Q is tested on the way, so the division by 12 is exact.
+    """
+    gtq = mat_mul(mat_transpose(g), GRAM)
+    if mat_mul(gtq, g) != GRAM:
+        raise ValueError("inverse of a non-isometry")
+    return tuple(tuple(x // 12 for x in r) for r in mat_mul(_GRAM_INV12, gtq))
 
 
 def mat_pow(m, k: int):
-    return power(m, k, mat_id(len(m)), mat_mul, mat_inverse_int)
+    """m**k; a negative k needs m to be an isometry of M."""
+    return power(m, k, mat_id(len(m)), mat_mul, isometry_inverse)
 
 
 def qpair(x, y):
-    """The bilinear form t(x) Q y; accepts integer or Fraction vectors."""
+    """The bilinear form t(x) Q y, for vectors over any ring."""
     total = 0
     for i in range(N):
         if x[i]:
@@ -381,89 +381,83 @@ def _block_parity(g) -> str:
 
 # -- discriminant group -----------------------------------------------------
 #
-# M*/M has order 48.  Elements are represented by rational coset vectors
-# with denominators dividing (1, 1, 2, 2, 6, 6), reduced into [0, 1)^6.
+# M*/M has order 48.  A coset vector x has denominators dividing
+# (1, 1, 2, 2, 6, 6), and the element is stored as the integer vector 6x
+# mod 6, entries in range(6).  For r = 6x the vector Q r lies in 6Z^6 and Q
+# is even, so t(r) Q r is well defined mod 72 and t(r) Q s mod 36: q and b
+# stay integers, divided by 36 only by disc_q and disc_b.
 
 DiscElt = tuple
 
 
-def disc_reduce(vec) -> DiscElt:
-    return tuple(Fraction(x) % 1 for x in vec)
-
-
 def disc_add(x: DiscElt, y: DiscElt) -> DiscElt:
-    return tuple((a + b) % 1 for a, b in zip(x, y))
-
-
-def disc_neg(x: DiscElt) -> DiscElt:
-    return tuple((-a) % 1 for a in x)
+    return tuple((a + b) % 6 for a, b in zip(x, y))
 
 
 def disc_scale(k: int, x: DiscElt) -> DiscElt:
-    return tuple((k * a) % 1 for a in x)
+    return tuple(k * a % 6 for a in x)
 
 
 def disc_order(x: DiscElt) -> int:
     for k in range(1, 7):
-        if all((k * a) % 1 == 0 for a in x):
+        if not any(k * a % 6 for a in x):
             return k
     raise AssertionError("unreachable: element order exceeds exponent 6")
 
 
-_f = Fraction
-D1: DiscElt = (_f(0), _f(0), _f(1, 2), _f(0), _f(0), _f(0))
-D2: DiscElt = (_f(0), _f(0), _f(0), _f(1, 2), _f(0), _f(0))
-D3: DiscElt = (_f(0), _f(0), _f(0), _f(0), _f(1, 6), _f(1, 3))
-D4: DiscElt = (_f(0), _f(0), _f(0), _f(0), _f(1, 3), _f(1, 6))
-DISC_GENS = (D1, D2, D3, D4)
+def _q72(x: DiscElt) -> int:
+    return qpair(x, x) % 72
 
 
-
-def _disc_words(y1, y2, y3, y4):
-    """The 144 words a y1 + b y2 + c y3 + d y4 with a, b < 2 and c, d < 6."""
-    for a in range(2):
-        for b in range(2):
-            for c in range(6):
-                for d in range(6):
-                    yield disc_add(
-                        disc_add(disc_scale(a, y1), disc_scale(b, y2)),
-                        disc_add(disc_scale(c, y3), disc_scale(d, y4)),
-                    )
-
-
-_DISC_CACHE: list | None = None
-
-
-def disc_group() -> list:
-    """All 48 elements, sorted; generated by D1, D2, D3, D4."""
-    global _DISC_CACHE
-    if _DISC_CACHE is None:
-        seen = set(_disc_words(*DISC_GENS))
-        require(len(seen) == 48, "discriminant group does not have order 48")
-        _DISC_CACHE = sorted(seen)
-    return _DISC_CACHE
+def _b36(x: DiscElt, y: DiscElt) -> int:
+    return qpair(x, y) % 36
 
 
 def disc_q(x: DiscElt) -> Fraction:
     """Torsion quadratic form t(x) Q x mod 2, reduced into [0, 2)."""
-    return qpair(x, x) % 2
+    return Fraction(_q72(x), 36)
 
 
 def disc_b(x: DiscElt, y: DiscElt) -> Fraction:
     """Torsion bilinear form t(x) Q y mod 1, reduced into [0, 1)."""
-    return qpair(x, y) % 1
+    return Fraction(_b36(x, y), 36)
 
 
 def disc_act(g, x: DiscElt) -> DiscElt:
-    return tuple(v % 1 for v in mat_vec(g, x))
+    return tuple(v % 6 for v in mat_vec(g, x))
+
+
+D1: DiscElt = (0, 0, 3, 0, 0, 0)
+D2: DiscElt = (0, 0, 0, 3, 0, 0)
+D3: DiscElt = (0, 0, 0, 0, 1, 2)
+D4: DiscElt = (0, 0, 0, 0, 2, 1)
+DISC_GENS = (D1, D2, D3, D4)
+
+
+def _combine(word, images) -> DiscElt:
+    """The sum of word[i] images[i]."""
+    return tuple(sum(map(mul, word, col)) % 6 for col in zip(*images))
+
+
+# Each element with one word (a, b, c, d) for a D1 + b D2 + c D3 + d D4; the
+# 144 words with a, b < 2 and c, d < 6 cover the group three times.
+_WORDS = {
+    _combine(word, DISC_GENS): word for word in product(range(2), range(2), range(6), range(6))
+}
+
+
+def disc_group() -> list:
+    """All 48 elements, sorted; generated by D1, D2, D3, D4."""
+    require(len(_WORDS) == 48, "discriminant group does not have order 48")
+    return sorted(_WORDS)
 
 
 def disc_action(g) -> tuple:
     """Images of the four generators; the action is checked to preserve q."""
     if not is_orthogonal(g):
         raise ValueError("discriminant action of a non-isometry")
-    for x in disc_group():
-        require(disc_q(disc_act(g, x)) == disc_q(x), "isometry broke the torsion form")
+    for x in _WORDS:
+        require(_q72(disc_act(g, x)) == _q72(x), "isometry broke the torsion form")
     return tuple(disc_act(g, d) for d in DISC_GENS)
 
 
@@ -497,6 +491,11 @@ def to_s5(g) -> tuple:
 def is_in_k3(g) -> bool:
     """Kernel of the discriminant action, by column congruences."""
     _check_oplus(g)
+    return _in_k3(g)
+
+
+def _in_k3(g) -> bool:
+    """is_in_k3 of a matrix already known to be in O+."""
     cols = mat_transpose(g)
     if any((cols[2][i] - (1 if i == 2 else 0)) % 2 for i in range(N)):
         return False
@@ -516,11 +515,14 @@ def is_in_k3(g) -> bool:
 def is_in_enr(g) -> bool:
     """Pointwise stabilizer of the two-torsion: columns 3..6 freeze mod 2."""
     _check_oplus(g)
-    for j in range(2, 6):
-        for i in range(N):
-            if (g[i][j] - (1 if i == j else 0)) % 2:
-                return False
-    return True
+    return _in_enr(g)
+
+
+def _in_enr(g) -> bool:
+    """is_in_enr of a matrix already known to be in O+."""
+    return not any(
+        (g[i][j] - (1 if i == j else 0)) % 2 for j in range(2, 6) for i in range(N)
+    )
 
 
 def _check_oplus(g) -> None:
@@ -537,58 +539,37 @@ def enumerate_disc_orthogonal() -> list:
     """All automorphisms of (M*/M, q), each as a dict elt -> image.
 
     Candidates are images of the four generators filtered by order, q value
-    and pairwise b values; each surviving tuple is expanded over all 144
-    generator words to check well-definedness, then bijectivity and full
-    q preservation.
+    and pairwise b values.  Each surviving tuple extends along one fixed
+    word per element, and the extension is kept when it is additive on
+    every generator (hence a homomorphism), bijective and q-preserving on
+    all 48 elements.
     """
     group = disc_group()
-    orders = {x: disc_order(x) for x in group}
-    qs = {x: disc_q(x) for x in group}
+    qs = {x: _q72(x) for x in group}
+    # each element with its sums x + D1, ..., x + D4
+    steps = [(x, [disc_add(x, d) for d in DISC_GENS]) for x in _WORDS]
+    c_top = [x for x in group if disc_order(x) == 2 and qs[x] == qs[D1]]
+    c_six = [x for x in group if disc_order(x) == 6 and qs[x] == qs[D3]]
 
-    def candidates(order, qval):
-        return [x for x in group if orders[x] == order and qs[x] == qval]
+    def fits(ys):
+        # the newest image pairs with the earlier ones as the generators do
+        k = len(ys) - 1
+        return all(_b36(ys[i], ys[k]) == _b36(DISC_GENS[i], DISC_GENS[k]) for i in range(k))
 
-    c_top = candidates(2, disc_q(D1))
-    c_six = candidates(6, disc_q(D3))
-    b12 = disc_b(D1, D2)
-    b13 = disc_b(D1, D3)
-    b23 = disc_b(D2, D3)
-    b14 = disc_b(D1, D4)
-    b24 = disc_b(D2, D4)
-    b34 = disc_b(D3, D4)
-
+    tuples = [()]
+    for pool in (c_top, c_top, c_six, c_six):
+        tuples = [ys + (y,) for ys in tuples for y in pool if fits(ys + (y,))]
     auts = []
-    for y1 in c_top:
-        for y2 in c_top:
-            if disc_b(y1, y2) != b12:
-                continue
-            for y3 in c_six:
-                if disc_b(y1, y3) != b13 or disc_b(y2, y3) != b23:
-                    continue
-                for y4 in c_six:
-                    if (
-                        disc_b(y1, y4) != b14
-                        or disc_b(y2, y4) != b24
-                        or disc_b(y3, y4) != b34
-                    ):
-                        continue
-                    mapping = _expand_map(y1, y2, y3, y4)
-                    if mapping is None:
-                        continue
-                    if len(set(mapping.values())) != 48:
-                        continue
-                    if any(qs[x] != qs[y] for x, y in mapping.items()):
-                        continue
-                    auts.append(mapping)
+    for ys in tuples:
+        mapping = {x: _combine(word, ys) for x, word in _WORDS.items()}
+        if any(mapping[s] != disc_add(mapping[x], y) for x, ss in steps for s, y in zip(ss, ys)):
+            continue
+        if len(set(mapping.values())) != 48:
+            continue
+        if any(qs[x] != qs[y] for x, y in mapping.items()):
+            continue
+        auts.append(mapping)
     return auts
-
-
-def _expand_map(y1, y2, y3, y4):
-    mapping = {}
-    for src, dst in zip(_disc_words(*DISC_GENS), _disc_words(y1, y2, y3, y4)):
-        if mapping.setdefault(src, dst) != dst:
-            return None
-    return mapping
 
 
 # -- orthogonal complements --------------------------------------------------

@@ -9,6 +9,7 @@ same slots.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import rational, require
 from .lattice import power
@@ -171,28 +172,10 @@ def elem_sym_polys() -> tuple[Poly5, Poly5, Poly5, Poly5, Poly5]:
     out = []
     for k in range(1, 6):
         acc = Poly5()
-        for subset in _subsets(range(NVARS), k):
+        for subset in combinations(range(NVARS), k):
             e = [0] * NVARS
             for i in subset:
                 e[i] = 1
             acc = acc + Poly5({tuple(e): 1})
         out.append(acc)
     return tuple(out)
-
-
-def _subsets(pool, k):
-    pool = list(pool)
-    n = len(pool)
-    if k > n:
-        return
-    idx = list(range(k))
-    while True:
-        yield [pool[i] for i in idx]
-        for i in reversed(range(k)):
-            if idx[i] != i + n - k:
-                break
-        else:
-            return
-        idx[i] += 1
-        for j in range(i + 1, k):
-            idx[j] = idx[j - 1] + 1

@@ -47,6 +47,7 @@ from .lattice import (
     D2,
     D3,
     D4,
+    DISC_GENS,
     G0I42,
     MINUS_I6,
     U1,
@@ -136,6 +137,21 @@ class _Run:
         self.add(check_id, all(map(claim, self.samples(check_id, sample))))
 
 
+def _disc_closure(gens) -> set:
+    """The actions on M*/M of all products of gens, each given by the
+    images of the four generators."""
+    seen = {DISC_GENS}
+    todo = [DISC_GENS]
+    while todo:
+        images = todo.pop()
+        for g in gens:
+            moved = tuple(disc_act(g, y) for y in images)
+            if moved not in seen:
+                seen.add(moved)
+                todo.append(moved)
+    return seen
+
+
 def _scalar(u):
     return ((u, Eisenstein(0, 0)), (Eisenstein(0, 0), u))
 
@@ -220,19 +236,24 @@ def suite_disc_group(seed: int, sizes: dict):
     run.add("b-d1-d3", disc_b(D1, D3) == 0)
     auts = enumerate_disc_orthogonal()
     run.add("disc-orthogonal-order-240", len(auts) == 240, f"got {len(auts)}")
-    image = set()
-    kernel = 0
-    for aut in auts:
-        perm = tuple(lattice.V_CLASSES.index(aut[v]) for v in lattice.V_CLASSES)
-        image.add(perm)
-        if perm == (0, 1, 2, 3, 4):
-            kernel += 1
+    perms = [tuple(lattice.V_CLASSES.index(aut[v]) for v in lattice.V_CLASSES) for aut in auts]
+    image = set(perms)
+    kernel = perms.count((0, 1, 2, 3, 4))
     run.add(
         "five-class-image-order-120",
         image == set(itertools.permutations(range(5))),
         f"got {len(image)}",
     )
     run.add("five-class-kernel-order-2", kernel == 2, f"got {kernel}")
+    # O(M) maps onto O(q) (Nikulin, Theorem 1.14.2); the named generators
+    # already reach every automorphism
+    named = (lattice.G0, lattice.G1, lattice.G2, lattice.U0, lattice.U1, lattice.U2)
+    closure = _disc_closure(named + (lattice.I42, MINUS_I6) + lattice.H_GENS)
+    run.add(
+        "named-generators-generate-disc-orthogonal",
+        closure == {tuple(aut[d] for d in DISC_GENS) for aut in auts},
+        f"got {len(closure)}",
+    )
     return run.checks
 
 

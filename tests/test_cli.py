@@ -7,12 +7,12 @@ import sys
 
 import pytest
 
-from hessk3 import cli, verify
+from hessk3 import cli, lattice, verify
 from hessk3.correspond import orth_word_matrix
 from hessk3.domain import Q0
 from hessk3.eisenstein import ONE, ZERO
 from hessk3.hermitian import W_MAT, g_upper, word_matrix
-from hessk3.lattice import G1, mat_id, translation_h
+from hessk3.lattice import G1, is_orthogonal, mat_id, translation_h
 
 ENVELOPE_KEYS = {"command", "inputs", "outputs", "status", "diagnostics"}
 
@@ -53,6 +53,32 @@ def test_invariants_rational_input(capsys, monkeypatch):
     assert doc["outputs"]["singular"] is True
 
 
+def test_invariants_negative_first_entry_as_separate_word(capsys):
+    _, joined = run_cli(["invariants", "--lambda=-1,2,3,4,5"], capsys=capsys)
+    rc, split = run_cli(["invariants", "--lambda", "-1,2,3,4,5"], capsys=capsys)
+    assert rc == 0
+    assert split == joined
+    assert split["inputs"]["lambda"] == ["-1", "2", "3", "4", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["invariants"], ["orth", "bogus"], ["verify", "--seed", "x"], ["invariants", "--lambda"]],
+)
+def test_usage_errors_are_one_exit_2_envelope(argv, capsys):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == ""
+    [line] = out.splitlines()
+    doc = json.loads(line)
+    assert set(doc) == ENVELOPE_KEYS
+    assert doc["command"] == "usage"
+    assert doc["status"] == "error"
+    assert doc["inputs"] == {"argv": argv}
+    assert len(doc["diagnostics"]) == 1
+
+
 def test_invariants_usage_error(capsys, monkeypatch):
     rc, doc = run_cli(["invariants", "--lambda", "1,2,3"], capsys=capsys)
     assert rc == 2
@@ -73,6 +99,23 @@ def test_orth_check(capsys, monkeypatch):
     assert out["block_parity"] == "diagonal"
     assert out["in_k3_kernel"] is False
     assert doc["command"] == "orth.check"
+
+
+def test_orth_check_tests_the_isometry_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_orthogonal(g)
+
+    monkeypatch.setattr(lattice, "is_orthogonal", counted)
+    rc, doc = run_cli(
+        ["orth", "check"], stdin_doc={"matrix": [list(r) for r in G1]},
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert rc == 0
+    assert "in_enr_kernel" in doc["outputs"]
+    assert len(calls) == 1
 
 
 def test_orth_check_failure_exit_code(capsys, monkeypatch):
@@ -291,10 +334,11 @@ def test_deep_inline_tau_is_an_input_error(capsys):
     assert doc["diagnostics"][0].startswith("tau: maximum recursion depth")
 
 
-def test_unknown_suite_is_a_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "nonsense"])
-    assert exc.value.code == 2
+def test_unknown_suite_is_a_usage_error(capsys):
+    rc, doc = run_cli(["verify", "--suite", "nonsense"], capsys=capsys)
+    assert rc == 2
+    assert doc["command"] == "usage"
+    assert "invalid choice: 'nonsense'" in doc["diagnostics"][0]
 
 
 def test_suite_sizes_must_name_sized_checks():

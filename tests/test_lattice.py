@@ -1,12 +1,13 @@
 """The signature (2, 4) lattice: isometries, discriminant form, complements."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hessk3 import lattice
+from hessk3 import lattice, sampling
 from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.lattice import (
     DISC_GENS,
@@ -37,8 +38,8 @@ from hessk3.lattice import (
     is_in_enr,
     is_in_k3,
     is_orthogonal,
+    isometry_inverse,
     mat_id,
-    mat_inverse_int,
     mat_mul,
     mat_pow,
     orientation,
@@ -78,13 +79,29 @@ def test_gram_shape():
 
 
 def test_matrix_helpers():
-    assert mat_mul(G1, mat_inverse_int(G1)) == mat_id()
+    assert mat_mul(G1, isometry_inverse(G1)) == mat_id()
     assert mat_pow(G1, 3) == mat_mul(G1, mat_mul(G1, G1))
     assert mat_pow(U0, -1) == U0
-    with pytest.raises(ValueError, match="singular matrix"):
-        mat_inverse_int(((1, 1), (1, 1)))
-    with pytest.raises(Exception, match="not integral"):
-        mat_inverse_int(((2, 0), (0, 1)))
+    singular = ((1, 1, 0, 0, 0, 0),) * 2 + mat_id()[2:]
+    with pytest.raises(ValueError, match="inverse of a non-isometry"):
+        isometry_inverse(singular)
+    with pytest.raises(ValueError, match="inverse of a non-isometry"):
+        isometry_inverse(lattice.mat_scale(G1, 2))
+    with pytest.raises(ValueError, match="inverse of a non-isometry"):
+        mat_pow(((2, 0), (0, 1)), -1)
+
+
+def _sampled_oplus(seed, count=20):
+    rng = random.Random(seed)
+    return [sampling.sample_orth_plus(rng, rng.randint(1, 10)) for _ in range(count)]
+
+
+def test_isometry_inverse_is_a_two_sided_inverse():
+    # 12 Q^-1 is integral and really is twelve times the inverse
+    assert mat_mul(lattice._GRAM_INV12, GRAM) == lattice.mat_scale(mat_id(), 12)
+    for g in NAMED + (NEG_SWAP,) + tuple(_sampled_oplus(5)):
+        h = isometry_inverse(g)
+        assert mat_mul(g, h) == mat_id() == mat_mul(h, g)
 
 
 def _naive_product(a, b):
@@ -155,10 +172,10 @@ def test_power_spends_no_product_on_the_identity():
             calls.append(k)
             return lattice.mat_mul(a, b)
 
-        got = lattice.power(G1, k, mat_id(), times, mat_inverse_int)
+        got = lattice.power(G1, k, mat_id(), times, isometry_inverse)
         want = mat_id()
         for _ in range(abs(k)):
-            want = mat_mul(want, G1 if k > 0 else mat_inverse_int(G1))
+            want = mat_mul(want, G1 if k > 0 else isometry_inverse(G1))
         assert got == want
         assert len(calls) == products
 
@@ -264,6 +281,30 @@ def test_disc_polarization_identity():
             lhs = disc_q(disc_add(x, y))
             rhs = (disc_q(x) + disc_q(y) + 2 * disc_b(x, y)) % 2
             assert lhs == rhs
+
+
+def _coset(r):
+    """The Fraction coset vector x = r/6 of a stored element, in [0, 1)^6."""
+    return tuple(Fraction(a, 6) for a in r)
+
+
+def test_disc_forms_match_the_fraction_oracle():
+    # q and b computed on x = r/6 with Fractions, as t(x) Q x mod 2 and mod 1
+    group = disc_group()
+    assert all(0 <= a < 6 for x in group for a in x)
+    for x in group:
+        assert disc_q(x) == qpair(_coset(x), _coset(x)) % 2
+        for y in group:
+            assert disc_b(x, y) == qpair(_coset(x), _coset(y)) % 1
+
+
+@pytest.mark.parametrize("seed", [None, 11, 12])
+def test_disc_act_matches_the_fraction_oracle(seed):
+    pool = NAMED + lattice.H_GENS if seed is None else _sampled_oplus(seed, 10)
+    for g in pool:
+        for x in disc_group():
+            want = tuple(v % 1 for v in lattice.mat_vec(g, _coset(x)))
+            assert _coset(disc_act(g, x)) == want
 
 
 def test_v_classes_are_isotropic_two_torsion():
