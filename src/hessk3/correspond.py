@@ -349,7 +349,6 @@ def decompose_so0(x):
         )
         for i in range(6)
     )
-    require(is_orthogonal(y), "block complement is not an isometry")
     t_part = mat_mul(isometry_inverse(y), work)
     mvec = (t_part[2][0], t_part[3][0], t_part[4][0], t_part[5][0])
     require(t_part == translation_h(*mvec), "residual is not a translation")

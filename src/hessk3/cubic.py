@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import prod
 
 from .errors import rational, require
 from .poly import NVARS, Poly5, elem_sym_polys, halve_exponents, reciprocal_clear
@@ -39,13 +42,14 @@ __all__ = [
 
 
 def elem_sym_values(lam):
+    """sigma1..sigma5 of lam, the coefficients of prod_i (1 + lam_i t)."""
     lam = tuple(rational(x) for x in lam)
     require(len(lam) == NVARS, "need exactly five coefficients")
-    out = []
-    polys = elem_sym_polys()
-    for p in polys:
-        out.append(p.eval(lam))
-    return tuple(out)
+    e = [Fraction(1)] + [Fraction(0)] * NVARS
+    for k, x in enumerate(lam, 1):
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * x
+    return tuple(e[1:])
 
 
 @dataclass(frozen=True)
@@ -59,18 +63,15 @@ class InvariantSet:
 
 
 def classical_invariants(lam) -> InvariantSet:
-    return _invariant_parts(lam)[0]
+    return _invariant_parts(lam)[1]
 
 
 def _invariant_parts(lam):
-    """The invariants, sigma5 and the Vandermonde product prod_{i<j}
-    (lam_i - lam_j), each computed once."""
-    s1, s2, s3, s4, s5 = elem_sym_values(lam)
+    """sigma1..sigma5, the invariants and the Vandermonde product
+    prod_{i<j} (lam_i - lam_j), each computed once."""
     lam = tuple(rational(x) for x in lam)
-    diff = Fraction(1)
-    for i in range(NVARS):
-        for j in range(i + 1, NVARS):
-            diff *= lam[i] - lam[j]
+    s1, s2, s3, s4, s5 = s = elem_sym_values(lam)
+    diff = prod(x - y for x, y in combinations(lam, 2))
     inv = InvariantSet(
         i8=s4 * s4 - 4 * s3 * s5,
         i16=s1 * s5 ** 3,
@@ -79,12 +80,24 @@ def _invariant_parts(lam):
         i40=s5 ** 8,
         i100=diff * s5 ** 18,
     )
-    return inv, s5, diff
+    return s, inv, diff
 
 
-_DS_CACHE: dict = {}
+def _delta_sing_of(inv: InvariantSet) -> Fraction:
+    """(I8^2 - 64 I16)^2 - 16384 I32 - 2048 I8 I24; c01 certifies it equal
+    to delta_sing_poly() as polynomials in lam."""
+    core = inv.i8 * inv.i8 - 64 * inv.i16
+    return core * core - 16384 * inv.i32 - 2048 * inv.i8 * inv.i24
 
 
+def _delta_km_of(s) -> Fraction:
+    """The bridge form (s4^3 - 4 s3 s4 s5 + 8 s2 s5^2) / s5^3; c10 certifies
+    it equal to delta_km_mu_poly() at mu = 1/lam."""
+    _, s2, s3, s4, s5 = s
+    return (s4 ** 3 - 4 * s3 * s4 * s5 + 8 * s2 * s5 * s5) / s5 ** 3
+
+
+@cache
 def delta_sing_poly() -> Poly5:
     """Degree-32 polynomial in lam cutting out the singular cubics.
 
@@ -94,75 +107,65 @@ def delta_sing_poly() -> Poly5:
     degree-8 polynomial in mu, and clearing reciprocals at cap 8 lands in
     the lam ring.
     """
-    if "sing" not in _DS_CACHE:
-        prod = Poly5.const(1)
-        for mask in range(16):
-            form = Poly5.var(0)
-            for i in range(4):
-                sign = -1 if (mask >> i) & 1 else 1
-                form = form + Poly5.var(i + 1) * sign
-            prod = prod * form
-        require(prod.homogeneous_degree() == 16, "product has wrong degree")
-        halved = halve_exponents(prod)
-        _DS_CACHE["sing"] = reciprocal_clear(halved, 8)
-    return _DS_CACHE["sing"]
+    prod = Poly5.const(1)
+    for mask in range(16):
+        form = Poly5.var(0)
+        for i in range(4):
+            sign = -1 if (mask >> i) & 1 else 1
+            form = form + Poly5.var(i + 1) * sign
+        prod = prod * form
+    require(prod.homogeneous_degree() == 16, "product has wrong degree")
+    return reciprocal_clear(halve_exponents(prod), 8)
 
 
+@cache
 def delta_sing_invariant_poly() -> Poly5:
     """The same locus written in the classical invariants,
     (I8^2 - 64 I16)^2 - 16384 I32 - 2048 I8 I24, as a lam polynomial."""
-    if "sing_inv" not in _DS_CACHE:
-        s = elem_sym_polys()
-        s1, s2, s3, s4, s5 = s
-        i8 = s4 * s4 - s3 * s5 * 4
-        i16 = s1 * s5 ** 3
-        i24 = s4 * s5 ** 4
-        i32 = s2 * s5 ** 6
-        core = i8 * i8 - i16 * 64
-        _DS_CACHE["sing_inv"] = core * core - i32 * 16384 - i8 * i24 * 2048
-    return _DS_CACHE["sing_inv"]
+    s1, s2, s3, s4, s5 = elem_sym_polys()
+    i8 = s4 * s4 - s3 * s5 * 4
+    i16 = s1 * s5 ** 3
+    i24 = s4 * s5 ** 4
+    i32 = s2 * s5 ** 6
+    core = i8 * i8 - i16 * 64
+    return core * core - i32 * 16384 - i8 * i24 * 2048
 
 
 def delta_sing(lam) -> Fraction:
-    lam = tuple(rational(x) for x in lam)
-    return delta_sing_invariant_poly().eval(lam)
+    return _delta_sing_of(_invariant_parts(lam)[1])
 
 
+@cache
 def delta_km_mu_poly() -> Poly5:
     """sum mu_i^3 - sum_{i != j} mu_i^2 mu_j + 2 sum_{i<j<k} mu_i mu_j mu_k."""
-    if "km_mu" not in _DS_CACHE:
-        out = Poly5.zero()
-        for i in range(NVARS):
-            out = out + Poly5.var(i) ** 3
-        for i in range(NVARS):
-            for j in range(NVARS):
-                if i != j:
-                    out = out - Poly5.var(i) ** 2 * Poly5.var(j)
-        for i in range(NVARS):
-            for j in range(i + 1, NVARS):
-                for k in range(j + 1, NVARS):
-                    out = out + Poly5.var(i) * Poly5.var(j) * Poly5.var(k) * 2
-        _DS_CACHE["km_mu"] = out
-    return _DS_CACHE["km_mu"]
+    out = Poly5.zero()
+    for i in range(NVARS):
+        out = out + Poly5.var(i) ** 3
+    for i in range(NVARS):
+        for j in range(NVARS):
+            if i != j:
+                out = out - Poly5.var(i) ** 2 * Poly5.var(j)
+    for i in range(NVARS):
+        for j in range(i + 1, NVARS):
+            for k in range(j + 1, NVARS):
+                out = out + Poly5.var(i) * Poly5.var(j) * Poly5.var(k) * 2
+    return out
 
 
+@cache
 def delta_km_bridge_poly() -> Poly5:
     """s4^3 - 4 s3 s4 s5 + 8 s2 s5^2, the reciprocal-cleared Kummer cubic."""
-    if "km_bridge" not in _DS_CACHE:
-        _, s2, s3, s4, s5 = elem_sym_polys()
-        _DS_CACHE["km_bridge"] = s4 ** 3 - s3 * s4 * s5 * 4 + s2 * s5 * s5 * 8
-    return _DS_CACHE["km_bridge"]
+    _, s2, s3, s4, s5 = elem_sym_polys()
+    return s4 ** 3 - s3 * s4 * s5 * 4 + s2 * s5 * s5 * 8
 
 
 def delta_km(lam) -> Fraction:
     """Kummer locus value at mu = 1/lam; zero iff the double cover picks up
     sixteen nodes."""
-    lam = tuple(rational(x) for x in lam)
-    for x in lam:
-        if x == 0:
-            raise ValueError("Sylvester degenerate for mu")
-    mu = tuple(Fraction(1, 1) / x for x in lam)
-    return delta_km_mu_poly().eval(mu)
+    s = elem_sym_values(lam)
+    if s[4] == 0:
+        raise ValueError("Sylvester degenerate for mu")
+    return _delta_km_of(s)
 
 
 def hessian_equations(lam):
@@ -231,9 +234,7 @@ def enriques_partner_check(lam) -> bool:
             if j != i:
                 term = term * ys[j] * lam[j]
         swapped = swapped + term
-    s5 = Fraction(1)
-    for x in lam:
-        s5 *= x
+    s5 = elem_sym_values(lam)[4]
     prod_x = Poly5.const(1)
     for i in range(NVARS):
         prod_x = prod_x * Poly5.var(i)
@@ -253,11 +254,10 @@ class LocusReport:
 
 
 def classify(lam) -> LocusReport:
-    lam = tuple(rational(x) for x in lam)
-    inv, s5, diff = _invariant_parts(lam)
-    degenerate = s5 == 0
-    ds = delta_sing(lam)
-    dk = None if degenerate else delta_km(lam)
+    s, inv, diff = _invariant_parts(lam)
+    degenerate = s[4] == 0
+    ds = _delta_sing_of(inv)
+    dk = None if degenerate else _delta_km_of(s)
     return LocusReport(
         invariants=inv,
         delta_sing=ds,

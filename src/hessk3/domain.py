@@ -14,16 +14,15 @@ All tests are exact; nothing here touches floats.
 from __future__ import annotations
 
 from .errors import require
-from .lattice import N, mat_det2, qpair
+from .lattice import mat_det2, mat_vec, qpair
 from .tower import (
     C_OMEGA,
     C_OMEGA2,
-    C_ZERO,
     C_ONE,
     SQRT3_I,
     Cyclo12,
     Mat2C,
-    sign_sqrt3,
+    tower_sign_real,
 )
 
 __all__ = [
@@ -41,9 +40,7 @@ Point = tuple
 
 
 def _c(v) -> Cyclo12:
-    if isinstance(v, Cyclo12):
-        return v
-    return Cyclo12(v)
+    return v if isinstance(v, Cyclo12) else Cyclo12(v)
 
 
 def dm_from_chart(z3, z4, z5, z6) -> Point:
@@ -72,23 +69,16 @@ def dm_membership(z: Point) -> str:
         return "none"
     pos = qpair(z, tuple(x.conj() for x in z))
     require(pos.is_real(), "Hermitian norm of a point is not real")
-    if sign_sqrt3(pos.a, pos.b) <= 0:
+    if tower_sign_real(pos) <= 0:
         return "none"
-    im3 = z[2].imag()
-    s = sign_sqrt3(im3.a, im3.b)
+    s = tower_sign_real(z[2].imag())
     require(s != 0, "interior point with real z3")
     return "plus" if s > 0 else "minus"
 
 
 def act(g, z: Point) -> Point:
     """Projective action of an integer matrix, renormalized to z1 = 1."""
-    w = [C_ZERO] * N
-    for i in range(N):
-        acc = C_ZERO
-        for j in range(N):
-            if g[i][j]:
-                acc = acc + z[j] * g[i][j]
-        w[i] = acc
+    w = mat_vec(g, z)
     if w[0].is_zero():
         raise ValueError("chart escape")
     inv = w[0].inverse()
@@ -117,9 +107,7 @@ def h2_contains(tau: Mat2C) -> bool:
     Y = (tau - tau*) / 2i must be positive definite: Y11 > 0 and det Y > 0.
     Both are real elements of Q(sqrt3), so the signs are decidable.
     """
-    im11 = tau[0][0].imag()
-    im22 = tau[1][1].imag()
-    if sign_sqrt3(im11.a, im11.b) <= 0:
+    if tower_sign_real(tau[0][0].imag()) <= 0:
         return False
     # det Y with Y = Im-part matrix: Y12 = (tau12 - conj(tau21)) / 2i
     two_i = Cyclo12(0, 0, 2, 0)
@@ -128,7 +116,7 @@ def h2_contains(tau: Mat2C) -> bool:
     )
     d = mat_det2(y)
     require(d.is_real(), "det of the imaginary part is not real")
-    if sign_sqrt3(d.a, d.b) <= 0:
+    if tower_sign_real(d) <= 0:
         return False
-    require(sign_sqrt3(im22.a, im22.b) > 0, "Y11 > 0, det Y > 0 but Y22 <= 0")
+    require(tower_sign_real(tau[1][1].imag()) > 0, "Y11 > 0, det Y > 0 but Y22 <= 0")
     return True

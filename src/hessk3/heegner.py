@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .domain import Point, h2_contains, psi
 from .errors import require
-from .lattice import GRAM, det_int, mat_det2, orthogonal_complement, qpair
-from .tower import C_OMEGA, C_OMEGA2, C_ONE, C_ZERO, Cyclo12, Mat2C
+from .lattice import det_int, mat_det2, orthogonal_complement, qpair
+from .tower import C_OMEGA, C_OMEGA2, C_ONE, C_ZERO, Mat2C
 
 __all__ = [
     "HeegnerFlags",
@@ -88,22 +88,8 @@ def chart_flags(z: Point) -> HeegnerFlags:
     )
 
 
-def _pair_with_int_vector(z: Point, v) -> Cyclo12:
-    out = C_ZERO
-    for i in range(6):
-        for j in range(6):
-            if GRAM[i][j] and v[j]:
-                out = out + z[i] * (GRAM[i][j] * v[j])
-    return out
-
-
 def perp_flags(z: Point) -> HeegnerFlags:
-    vals = {
-        name: _pair_with_int_vector(z, v).is_zero() for name, v in PERP_VECTORS.items()
-    }
-    return HeegnerFlags(
-        node=vals["node"], eckardt=vals["eckardt"], ns=vals["ns"], km=vals["km"]
-    )
+    return HeegnerFlags(**{name: qpair(z, v).is_zero() for name, v in PERP_VECTORS.items()})
 
 
 def perp_equivalence(z: Point) -> HeegnerFlags:

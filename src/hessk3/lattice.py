@@ -134,6 +134,8 @@ def mat_id(n: int = N, one=1, zero=0):
 
 
 def mat_mul(a, b):
+    if len(a[0]) != len(b):
+        raise ValueError("matrix product of mismatched shapes")
     bt = tuple(zip(*b))
     return tuple(tuple(reduce(add, map(mul, ra, cb)) for cb in bt) for ra in a)
 
@@ -217,6 +219,8 @@ def isometry_inverse(g):
 
     t(g) Q g = Q is tested on the way, so the division by 12 is exact.
     """
+    if len(g) != N:
+        raise ValueError("inverse of a non-isometry")
     gtq = mat_mul(mat_transpose(g), GRAM)
     if mat_mul(gtq, g) != GRAM:
         raise ValueError("inverse of a non-isometry")

@@ -1,5 +1,6 @@
 """Pentahedral invariants, the two discriminant loci, the Hessian quartic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hessk3.cubic import (
     delta_km_bridge_poly,
     delta_km_mu_poly,
     delta_sing,
+    delta_sing_poly,
     elem_sym_values,
     enriques_partner_check,
     hessian_equations,
@@ -159,3 +161,50 @@ def test_classify_reports():
 
     rep = classify(KUMMER_POINT)
     assert rep.kummer and not rep.singular
+
+
+def _oracle_lambdas():
+    """200 seeded quintuples: sampled ones, ones with large denominators,
+    and ones with repeated or zero coordinates."""
+    rng = random.Random(2024)
+    out = [sampling.sample_lambda(rng, distinct=k % 2 == 0) for k in range(120)]
+    for _ in range(50):
+        big = (Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**7)) for _ in range(5))
+        out.append(tuple(big))
+    for _ in range(30):
+        lam = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(5)]
+        lam[rng.randrange(5)] = lam[rng.randrange(5)]
+        out.append(tuple(lam))
+    out += [ONES, (1, 1, 1, 1, Fraction(1, 16)), (1, 2, 3, 4, 0), (0,) * 5, (2, 2, 2, -1, 0)]
+    return out
+
+
+def test_closed_forms_match_the_certificate_polynomials():
+    e_polys = elem_sym_polys()
+    sing, km_mu = delta_sing_poly(), delta_km_mu_poly()
+    lams = _oracle_lambdas()
+    assert len(lams) >= 200
+    for lam in lams:
+        assert elem_sym_values(lam) == tuple(p.eval(lam) for p in e_polys)
+        assert delta_sing(lam) == sing.eval(lam)
+        rep = classify(lam)
+        assert rep.delta_sing == delta_sing(lam)
+        if any(x == 0 for x in lam):
+            assert rep.delta_km is None
+            with pytest.raises(ValueError, match="Sylvester degenerate"):
+                delta_km(lam)
+        else:
+            want = km_mu.eval(tuple(1 / Fraction(x) for x in lam))
+            assert delta_km(lam) == rep.delta_km == want
+
+
+def test_closed_forms_at_named_points():
+    assert elem_sym_values((1, 2, 3, 4, 0))[4] == 0
+    assert delta_sing((1, 1, 1, 1, Fraction(1, 16))) == 0
+    assert delta_sing_poly().eval((1, 1, 1, 1, Fraction(1, 16))) == 0
+    # repeated coordinates: sigma_k of (x, x, x, x, x) is C(5, k) x^k
+    x = Fraction(-7, 3)
+    assert elem_sym_values((x,) * 5) == (5 * x, 10 * x**2, 10 * x**3, 5 * x**4, x**5)
+    for lam in ((0, 1, 2, 3, 4), (1, 2, 0, 0, 5)):
+        with pytest.raises(ValueError, match="Sylvester degenerate"):
+            delta_km(lam)

@@ -91,6 +91,15 @@ def test_matrix_helpers():
         mat_pow(((2, 0), (0, 1)), -1)
 
 
+def test_mat_mul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        mat_mul(lattice.mat_transpose(((2, 0), (0, 1))), GRAM)
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        mat_mul(GRAM, ((1, 0), (0, 1)))
+    # non-square factors whose inner dimensions agree are fine
+    assert mat_mul(((1, 2, 3),), ((1,), (1,), (1,))) == ((6,),)
+
+
 def _sampled_oplus(seed, count=20):
     rng = random.Random(seed)
     return [sampling.sample_orth_plus(rng, rng.randint(1, 10)) for _ in range(count)]

@@ -1,6 +1,8 @@
 """Field arithmetic in Q(sqrt3, i) and the exact sign routines."""
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -157,3 +159,129 @@ def test_matrix_ops():
     singular = ((C_ONE, C_ONE), (C_ONE, C_ONE))
     with pytest.raises(ZeroDivisionError, match="inverse of zero"):
         inv(singular)
+
+
+def test_rational_elements_hash_as_their_fraction():
+    assert hash(Cyclo12(1)) == hash(1)
+    assert len({Cyclo12(1), 1}) == 1
+    assert len({Cyclo12(Fraction(-2, 3)), Fraction(-2, 3)}) == 1
+    assert hash(C_ZERO) == hash(0)
+    # equal elements built along different routes hash alike
+    x = Cyclo12(Fraction(3, 4), -1, Fraction(1, 6), 5)
+    assert x * x.inverse() == C_ONE and hash(x * x.inverse()) == hash(1)
+    assert hash((x + SQRT3) - SQRT3) == hash(x)
+
+
+# -- the Fraction oracle ----------------------------------------------------
+
+
+class FracCyclo12:
+    """The field on four Fraction coordinates, by the textbook formulas: an
+    independent model of what the integer representation must compute."""
+
+    def __init__(self, a, b, c, d):
+        self.v = (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+
+    def __add__(self, o):
+        return FracCyclo12(*(x + y for x, y in zip(self.v, o.v)))
+
+    def __sub__(self, o):
+        return FracCyclo12(*(x - y for x, y in zip(self.v, o.v)))
+
+    def __mul__(self, o):
+        a1, b1, c1, d1 = self.v
+        a2, b2, c2, d2 = o.v
+        return FracCyclo12(
+            a1 * a2 + 3 * b1 * b2 - c1 * c2 - 3 * d1 * d2,
+            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+            a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+        )
+
+    def conj(self):
+        a, b, c, d = self.v
+        return FracCyclo12(a, b, -c, -d)
+
+    def inverse(self):
+        a, b, c, d = self.v
+        p = a * a + 3 * b * b + c * c + 3 * d * d
+        q = 2 * a * b + 2 * c * d
+        n = p * p - 3 * q * q
+        return self.conj() * FracCyclo12(p / n, -q / n, 0, 0)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def real(self):
+        return FracCyclo12(self.v[0], self.v[1], 0, 0)
+
+    def imag(self):
+        return FracCyclo12(self.v[2], self.v[3], 0, 0)
+
+    def is_zero(self):
+        return not any(self.v)
+
+
+def _oracle_sign(a, b):
+    """Sign of a + b*sqrt3 by bracketing sqrt3 between dyadic rationals."""
+    if a == 0 and b == 0:
+        return 0
+    k = 4
+    while True:
+        lo = Fraction(isqrt(3 * 4**k), 2**k)
+        ends = (a + b * lo, a + b * (lo + Fraction(1, 2**k)))
+        if min(ends) > 0:
+            return 1
+        if max(ends) < 0:
+            return -1
+        k *= 2
+
+
+def _random_coordinate(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-20, 20))
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    if kind == 3:
+        # large, mostly coprime numerators and denominators
+        return Fraction(rng.randint(-(10**18), 10**18), rng.randint(1, 10**15))
+    # a shared power-of-two-and-three denominator, so sums cancel factors
+    return Fraction(rng.randint(-50, 50), 2 ** rng.randint(0, 40) * 3 ** rng.randint(0, 20))
+
+
+def _random_pair(rng):
+    coords = [[_random_coordinate(rng) for _ in range(4)] for _ in range(2)]
+    if rng.random() < 0.05:
+        coords[rng.randrange(2)] = [0, 0, 0, 0]
+    if rng.random() < 0.1:
+        coords[1] = list(coords[0])
+    return coords
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_arithmetic_matches_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(120):
+        cx, cy = _random_pair(rng)
+        x, y = Cyclo12(*cx), Cyclo12(*cy)
+        ox, oy = FracCyclo12(*cx), FracCyclo12(*cy)
+        assert x.coords() == ox.v
+        assert (x + y).coords() == (ox + oy).v
+        assert (x - y).coords() == (ox - oy).v
+        assert (x * y).coords() == (ox * oy).v
+        assert x.conj().coords() == ox.conj().v
+        assert x.real().coords() == ox.real().v
+        assert x.imag().coords() == ox.imag().v
+        assert (x == y) == (ox.v == oy.v)
+        if oy.is_zero():
+            with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+                x / y
+        else:
+            assert y.inverse().coords() == oy.inverse().v
+            assert (x / y).coords() == (ox / oy).v
+        for part in (x.real(), x.imag()):
+            a, b, _, _ = part.coords()
+            assert tower_sign_real(part) == sign_sqrt3(a, b) == _oracle_sign(a, b)
