@@ -28,15 +28,14 @@ from .eisenstein import (
     OMEGA2,
     UNITS,
     Eisenstein,
-    _round_half_to_zero,
     best_unit,
     eis_divmod,
+    pair_steps,
 )
 from .errors import require
 from .hermitian import m2e, m2e_pow
 from .lattice import (
     G0,
-    G0I42,
     G1,
     G2,
     H_GENS,
@@ -59,6 +58,7 @@ from .lattice import (
     mat_mul,
     mat_neg,
     mat_pow,
+    mat_prod,
     mat_scale,
     residual_m,
     translation_h,
@@ -137,72 +137,40 @@ def _in_so0(g) -> bool:
     return det_int(g) == 1 and _block_parity(g) == "diagonal" and _orientation(g) == "plus"
 
 
-ORTH_TOKEN_MATS = {
-    "h1": H_GENS[0],
-    "h2": H_GENS[1],
-    "h3": H_GENS[2],
-    "h4": H_GENS[3],
-    "h1p": HP_GENS[0],
-    "h2p": HP_GENS[1],
-    "h3p": HP_GENS[2],
-    "h4p": HP_GENS[3],
-    "g1": G1,
-    "g2": G2,
-    "u0g1u0": U0G1U0,
-    "u0u1": U0U1,
-    "u2": U2,
-    "i42": I42,
-    "mi42": MI42,
+# Each orthogonal token with its 6x6 isometry and its Hermitian image at
+# power one.  The conjugated translations swap and negate the two diagonal
+# slots; mi42 = -i42 maps to the same gA as i42, which is where the mod -1
+# ambiguity of round trips comes from.
+_TOKENS = {
+    "h1": (H_GENS[0], ("gBu", (1, 0, 0, 0))),
+    "h2": (H_GENS[1], ("gBu", (0, 1, 0, 0))),
+    "h3": (H_GENS[2], ("gBu", (0, 0, 1, 0))),
+    "h4": (H_GENS[3], ("gBu", (0, 0, 0, 1))),
+    "h1p": (HP_GENS[0], ("gBl", (0, -1, 0, 0))),
+    "h2p": (HP_GENS[1], ("gBl", (-1, 0, 0, 0))),
+    "h3p": (HP_GENS[2], ("gBl", (0, 0, 1, 0))),
+    "h4p": (HP_GENS[3], ("gBl", (0, 0, 0, 1))),
+    "g1": (G1, ("gA", m2e(((1, 0), (1, 1))))),
+    "g2": (G2, ("gA", m2e(((1, 0), (OMEGA2, 1))))),
+    "u0g1u0": (U0G1U0, ("gA", m2e(((1, 1), (0, 1))))),
+    "u0u1": (U0U1, ("gA", m2e(((0, 1), (1, 0))))),
+    "u2": (U2, ("gA", m2e(((1, 0), (0, OMEGA2))))),
+    "i42": (I42, ("gA", m2e(((1, 0), (0, -1))))),
+    "mi42": (MI42, ("gA", m2e(((1, 0), (0, -1))))),
 }
+
+ORTH_TOKEN_MATS = {name: mat for name, (mat, _) in _TOKENS.items()}
 
 
 def orth_word_matrix(word):
-    out = mat_id(6)
-    for name, p in word:
-        out = mat_mul(out, mat_pow(ORTH_TOKEN_MATS[name], p))
-    return out
-
-
-# Hermitian image of each orthogonal token at power p.  The conjugated
-# translations swap and negate the two diagonal slots; mi42 = -i42 maps to
-# the same gA as i42, which is where the mod -1 ambiguity of round trips
-# comes from.
-
-_E_G1 = m2e(((1, 0), (1, 1)))
-_E_G2 = m2e(((1, 0), (OMEGA2, 1)))
-_E_U0G1U0 = m2e(((1, 1), (0, 1)))
-_E_U0U1 = m2e(((0, 1), (1, 0)))
-_E_U2 = m2e(((1, 0), (0, OMEGA2)))
-_E_I42 = m2e(((1, 0), (0, -1)))
+    return mat_prod((mat_pow(ORTH_TOKEN_MATS[name], p) for name, p in word), mat_id(6))
 
 
 def _herm_image(name: str, p: int):
-    if name == "h1":
-        return ("gBu", (p, 0, 0, 0))
-    if name == "h2":
-        return ("gBu", (0, p, 0, 0))
-    if name == "h3":
-        return ("gBu", (0, 0, p, 0))
-    if name == "h4":
-        return ("gBu", (0, 0, 0, p))
-    if name == "h1p":
-        return ("gBl", (0, -p, 0, 0))
-    if name == "h2p":
-        return ("gBl", (-p, 0, 0, 0))
-    if name == "h3p":
-        return ("gBl", (0, 0, p, 0))
-    if name == "h4p":
-        return ("gBl", (0, 0, 0, p))
-    mats = {
-        "g1": _E_G1,
-        "g2": _E_G2,
-        "u0g1u0": _E_U0G1U0,
-        "u0u1": _E_U0U1,
-        "u2": _E_U2,
-        "i42": _E_I42,
-        "mi42": _E_I42,
-    }
-    return ("gA", m2e_pow(mats[name], p))
+    kind, payload = _TOKENS[name][1]
+    if kind == "gA":
+        return kind, m2e_pow(payload, p)
+    return kind, tuple(p * x for x in payload)
 
 
 def herm_token_to_orth(tok):
@@ -219,14 +187,8 @@ def herm_token_to_orth(tok):
 
 
 def herm_word_to_orth(word, uses_t: bool = False, uses_w: bool = False):
-    out = mat_id(6)
-    if uses_t:
-        out = mat_mul(out, U1)
-    if uses_w:
-        out = mat_mul(out, W0)
-    for tok in word:
-        out = mat_mul(out, herm_token_to_orth(tok))
-    return out
+    flags = [m for m, used in ((U1, uses_t), (W0, uses_w)) if used]
+    return mat_prod(flags + [herm_token_to_orth(tok) for tok in word], mat_id(6))
 
 
 # (s, t) with u = (-1)^s w^t for each unit u; on the A2 tail, i42 acts as
@@ -271,20 +233,12 @@ def decompose_so0(x):
 
     # -- stage one: column two to e2 ------------------------------------
 
-    # rows two and three: integer Euclid, a2 odd throughout
-    guard = 0
-    while work[2][1] != 0:
-        guard += 1
-        require(guard < 10000, "row-three reduction did not terminate")
-        a2, a3 = work[1][1], work[2][1]
-        # the translation rows carry -2 m, so the quotient enters unnegated
-        c = _round_half_to_zero(a2, 2 * a3)
-        lmul("h2", c)
-        a2, a3 = work[1][1], work[2][1]
-        q = -_round_half_to_zero(a3, a2)
-        require(q != 0, "no progress clearing row three")
-        lmul("h1p", q)
-        require(abs(work[2][1]) < abs(a3), "row three failed to shrink")
+    # rows two and three: integer Euclid, a2 odd throughout; the
+    # translation rows carry -2 m, so the h2 power is -c
+    for c, d in pair_steps(work[1][1], work[2][1]):
+        lmul("h2", -c)
+        lmul("h1p", d)
+    require(work[2][1] == 0, "row three of column two did not vanish")
 
     # tail pair of column two against the two hyperbolic rows: a full
     # Eisenstein quotient of the tail by the smaller pivot (reached with a
@@ -319,18 +273,10 @@ def decompose_so0(x):
     require(work[0][1] == 0, "row one of column two is nonzero")
 
     # row four against the odd row two
-    guard = 0
-    while work[3][1] != 0:
-        guard += 1
-        require(guard < 10000, "row-four reduction did not terminate")
-        a2, a4 = work[1][1], work[3][1]
-        c = _round_half_to_zero(a2, 2 * a4)
-        lmul("h1", c)
-        a2, a4 = work[1][1], work[3][1]
-        q = -_round_half_to_zero(a4, a2)
-        require(q != 0, "no progress clearing row four")
-        lmul("h2p", q)
-        require(abs(work[3][1]) < abs(a4), "row four failed to shrink")
+    for c, d in pair_steps(work[1][1], work[3][1]):
+        lmul("h1", -c)
+        lmul("h2p", d)
+    require(work[3][1] == 0, "row four of column two did not vanish")
 
     require(abs(work[1][1]) == 1, "column two pivot is not a unit")
     if work[1][1] == -1:
@@ -442,19 +388,6 @@ def equal_mod_center(a, b) -> bool:
     return a == b or a == mat_neg(b)
 
 
-DICTIONARY_PAIRS = (
-    ("h1", H_GENS[0], ("gBu", (1, 0, 0, 0))),
-    ("h2", H_GENS[1], ("gBu", (0, 1, 0, 0))),
-    ("h3", H_GENS[2], ("gBu", (0, 0, 1, 0))),
-    ("h4", H_GENS[3], ("gBu", (0, 0, 0, 1))),
-    ("h1p", HP_GENS[0], ("gBl", (0, -1, 0, 0))),
-    ("h2p", HP_GENS[1], ("gBl", (-1, 0, 0, 0))),
-    ("h3p", HP_GENS[2], ("gBl", (0, 0, 1, 0))),
-    ("h4p", HP_GENS[3], ("gBl", (0, 0, 0, 1))),
-    ("g1", G1, ("gA", _E_G1)),
-    ("g2", G2, ("gA", _E_G2)),
-    ("u0g1u0", U0G1U0, ("gA", _E_U0G1U0)),
-    ("u0u1", U0U1, ("gA", _E_U0U1)),
-    ("u2", U2, ("gA", _E_U2)),
-    ("i42", I42, ("gA", _E_I42)),
+DICTIONARY_PAIRS = tuple(
+    (name, mat, herm) for name, (mat, herm) in _TOKENS.items() if name != "mi42"
 )

@@ -23,6 +23,7 @@ angular sector needed to shrink norms; every step is checked at run time.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .domain import h2_contains
 from .eisenstein import (
@@ -32,10 +33,10 @@ from .eisenstein import (
     UNITS,
     ZERO,
     Eisenstein,
-    _round_half_to_zero,
     best_unit,
     eis_divmod,
     g2_column_reduce,
+    pair_steps,
 )
 from .errors import require
 from .lattice import (
@@ -46,6 +47,7 @@ from .lattice import (
     mat_inv2,
     mat_mul,
     mat_neg,
+    mat_prod,
     mat_scale,
     mat_sub,
     mat_transpose,
@@ -104,6 +106,7 @@ def m2e(rows):
 
 
 _I2 = mat_id(2, ONE, ZERO)
+_I4 = mat_id(4, ONE, ZERO)
 _Z2 = ((ZERO, ZERO), (ZERO, ZERO))
 
 
@@ -242,10 +245,7 @@ def token_inverse(tok):
 
 
 def word_matrix(word):
-    out = mat_id(4, ONE, ZERO)
-    for tok in word:
-        out = mat_mul(out, token_matrix(tok))
-    return out
+    return mat_prod(map(token_matrix, word), _I4)
 
 
 # -- decomposition -------------------------------------------------------------
@@ -298,24 +298,15 @@ def decompose_hgamma1(g):
 
     def clear_even_partner(odd_idx: int, even_idx: int, col: int, slot: int):
         # Shrink work[even_idx][col] to zero against the odd entry above it
-        # using the two diagonal translation slots; integer Euclid with
-        # nearest rounding, norm strictly decreasing.
+        # using the two diagonal translation slots.
         y = work[even_idx][col]
         if y.is_zero():
             return
         m, n, _ = _rational_split(work[odd_idx][col], y)
-        guard = 0
-        while n:
-            guard += 1
-            require(guard < 10000, "translation reduction did not terminate")
-            c = -_round_half_to_zero(m, 2 * n)
+        for c, d in pair_steps(m, n):
             if c:
                 lmul(("gBu", _slot_params(slot, c)))
-                m += 2 * c * n
-            c = -_round_half_to_zero(n, m)
-            require(c != 0, "no progress in translation reduction")
-            lmul(("gBl", _slot_params(slot, c)))
-            n += c * m
+            lmul(("gBl", _slot_params(slot, d)))
         require(work[even_idx][col].is_zero(), "even partner entry did not vanish")
 
     # (i) clear row two of column one with a single gA factor
@@ -443,31 +434,26 @@ def _section_generators():
     return gens
 
 
-_SECTION: dict | None = None
-
-
+@cache
 def _section_table() -> dict:
     """One fixed integral unit-determinant lift per element of GL2(F4).
 
     Breadth-first closure from the identity over exactly liftable
     generators; deterministic, built once.
     """
-    global _SECTION
-    if _SECTION is None:
-        gens = _section_generators()
-        table = {m2e_mod2(_I2): _I2}
-        queue = [_I2]
-        while queue:
-            cur = queue.pop(0)
-            for gen in gens:
-                nxt = mat_mul(gen, cur)
-                key = m2e_mod2(nxt)
-                if key not in table:
-                    table[key] = nxt
-                    queue.append(nxt)
-        require(len(table) == 180, "section table does not cover GL2(F4)")
-        _SECTION = table
-    return _SECTION
+    gens = _section_generators()
+    table = {m2e_mod2(_I2): _I2}
+    queue = [_I2]
+    while queue:
+        cur = queue.pop(0)
+        for gen in gens:
+            nxt = mat_mul(gen, cur)
+            key = m2e_mod2(nxt)
+            if key not in table:
+                table[key] = nxt
+                queue.append(nxt)
+    require(len(table) == 180, "section table does not cover GL2(F4)")
+    return table
 
 
 def gl2f4_group() -> list:
@@ -483,12 +469,12 @@ def section_lift(fm):
 
 def decompose_hgamma0(g):
     """Section factor and gamma1 word with g = gA(L) * word."""
-    cls = membership(g)
-    if cls not in ("gamma0", "gamma1"):
+    if membership(g) not in ("gamma0", "gamma1"):
         raise ValueError("matrix is not in the gamma0 congruence subgroup")
-    lift = section_lift(f_mod2(g))
+    # rem = gA(lift)^(-1) g has A block == I mod 2 and C block lift* C, still
+    # even, so it lies in gamma1; decompose_hgamma1 tests that on entry
+    lift = section_lift(m2e_mod2(blocks(g)[0]))
     rem = mat_mul(g_a(m2e_inv(lift)), g)
-    require(membership(rem) == "gamma1", "section quotient left gamma1")
     word = decompose_hgamma1(rem)
     require(mat_mul(g_a(lift), word_matrix(word)) == g, "gamma0 factorization failed")
     return lift, word

@@ -27,6 +27,7 @@ __all__ = [
     "power",
     "mat_id",
     "mat_mul",
+    "mat_prod",
     "mat_vec",
     "mat_add",
     "mat_sub",
@@ -138,6 +139,15 @@ def mat_mul(a, b):
         raise ValueError("matrix product of mismatched shapes")
     bt = tuple(zip(*b))
     return tuple(tuple(reduce(add, map(mul, ra, cb)) for cb in bt) for ra in a)
+
+
+def mat_prod(mats, one):
+    """Left-to-right product of mats; one, the identity, for none.
+
+    As in power, no identity enters a product: k matrices cost k - 1.
+    """
+    rest = iter(mats)
+    return reduce(mat_mul, rest, next(rest, one))
 
 
 def mat_vec(a, v):

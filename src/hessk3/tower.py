@@ -196,8 +196,6 @@ def _coerce(v) -> "Cyclo12 | None":
         return v
     if isinstance(v, (int, Fraction)):
         return _raw((int(v.numerator), 0, 0, 0), v.denominator)
-    if isinstance(v, Eisenstein):
-        return from_eisenstein(v)
     return None
 
 

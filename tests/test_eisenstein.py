@@ -15,6 +15,7 @@ from hessk3.eisenstein import (
     eis_gcd_ext,
     exact_div,
     g2_column_reduce,
+    pair_steps,
 )
 from hessk3.sampling import make_rng
 
@@ -191,3 +192,21 @@ def test_g2_column_reduce_postconditions(alpha, beta):
 
 def test_units_order_is_fixed():
     assert UNITS == (ONE, -ONE, OMEGA, -OMEGA, OMEGA2, -OMEGA2)
+
+
+def test_pair_steps_on_a_zero_partner_yield_nothing():
+    for m in (1, -1, 7, -13):
+        assert list(pair_steps(m, 0)) == []
+
+
+def test_pair_steps_clear_the_partner_and_halve_it():
+    rng = make_rng(41)
+    for _ in range(500):
+        m = 2 * rng.randint(-10**6, 10**6) + 1
+        n = rng.randint(-10**6, 10**6)
+        for c, d in pair_steps(m, n):
+            m += 2 * c * n
+            before, n = n, n + d * m
+            assert 2 * abs(n) <= abs(before)
+            assert m % 2 == 1
+        assert n == 0

@@ -187,6 +187,26 @@ def test_word_round_trip_gamma0():
         assert m2e_mod2(lift) == f_mod2(g)
 
 
+def test_decompose_hgamma0_tests_membership_twice(monkeypatch):
+    # once on the input, once on the gamma1 quotient inside decompose_hgamma1
+    from hessk3 import hermitian
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return membership(g)
+
+    monkeypatch.setattr(hermitian, "membership", counted)
+    rng = sampling.make_rng(25)
+    for k in range(8):
+        g = word_matrix(sampling.sample_hgamma0_word(rng, 1 + k % 5))
+        calls.clear()
+        lift, tail = decompose_hgamma0(g)
+        assert len(calls) == 2 and calls[0] == g
+        assert mat_mul(g_a(lift), word_matrix(tail)) == g
+
+
 def test_f4_field():
     omega = (0, 1)
     assert f4_mul(omega, omega) == (1, 1)

@@ -189,6 +189,26 @@ def test_power_spends_no_product_on_the_identity():
         assert len(calls) == products
 
 
+def test_mat_prod_multiplies_without_the_identity(monkeypatch):
+    one = mat_id()
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(lattice, "mat_mul", counted)
+    assert lattice.mat_prod([], one) is one
+    for k in range(1, 6):
+        mats = [G1, U2, G2, I42, U1][:k]
+        want = one
+        for g in mats:
+            want = mat_mul(want, g)
+        calls.clear()
+        assert lattice.mat_prod(iter(mats), one) == want
+        assert len(calls) == k - 1
+
+
 def test_named_generators_are_isometries():
     for g in NAMED:
         assert is_orthogonal(g)

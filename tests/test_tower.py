@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hessk3.eisenstein import Eisenstein, OMEGA
+from hessk3.eisenstein import Eisenstein, OMEGA, ONE
 from hessk3.lattice import mat_conj_transpose, mat_det2, mat_id, mat_inv2, mat_mul
 from hessk3.tower import (
     C_OMEGA,
@@ -170,6 +170,31 @@ def test_rational_elements_hash_as_their_fraction():
     x = Cyclo12(Fraction(3, 4), -1, Fraction(1, 6), 5)
     assert x * x.inverse() == C_ONE and hash(x * x.inverse()) == hash(1)
     assert hash((x + SQRT3) - SQRT3) == hash(x)
+
+
+def test_eisenstein_operands_are_foreign():
+    # from_eisenstein is the one embedding; equality stays transitive
+    assert Cyclo12(1) != ONE and ONE != Cyclo12(1)
+    assert C_OMEGA != OMEGA
+    assert C_OMEGA == from_eisenstein(OMEGA)
+    for op in (
+        lambda: Cyclo12(1) + ONE,
+        lambda: ONE + Cyclo12(1),
+        lambda: C_OMEGA * OMEGA,
+        lambda: C_ONE - ONE,
+        lambda: C_ONE / ONE,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    xs = (C_ONE, ONE, 1)
+    for x in xs:
+        for y in xs:
+            for z in xs:
+                if x == y and y == z:
+                    assert x == z
+            if x == y:
+                assert hash(x) == hash(y)
+    assert len({C_ONE, ONE, 1}) == 2
 
 
 # -- the Fraction oracle ----------------------------------------------------

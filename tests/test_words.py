@@ -1,0 +1,89 @@
+"""Golden words of the four decompositions.
+
+tests/data/words.json holds COUNT seeded inputs for each of decompose_so0,
+orth_to_herm, decompose_hgamma1 and decompose_hgamma0, together with the
+word each returned when the file was written.  The test recomputes every
+word from the stored input, so a refactor of the word layer is checked for
+byte identity without running the old code next to the new.  The inputs
+are stored, not re-sampled, so a change to the samplers cannot move them.
+
+Regenerate only when a change to the words is intended:
+
+    PYTHONPATH=src python3 tests/test_words.py
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from hessk3 import sampling
+from hessk3.correspond import decompose_so0, orth_to_herm
+from hessk3.eisenstein import Eisenstein
+from hessk3.hermitian import decompose_hgamma0, decompose_hgamma1, word_matrix
+
+SEED = 2010
+COUNT = 40
+DATA = Path(__file__).parent / "data" / "words.json"
+
+FUNCTIONS = {
+    "decompose_so0": decompose_so0,
+    "orth_to_herm": orth_to_herm,
+    "decompose_hgamma1": decompose_hgamma1,
+    "decompose_hgamma0": decompose_hgamma0,
+}
+
+
+def _enc(x):
+    if isinstance(x, Eisenstein):
+        return [x.a, x.b]
+    if isinstance(x, (tuple, list)):
+        return [_enc(y) for y in x]
+    return x
+
+
+def _dec(m):
+    """A stored matrix: integer rows, or rows of [a, b] Eisenstein pairs."""
+    return tuple(tuple(x if isinstance(x, int) else Eisenstein(*x) for x in r) for r in m)
+
+
+def _inputs(rng):
+    draws = {
+        "decompose_so0": lambda: sampling.sample_orth_so0(rng, rng.randint(1, 10)),
+        "orth_to_herm": lambda: sampling.sample_orth_plus(rng, rng.randint(1, 10)),
+        "decompose_hgamma1": lambda: word_matrix(sampling.sample_hgamma1_word(rng, rng.randint(1, 5))),
+        # a leading gA of an unconstrained matrix spreads the inputs over
+        # GL2(F4), so the section lifts are pinned too
+        "decompose_hgamma0": lambda: word_matrix(
+            [("gA", sampling.sample_gl2_matrix(rng, 8))] + sampling.sample_hgamma0_word(rng, rng.randint(0, 4))
+        ),
+    }
+    return {name: [draw() for _ in range(COUNT)] for name, draw in draws.items()}
+
+
+def write():
+    rng = random.Random(SEED)
+    lines = []
+    for name, xs in _inputs(rng).items():
+        for x in xs:
+            case = {"function": name, "input": _enc(x), "word": _enc(FUNCTIONS[name](x))}
+            lines.append(json.dumps(case, separators=(",", ":")))
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+
+
+def _cases(name):
+    return [c for c in json.loads(DATA.read_text()) if c["function"] == name]
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_words_match_the_golden_file(name):
+    cases = _cases(name)
+    assert len(cases) == COUNT
+    for case in cases:
+        assert _enc(FUNCTIONS[name](_dec(case["input"]))) == case["word"]
+
+
+if __name__ == "__main__":
+    write()
