@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     bridge = cubic.delta_km_bridge_poly().eval(lam)
     lhs = s5 ** 3 * cubic.delta_km(lam)
     print(f"sigma5^3 * delta_km = {lhs}  ==  bridge form = {bridge}")
-    kummer = inv.i8 * inv.i24 + 8 * inv.i32
+    kummer = cubic._kummer_form(inv)
     print(f"I8*I24 + 8*I32 = {kummer}  ==  sigma5^4 * bridge = {s5 ** 4 * bridge}")
     return 0 if lhs == bridge and kummer == s5 ** 4 * bridge else 1
 

@@ -345,11 +345,19 @@ def cmd_verify(args) -> int:
 # -- wiring ----------------------------------------------------------------------
 
 
+class _Help(Exception):
+    """-h or --help was given; carries the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
-    # a usage error becomes an exit-2 envelope, not usage text on stderr;
-    # subparsers inherit the class
+    # a usage error becomes an exit-2 envelope, not usage text on stderr,
+    # and help an exit-0 envelope, not text and a SystemExit; subparsers
+    # inherit the class
     def error(self, message):
         raise ValueError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _bind_lambda(argv: list) -> list:
@@ -411,6 +419,9 @@ def main(argv=None) -> int:
         if getattr(args, "action", None):
             command = f"{command}.{args.action}"
         return args.func(args)
+    except _Help as exc:
+        emit("help", inputs, {"text": str(exc)})
+        return 0
     except InvariantViolation as exc:
         emit(command, inputs, None, status="error", diagnostics=[str(exc)])
         return 1

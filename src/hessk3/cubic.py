@@ -7,8 +7,11 @@ The singular locus and the Kummer-type locus are cut out by two explicit
 polynomials; both are verified here against product-form expansions, as
 exact identities in the polynomial ring, not numerically.
 
-All values are Fractions; the Hessian quartic helpers return Poly5 data so
-callers can check pointwise claims symbolically.
+Each formula is written once over any ring: classify and its neighbours
+evaluate it on Fractions, and the certificate polynomials build the same
+functions on Poly5, so the certificates prove the code that runs.  The
+Hessian quartic helpers return Poly5 data so callers can check pointwise
+claims symbolically.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
 
 from .errors import rational, require
-from .poly import NVARS, Poly5, elem_sym_polys, halve_exponents, reciprocal_clear
+from .poly import NVARS, Poly5, elem_sym, elem_sym_polys, halve_exponents, reciprocal_clear
 
 __all__ = [
     "elem_sym_values",
@@ -44,16 +47,16 @@ __all__ = [
 def elem_sym_values(lam):
     """sigma1..sigma5 of lam, the coefficients of prod_i (1 + lam_i t)."""
     lam = tuple(rational(x) for x in lam)
-    require(len(lam) == NVARS, "need exactly five coefficients")
-    e = [Fraction(1)] + [Fraction(0)] * NVARS
-    for k, x in enumerate(lam, 1):
-        for j in range(k, 0, -1):
-            e[j] += e[j - 1] * x
-    return tuple(e[1:])
+    if len(lam) != NVARS:
+        raise ValueError("need exactly five coefficients")
+    return elem_sym(lam, Fraction(1), Fraction(0))
 
 
 @dataclass(frozen=True)
 class InvariantSet:
+    """I8..I100; Fractions from classical_invariants, Poly5 in lam where
+    the certificates build the same formulas symbolically."""
+
     i8: Fraction
     i16: Fraction
     i24: Fraction
@@ -62,17 +65,25 @@ class InvariantSet:
     i100: Fraction
 
 
-def classical_invariants(lam) -> InvariantSet:
-    return _invariant_parts(lam)[1]
+# -- the invariant formulas, each stated once ----------------------------------
+#
+# Each takes sigma1..sigma5 (or the invariants built from them) and uses
+# only +, - and *, so it runs unchanged on Fractions and on Poly5.
+# Evaluation at lam is a ring homomorphism Poly5 -> Q, so an identity the
+# certificates prove between the Poly5 values holds for the Fraction
+# values at every lam.
 
 
-def _invariant_parts(lam):
-    """sigma1..sigma5, the invariants and the Vandermonde product
-    prod_{i<j} (lam_i - lam_j), each computed once."""
-    lam = tuple(rational(x) for x in lam)
-    s1, s2, s3, s4, s5 = s = elem_sym_values(lam)
-    diff = prod(x - y for x, y in combinations(lam, 2))
-    inv = InvariantSet(
+def _vandermonde(xs):
+    """prod_{i<j} (x_i - x_j)."""
+    return prod(x - y for x, y in combinations(xs, 2))
+
+
+def _invariants(s, diff) -> InvariantSet:
+    """The classical invariants from sigma1..sigma5 and the Vandermonde
+    product diff."""
+    s1, s2, s3, s4, s5 = s
+    return InvariantSet(
         i8=s4 * s4 - 4 * s3 * s5,
         i16=s1 * s5 ** 3,
         i24=s4 * s5 ** 4,
@@ -80,21 +91,43 @@ def _invariant_parts(lam):
         i40=s5 ** 8,
         i100=diff * s5 ** 18,
     )
-    return s, inv, diff
 
 
-def _delta_sing_of(inv: InvariantSet) -> Fraction:
+def _delta_sing_of(inv: InvariantSet):
     """(I8^2 - 64 I16)^2 - 16384 I32 - 2048 I8 I24; c01 certifies it equal
     to delta_sing_poly() as polynomials in lam."""
     core = inv.i8 * inv.i8 - 64 * inv.i16
     return core * core - 16384 * inv.i32 - 2048 * inv.i8 * inv.i24
 
 
-def _delta_km_of(s) -> Fraction:
-    """The bridge form (s4^3 - 4 s3 s4 s5 + 8 s2 s5^2) / s5^3; c10 certifies
-    it equal to delta_km_mu_poly() at mu = 1/lam."""
+def _km_bridge(s):
+    """s4^3 - 4 s3 s4 s5 + 8 s2 s5^2, the Kummer cubic at mu = 1/lam times
+    s5^3; c10 certifies it equal to the reciprocal-cleared
+    delta_km_mu_poly()."""
     _, s2, s3, s4, s5 = s
-    return (s4 ** 3 - 4 * s3 * s4 * s5 + 8 * s2 * s5 * s5) / s5 ** 3
+    return s4 ** 3 - 4 * s3 * s4 * s5 + 8 * s2 * s5 * s5
+
+
+def _kummer_form(inv: InvariantSet):
+    """I8 I24 + 8 I32, which is s5^4 times the bridge."""
+    return inv.i8 * inv.i24 + 8 * inv.i32
+
+
+def _partners(lam, xs):
+    """The partner coordinates Y_i = prod_{j != i} lam_j x_j."""
+    scaled = [x * c for x, c in zip(xs, lam)]
+    return tuple(prod(scaled[:i] + scaled[i + 1 :]) for i in range(NVARS))
+
+
+_VARS = tuple(Poly5.var(i) for i in range(NVARS))
+
+
+def classical_invariants(lam) -> InvariantSet:
+    lam = tuple(rational(x) for x in lam)
+    return _invariants(elem_sym_values(lam), _vandermonde(lam))
+
+
+# -- certificate polynomials ---------------------------------------------------
 
 
 @cache
@@ -120,43 +153,28 @@ def delta_sing_poly() -> Poly5:
 
 @cache
 def delta_sing_invariant_poly() -> Poly5:
-    """The same locus written in the classical invariants,
-    (I8^2 - 64 I16)^2 - 16384 I32 - 2048 I8 I24, as a lam polynomial."""
-    s1, s2, s3, s4, s5 = elem_sym_polys()
-    i8 = s4 * s4 - s3 * s5 * 4
-    i16 = s1 * s5 ** 3
-    i24 = s4 * s5 ** 4
-    i32 = s2 * s5 ** 6
-    core = i8 * i8 - i16 * 64
-    return core * core - i32 * 16384 - i8 * i24 * 2048
+    """The runtime formula _delta_sing_of, built over Poly5 in lam."""
+    return _delta_sing_of(_invariants(elem_sym_polys(), _vandermonde(_VARS)))
 
 
 def delta_sing(lam) -> Fraction:
-    return _delta_sing_of(_invariant_parts(lam)[1])
+    return _delta_sing_of(classical_invariants(lam))
 
 
 @cache
 def delta_km_mu_poly() -> Poly5:
     """sum mu_i^3 - sum_{i != j} mu_i^2 mu_j + 2 sum_{i<j<k} mu_i mu_j mu_k."""
-    out = Poly5.zero()
-    for i in range(NVARS):
-        out = out + Poly5.var(i) ** 3
-    for i in range(NVARS):
-        for j in range(NVARS):
-            if i != j:
-                out = out - Poly5.var(i) ** 2 * Poly5.var(j)
-    for i in range(NVARS):
-        for j in range(i + 1, NVARS):
-            for k in range(j + 1, NVARS):
-                out = out + Poly5.var(i) * Poly5.var(j) * Poly5.var(k) * 2
-    return out
+    zero = Poly5()
+    cubes = sum((x ** 3 for x in _VARS), zero)
+    mixed = sum((x * x * y for x, y in permutations(_VARS, 2)), zero)
+    triples = sum((x * y * z for x, y, z in combinations(_VARS, 3)), zero)
+    return cubes - mixed + 2 * triples
 
 
 @cache
 def delta_km_bridge_poly() -> Poly5:
-    """s4^3 - 4 s3 s4 s5 + 8 s2 s5^2, the reciprocal-cleared Kummer cubic."""
-    _, s2, s3, s4, s5 = elem_sym_polys()
-    return s4 ** 3 - s3 * s4 * s5 * 4 + s2 * s5 * s5 * 8
+    """The runtime bridge _km_bridge, built over Poly5 in lam."""
+    return _km_bridge(elem_sym_polys())
 
 
 def delta_km(lam) -> Fraction:
@@ -165,23 +183,18 @@ def delta_km(lam) -> Fraction:
     s = elem_sym_values(lam)
     if s[4] == 0:
         raise ValueError("Sylvester degenerate for mu")
-    return _delta_km_of(s)
+    return _km_bridge(s) / s[4] ** 3
+
+
+# -- the Hessian quartic -------------------------------------------------------
 
 
 def hessian_equations(lam):
-    """The hyperplane sum X_i and the quartic sum_i prod_{j != i} lam_j X_j."""
+    """The hyperplane sum X_i and the quartic sum_i prod_{j != i} lam_j X_j,
+    the sum of the partner coordinates."""
     lam = tuple(rational(x) for x in lam)
-    hyper = Poly5.zero()
-    for i in range(NVARS):
-        hyper = hyper + Poly5.var(i)
-    quartic = Poly5.zero()
-    for i in range(NVARS):
-        term = Poly5.const(1)
-        for j in range(NVARS):
-            if j != i:
-                term = term * Poly5.var(j) * lam[j]
-        quartic = quartic + term
-    return hyper, quartic
+    zero = Poly5()
+    return sum(_VARS, zero), sum(_partners(lam, _VARS), zero)
 
 
 def hessian_singular_points():
@@ -209,37 +222,13 @@ def hessian_line_check(lam, pair) -> bool:
 
 def enriques_partner_check(lam) -> bool:
     """The coordinate swap X -> Y with Y_i = prod_{j != i} lam_j X_j sends
-    the quartic to the hyperplane times sigma5^4 (prod X)^3, exactly."""
+    the quartic, which is the sum of the Y_i, to the hyperplane times
+    sigma5^4 (prod X)^3, exactly."""
     lam = tuple(rational(x) for x in lam)
-    hyper, quartic = hessian_equations(lam)
-    ys = []
-    for i in range(NVARS):
-        term = Poly5.const(1)
-        for j in range(NVARS):
-            if j != i:
-                term = term * Poly5.var(j) * lam[j]
-        ys.append(term)
-    # (A) the quartic is the sum of the partner coordinates
-    total = Poly5.zero()
-    for y in ys:
-        total = total + y
-    if total != quartic:
-        return False
-    # (B) the quartic in the partner coordinates factors through the
-    # hyperplane
-    swapped = Poly5.zero()
-    for i in range(NVARS):
-        term = Poly5.const(1)
-        for j in range(NVARS):
-            if j != i:
-                term = term * ys[j] * lam[j]
-        swapped = swapped + term
+    hyper, _ = hessian_equations(lam)
+    swapped = sum(_partners(lam, _partners(lam, _VARS)), Poly5())
     s5 = elem_sym_values(lam)[4]
-    prod_x = Poly5.const(1)
-    for i in range(NVARS):
-        prod_x = prod_x * Poly5.var(i)
-    expected = hyper * prod_x ** 3 * s5 ** 4
-    return swapped == expected
+    return swapped == hyper * prod(_VARS) ** 3 * s5 ** 4
 
 
 @dataclass(frozen=True)
@@ -254,16 +243,18 @@ class LocusReport:
 
 
 def classify(lam) -> LocusReport:
-    s, inv, diff = _invariant_parts(lam)
+    lam = tuple(rational(x) for x in lam)
+    s = elem_sym_values(lam)
+    diff = _vandermonde(lam)
+    inv = _invariants(s, diff)
     degenerate = s[4] == 0
     ds = _delta_sing_of(inv)
-    dk = None if degenerate else _delta_km_of(s)
     return LocusReport(
         invariants=inv,
         delta_sing=ds,
-        delta_km=dk,
+        delta_km=None if degenerate else _km_bridge(s) / s[4] ** 3,
         sylvester_degenerate=degenerate,
         singular=ds == 0,
         eckardt=diff == 0,
-        kummer=inv.i8 * inv.i24 + 8 * inv.i32 == 0,
+        kummer=_kummer_form(inv) == 0,
     )

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 from .domain import Point, h2_contains, psi
 from .errors import require
+from .hermitian import B_COSETS
 from .lattice import det_int, mat_det2, orthogonal_complement, qpair
-from .tower import C_OMEGA, C_OMEGA2, C_ONE, C_ZERO, Mat2C
+from .tower import C_OMEGA, C_OMEGA2, C_ONE, Mat2C, from_eisenstein
 
 __all__ = [
     "HeegnerFlags",
@@ -50,11 +51,9 @@ class HeegnerFlags:
 _HALF = Fraction(1, 2)
 
 # Half-shift numerators: tau + B/2 stays in the group's orbit lattice.
-B_SHIFTS: tuple[Mat2C, ...] = (
-    ((C_ONE, C_ZERO), (C_ZERO, C_ZERO)),
-    ((C_ZERO, C_ZERO), (C_ZERO, C_ONE)),
-    ((C_ZERO, C_OMEGA), (C_OMEGA2, C_ZERO)),
-    ((C_ZERO, C_OMEGA2), (C_OMEGA, C_ZERO)),
+# They are the half-shift cosets of the Hermitian group, read in the field.
+B_SHIFTS: tuple[Mat2C, ...] = tuple(
+    tuple(tuple(from_eisenstein(x) for x in row) for row in b) for b in B_COSETS
 )
 
 
@@ -69,16 +68,9 @@ def heegner_membership(tau: Mat2C) -> HeegnerFlags:
     return HeegnerFlags(node=node, eckardt=eckardt, ns=ns, km=km)
 
 
-PERP_VECTORS = {
-    "node": (1, -1, 0, 0, 0, 0),
-    "eckardt": (0, 0, 0, 0, 1, 0),
-    "ns": (0, 0, 0, 0, 1, 2),
-    "km": (0, 3, 0, 0, 1, 2),
-}
-
-
 def chart_flags(z: Point) -> HeegnerFlags:
-    require(z[0] == C_ONE, "point is not chart normalized")
+    if z[0] != C_ONE:
+        raise ValueError("point is not chart normalized")
     one = C_ONE
     return HeegnerFlags(
         node=(z[1] - one).is_zero(),
@@ -175,6 +167,10 @@ COMPLEMENT_CASES = {
 }
 
 
+# The primitive vectors of the frozen complements, the ones perp_flags tests.
+PERP_VECTORS = {name: v for name, (v, _, _) in COMPLEMENT_CASES.items()}
+
+
 def complement_gram_verify(name: str):
     """Check the frozen basis is orthogonal to v, has the frozen Gram, and
     spans the whole complement (equal determinants with the computed
@@ -201,8 +197,8 @@ def orbit_relation_check(tau: Mat2C) -> bool:
     For symmetric tau: adding half of B1 or B2 stays symmetric, adding half
     of B3 lands on the km locus, and the transpose of the B4 shift does too.
     """
-    flags = heegner_membership(tau)
-    require(flags.ns, "relation check needs a symmetric point")
+    if not heegner_membership(tau).ns:
+        raise ValueError("relation check needs a symmetric point")
 
     def shift(b) -> Mat2C:
         return tuple(

@@ -91,13 +91,8 @@ GRAM = (
     (0, 0, 0, 0, 2, -4),
 )
 
-# Tail form on coordinates 3..6, used by the translation isometries.
-QPRIME = (
-    (0, 2, 0, 0),
-    (2, 0, 0, 0),
-    (0, 0, -4, 2),
-    (0, 0, 2, -4),
-)
+# The form on coordinates 3..6, the complement of the first hyperbolic plane.
+QPRIME = tuple(row[2:] for row in GRAM[2:])
 
 
 # -- matrices over any ring ----------------------------------------------

@@ -9,9 +9,8 @@ same slots.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
-from .errors import rational, require
+from .errors import rational
 from .lattice import power
 
 NVARS = 5
@@ -23,14 +22,7 @@ class Poly5:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    t[tuple(e)] = t.get(tuple(e), 0) + c
-                    if not t[tuple(e)]:
-                        del t[tuple(e)]
-        self.terms = t
+        self.terms = {tuple(e): c for e, c in (terms or {}).items() if c}
 
     # -- constructors ----------------------------------------------------
 
@@ -58,25 +50,19 @@ class Poly5:
                 t[e] = s
             elif e in t:
                 del t[e]
-        out = Poly5()
-        out.terms = t
-        return out
+        return _raw(t)
 
     def __sub__(self, other: "Poly5") -> "Poly5":
         return self + (-other)
 
     def __neg__(self) -> "Poly5":
-        out = Poly5()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _raw({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly5":
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly5()
-            out = Poly5()
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return _raw({e: c * other for e, c in self.terms.items()})
         t: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -86,14 +72,12 @@ class Poly5:
                     t[e] = s
                 elif e in t:
                     del t[e]
-        out = Poly5()
-        out.terms = t
-        return out
+        return _raw(t)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly5":
-        require(n >= 0, "negative polynomial power")
+        # power rejects n < 0 with a ValueError: there is no inverse to pass
         return power(self, n, Poly5.const(1))
 
     def __eq__(self, other) -> bool:
@@ -124,7 +108,8 @@ class Poly5:
 
     def eval(self, point) -> Fraction:
         point = [rational(p) for p in point]
-        require(len(point) == NVARS, "evaluation point has wrong arity")
+        if len(point) != NVARS:
+            raise ValueError("evaluation point has wrong arity")
         total = Fraction(0)
         for e, c in self.terms.items():
             v = Fraction(c)
@@ -141,15 +126,18 @@ class Poly5:
         return "Poly5(" + " + ".join(parts[:6]) + (" ..." if len(parts) > 6 else "") + ")"
 
 
+def _raw(terms: dict) -> Poly5:
+    """A polynomial from a dict already free of zero coefficients."""
+    out = object.__new__(Poly5)
+    out.terms = terms
+    return out
+
+
 def halve_exponents(p: Poly5) -> Poly5:
     """Substitute x_i^2 -> y_i; every exponent must be even."""
-    t = {}
-    for e, c in p.terms.items():
-        require(all(k % 2 == 0 for k in e), "odd exponent during square substitution")
-        t[tuple(k // 2 for k in e)] = c
-    out = Poly5()
-    out.terms = t
-    return out
+    if any(k % 2 for e in p.terms for k in e):
+        raise ValueError("odd exponent during square substitution")
+    return _raw({tuple(k // 2 for k in e): c for e, c in p.terms.items()})
 
 
 def reciprocal_clear(p: Poly5, cap: int) -> Poly5:
@@ -158,24 +146,24 @@ def reciprocal_clear(p: Poly5, cap: int) -> Poly5:
     Each exponent k becomes cap - k, so cap must dominate the degree in every
     variable.
     """
-    t = {}
-    for e, c in p.terms.items():
-        require(all(0 <= k <= cap for k in e), "exponent above reciprocal cap")
-        t[tuple(cap - k for k in e)] = c
-    out = Poly5()
-    out.terms = t
-    return out
+    if not all(0 <= k <= cap for e in p.terms for k in e):
+        raise ValueError("exponent above reciprocal cap")
+    return _raw({tuple(cap - k for k in e): c for e, c in p.terms.items()})
+
+
+def elem_sym(xs, one, zero):
+    """sigma_1..sigma_n of xs, the coefficients of prod_i (1 + x_i t).
+
+    Only + and * are used, so the same expansion serves numbers and
+    polynomials; one and zero are the ring's own, as in lattice.power.
+    """
+    e = [one] + [zero] * len(xs)
+    for k, x in enumerate(xs, 1):
+        for j in range(k, 0, -1):
+            e[j] = e[j] + e[j - 1] * x
+    return tuple(e[1:])
 
 
 def elem_sym_polys() -> tuple[Poly5, Poly5, Poly5, Poly5, Poly5]:
     """The five elementary symmetric polynomials in x_0..x_4."""
-    out = []
-    for k in range(1, 6):
-        acc = Poly5()
-        for subset in combinations(range(NVARS), k):
-            e = [0] * NVARS
-            for i in subset:
-                e[i] = 1
-            acc = acc + Poly5({tuple(e): 1})
-        out.append(acc)
-    return tuple(out)
+    return elem_sym([Poly5.var(i) for i in range(NVARS)], Poly5.const(1), Poly5())

@@ -12,9 +12,9 @@ import random
 from fractions import Fraction
 
 from .domain import Point, dm_from_chart, psi
-from .eisenstein import Eisenstein
+from .eisenstein import UNITS, Eisenstein
 from .hermitian import m2e
-from .lattice import mat_id, mat_mul, U1, W0
+from .lattice import mat_id, mat_prod, U1, W0
 from .tower import Cyclo12
 
 __all__ = [
@@ -50,6 +50,9 @@ def sample_eisenstein(rng, bound: int = 3) -> Eisenstein:
     return Eisenstein(rng.randint(-bound, bound), rng.randint(-bound, bound))
 
 
+_ID2 = m2e(((1, 0), (0, 1)))
+
+
 def _elementary(rng, even: bool):
     e = sample_eisenstein(rng, 2)
     if even:
@@ -61,30 +64,25 @@ def _elementary(rng, even: bool):
 
 def sample_g2_matrix(rng, steps: int = 5):
     """Unit-determinant matrix congruent to the identity mod 2."""
-    out = m2e(((1, 0), (0, 1)))
-    for _ in range(steps):
+
+    def factor():
         kind = rng.randrange(4)
         if kind < 2:
-            out = mat_mul(out, _elementary(rng, even=True))
-        elif kind == 2:
-            out = mat_mul(out, m2e(((1, 0), (0, -1))))
-        else:
-            out = mat_mul(out, m2e(((-1, 0), (0, -1))))
-    return out
+            return _elementary(rng, even=True)
+        return m2e(((1, 0), (0, -1))) if kind == 2 else m2e(((-1, 0), (0, -1)))
+
+    return mat_prod((factor() for _ in range(steps)), _ID2)
 
 
 def sample_gl2_matrix(rng, steps: int = 5):
     """Unit-determinant matrix, no congruence constraint."""
-    from .eisenstein import UNITS
 
-    out = m2e(((1, 0), (0, 1)))
-    for _ in range(steps):
+    def factor():
         if rng.randrange(3):
-            out = mat_mul(out, _elementary(rng, even=False))
-        else:
-            u = UNITS[rng.randrange(6)]
-            out = mat_mul(out, m2e(((u, 0), (0, 1))))
-    return out
+            return _elementary(rng, even=False)
+        return m2e(((UNITS[rng.randrange(6)], 0), (0, 1)))
+
+    return mat_prod((factor() for _ in range(steps)), _ID2)
 
 
 def _herm_params(rng, bound: int = 2):
@@ -138,12 +136,8 @@ def sample_orth_so0(rng, length: int):
 
 def sample_orth_plus(rng, length: int):
     """Element of O+ in any of the four (determinant, parity) cosets."""
-    out = mat_id(6)
-    if rng.randrange(2):
-        out = mat_mul(out, U1)
-    if rng.randrange(2):
-        out = mat_mul(out, W0)
-    return mat_mul(out, sample_orth_so0(rng, length))
+    head = [U1] * rng.randrange(2) + [W0] * rng.randrange(2)
+    return mat_prod(head + [sample_orth_so0(rng, length)], mat_id(6))
 
 
 def _ci(re: Fraction, im: Fraction) -> Cyclo12:

@@ -24,7 +24,7 @@ from functools import partial
 
 from . import correspond, cubic, heegner, hermitian, lattice, poly, sampling
 from .domain import act, psi
-from .eisenstein import OMEGA2, ONE, UNITS, Eisenstein
+from .eisenstein import ONE, UNITS, Eisenstein
 from .hermitian import (
     decompose_hgamma0,
     decompose_hgamma1,
@@ -193,11 +193,6 @@ def _w_prime_law(z) -> bool:
     return psi(act(G0I42, z)) == mat_transpose(moebius(flip, involution_W(psi(z))))
 
 
-def _on_kummer_invariant_locus(lam) -> bool:
-    inv = cubic.classical_invariants(lam)
-    return inv.i8 * inv.i24 + 8 * inv.i32 == 0
-
-
 def _descriptions_agree(z) -> bool:
     try:
         heegner.perp_equivalence(z)
@@ -297,16 +292,18 @@ def suite_quotient_group(seed: int, sizes: dict):
 
 def suite_group_iso(seed: int, sizes: dict):
     run = _Run(seed, sizes)
+    # the gA preimages are the ones transport uses, read from its table
+    preimage = {name: tok[1] for name, _, tok in correspond.DICTIONARY_PAIRS if tok[0] == "gA"}
     pairs = {
-        "image-g1": (m2e(((1, 0), (1, 1))), lattice.G1),
-        "image-g2": (m2e(((1, 0), (OMEGA2, 1))), lattice.G2),
-        "image-u0g1u0": (m2e(((1, 1), (0, 1))), lattice.U0G1U0),
-        "image-u0u1": (m2e(((0, 1), (1, 0))), lattice.U0U1),
-        "image-i42": (m2e(((1, 0), (0, -1))), lattice.I42),
-        "image-u2-corrected": (m2e(((1, 0), (0, OMEGA2))), lattice.U2),
+        "image-g1": ("g1", lattice.G1),
+        "image-g2": ("g2", lattice.G2),
+        "image-u0g1u0": ("u0g1u0", lattice.U0G1U0),
+        "image-u0u1": ("u0u1", lattice.U0U1),
+        "image-i42": ("i42", lattice.I42),
+        "image-u2-corrected": ("u2", lattice.U2),
     }
-    for cid, (a, want) in pairs.items():
-        run.add(cid, correspond.psi_hom(a) == want)
+    for cid, (name, want) in pairs.items():
+        run.add(cid, correspond.psi_hom(preimage[name]) == want)
     literal = correspond.psi_hom(m2e(((0, -1), (1, -1))))
     run.add(
         "image-u2-literal-form-fails",
@@ -447,17 +444,17 @@ def suite_delta_km(seed: int, sizes: dict):
             swap_ok = False
     run.add("ten-points-on-the-quartic", hess_ok)
     run.add("partner-coordinate-swap", swap_ok)
-    # away from sigma5 = 0, delta_km vanishes exactly where
-    # I8 I24 + 8 I32 does: the witness orbit lies on both, and samples
-    # lie on both or on neither
+    # away from sigma5 = 0, delta_km vanishes exactly where the Kummer form
+    # I8 I24 + 8 I32 behind classify's flag does: the witness orbit lies on
+    # both, and samples lie on both or on neither
     witness = (1, 3, 3, -2, -2)
     orbit = {witness} | {tuple(3 * x for x in p) for p in itertools.permutations(witness)}
-    on_orbit = all(cubic.delta_km(lam) == 0 and _on_kummer_invariant_locus(lam) for lam in orbit)
+    on_orbit = all(cubic.delta_km(lam) == 0 and cubic.classify(lam).kummer for lam in orbit)
     samples = run.samples("kummer-locus-coincidence", sampling.sample_lambda)
     run.add(
         "kummer-locus-coincidence",
         on_orbit
-        and all((cubic.delta_km(lam) == 0) == _on_kummer_invariant_locus(lam) for lam in samples),
+        and all((cubic.delta_km(lam) == 0) == cubic.classify(lam).kummer for lam in samples),
     )
     run.add("ten-distinct-nodes", len(set(nodes)) == 10)
     return run.checks

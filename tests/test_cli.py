@@ -1,11 +1,14 @@
 """Command line: envelope shape, exit codes, format round trips, determinism."""
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessk3 import cli, lattice, verify
 from hessk3.correspond import orth_word_matrix
@@ -77,6 +80,18 @@ def test_usage_errors_are_one_exit_2_envelope(argv, capsys):
     assert doc["status"] == "error"
     assert doc["inputs"] == {"argv": argv}
     assert len(doc["diagnostics"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["orth", "--help"], ["verify", "-h"]])
+def test_help_is_one_exit_0_envelope(argv, capsys):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == ""
+    [line] = out.splitlines()
+    doc = json.loads(line)
+    assert (doc["command"], doc["status"], doc["inputs"]) == ("help", "ok", {"argv": argv})
+    assert doc["outputs"]["text"].startswith("usage: hessk3")
 
 
 def test_invariants_usage_error(capsys, monkeypatch):
@@ -368,3 +383,121 @@ def test_verify_reports_are_byte_deterministic_across_processes():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+# -- the envelope contract under fuzzing ------------------------------------------
+
+_ACTIONS = {
+    "invariants": [],
+    "orth": ["check", "decompose", "disc-action", "to-s5"],
+    "herm": ["check", "decompose", "mod2", "coset"],
+    "map": ["z-to-tau", "tau-to-z"],
+    "correspond": ["o2h", "h2o"],
+    "heegner": [],
+}
+# each runs in under 0.1 s; `verify --suite all` takes about 2 s a run
+_QUICK_SUITES = ["delta-km", "enr-iso", "heegner"]
+
+_small = st.integers(-3, 3)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_tokens = st.sampled_from(
+    [*_ACTIONS, *(a for acts in _ACTIONS.values() for a in acts), "--input", "--lambda", "--tau",
+     "--suite", "--seed", "-h", "--help", "--", "-", "1,2,3,4,5", "-1,2,3,4,5", "x"]
+) | st.text(max_size=8)
+
+
+def _square(entry, n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+_rational = _small | _small.map(str) | st.sampled_from(["1/2", "-2/3", "1/0", "x", 0.5])
+_field = st.lists(_rational, min_size=4, max_size=4)
+_eis = st.lists(_small, min_size=2, max_size=2)
+_herm_token = (
+    st.tuples(st.just("gA"), _square(_eis, 2))
+    | st.tuples(st.sampled_from(["gBu", "gBl"]), st.lists(_small, min_size=4, max_size=4))
+    | _json
+).map(lambda t: list(t) if isinstance(t, tuple) else t)
+
+
+def _valid_documents():
+    from hessk3 import sampling
+    from hessk3.domain import psi
+
+    z = sampling.sample_chart_point(sampling.make_rng(0))
+    tau = [[cli.fmt_tower(x) for x in row] for row in psi(z)]
+    return [
+        {"matrix": [list(r) for r in G1]},
+        {"matrix": eis_rows(W_MAT)},
+        {"word": [["gBu", [1, 0, 0, 0]], ["gA", [[[1, 0], [0, 0]], [[1, 0], [1, 0]]]]]},
+        {"z": [cli.fmt_tower(x) for x in z]},
+        {"tau": tau},
+    ]
+
+
+_shaped = {
+    "orth": st.fixed_dictionaries({"matrix": _square(_small, 6)}),
+    "herm": st.fixed_dictionaries({"matrix": _square(_eis, 4)}),
+    "h2o": st.fixed_dictionaries(
+        {"word": st.lists(_herm_token, max_size=4)}, optional={"uses_t": _json, "uses_w": _json}
+    ),
+    "z-to-tau": st.fixed_dictionaries({"z": st.lists(_field, min_size=6, max_size=6)}),
+    "tau-to-z": st.fixed_dictionaries({"tau": _square(_field, 2)}),
+}
+_shaped["o2h"] = _shaped["orth"]
+_shaped["heegner"] = _shaped["tau-to-z"]
+_stdin = (
+    st.one_of(*_shaped.values(), st.sampled_from(_valid_documents()), _json).map(json.dumps)
+    | st.text(max_size=20)
+)
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, stdin): random tokens, or a subcommand with its action, a
+    document mostly of the shape it reads, and now and then a stray token."""
+    kind = draw(st.sampled_from(["tokens", "verify", "command", "command"]))
+    if kind == "tokens":
+        return draw(st.lists(_tokens, max_size=5)), draw(_stdin)
+    if kind == "verify":
+        seed = draw(st.sampled_from(["0", "7", "-1", "x"]))
+        suite = draw(st.sampled_from(_QUICK_SUITES + ["bogus"]))
+        return ["verify", "--suite", suite, "--seed", seed], ""
+    cmd = draw(st.sampled_from(list(_ACTIONS)))
+    argv = [cmd]
+    if _ACTIONS[cmd]:
+        argv.append(draw(st.sampled_from(_ACTIONS[cmd])))
+    if cmd == "invariants":
+        entry = _small.map(str) | st.sampled_from(["1/2", "-2/3", "1/0", "x"])
+        parts = st.lists(entry, min_size=5, max_size=5) | st.lists(entry, max_size=6)
+        argv += ["--lambda", draw(parts.map(",".join))]
+    if cmd == "heegner" and draw(st.booleans()):
+        argv += ["--tau", draw(_square(_field, 2).map(json.dumps) | st.text(max_size=8))]
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(_tokens))
+    shape = _shaped.get(argv[-1], _shaped.get(cmd))
+    if shape is not None and draw(st.integers(0, 3)):
+        return argv, json.dumps(draw(shape))
+    return argv, draw(_stdin)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_invocations())
+def test_any_argv_and_stdin_give_one_envelope(invocation):
+    argv, stdin_text = invocation
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    assert rc in (0, 1, 2)
+    assert err.getvalue() == ""
+    [line] = out.getvalue().splitlines()
+    assert set(json.loads(line)) == ENVELOPE_KEYS

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hessk3 import sampling
+from hessk3 import cubic, sampling
 from hessk3.cubic import (
     classical_invariants,
     classify,
@@ -20,7 +20,7 @@ from hessk3.cubic import (
     hessian_line_check,
     hessian_singular_points,
 )
-from hessk3.poly import elem_sym_polys
+from hessk3.poly import NVARS, Poly5, elem_sym_polys
 
 ONES = (1, 1, 1, 1, 1)
 KUMMER_POINT = (1, 3, 3, -2, -2)
@@ -29,8 +29,31 @@ KUMMER_POINT = (1, 3, 3, -2, -2)
 def test_elem_sym_values():
     assert elem_sym_values(ONES) == (5, 10, 10, 5, 1)
     assert elem_sym_values((1, 2, 3, 4, 5)) == (15, 85, 225, 274, 120)
-    with pytest.raises(Exception, match="five coefficients"):
+    with pytest.raises(ValueError, match="five coefficients"):
         elem_sym_values((1, 2, 3))
+
+
+def test_shared_formulas_run_over_poly5():
+    # the formulas behind classify, built on Poly5 as the certificates
+    # build them, evaluate to the runtime values at every sampled lam
+    xs = tuple(Poly5.var(i) for i in range(NVARS))
+    s = elem_sym_polys()
+    inv = cubic._invariants(s, cubic._vandermonde(xs))
+    sing = cubic._delta_sing_of(inv)
+    bridge = cubic._km_bridge(s)
+    kummer = cubic._kummer_form(inv)
+    fields = ("i8", "i16", "i24", "i32", "i40", "i100")
+    rng = sampling.make_rng(44)
+    for k in range(24):
+        lam = sampling.sample_lambda(rng, distinct=k % 3 != 0)
+        want = classical_invariants(lam)
+        assert all(getattr(inv, f).eval(lam) == getattr(want, f) for f in fields)
+        assert sing.eval(lam) == delta_sing(lam) == classify(lam).delta_sing
+        assert bridge.eval(lam) == elem_sym_values(lam)[4] ** 3 * delta_km(lam)
+        assert kummer.eval(lam) == cubic._kummer_form(want)
+        pt = tuple(reversed(lam))
+        ys = cubic._partners(lam, xs)
+        assert tuple(y.eval(pt) for y in ys) == cubic._partners(lam, pt)
 
 
 def test_invariants_at_ones():

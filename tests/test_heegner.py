@@ -15,7 +15,7 @@ from hessk3.heegner import (
     perp_flags,
 )
 from hessk3.lattice import det_int, qpair
-from hessk3.tower import C_ONE, C_ZERO, Cyclo12
+from hessk3.tower import C_OMEGA, C_OMEGA2, C_ONE, C_ZERO, Cyclo12
 
 SAMPLERS = {
     "node": sampling.sample_node_point,
@@ -59,7 +59,7 @@ def test_membership_rejections():
         heegner_membership(((minus_two_i, C_ZERO), (C_ZERO, minus_two_i)))
     z = sampling.sample_chart_point(sampling.make_rng(53))
     denormalized = (Cyclo12(2),) + z[1:]
-    with pytest.raises(Exception, match="not chart normalized"):
+    with pytest.raises(ValueError, match="not chart normalized"):
         chart_flags(denormalized)
 
 
@@ -88,7 +88,7 @@ def test_orbit_relations_on_symmetric_points():
 def test_orbit_relations_need_symmetric_input():
     z = dm_from_chart(Cyclo12(0, 0, 2, 0), Cyclo12(0, 0, 2, 0), 0, C_ONE)
     tau = psi(z)
-    with pytest.raises(Exception, match="needs a symmetric point"):
+    with pytest.raises(ValueError, match="needs a symmetric point"):
         orbit_relation_check(tau)
 
 
@@ -101,3 +101,10 @@ def test_b_shift_table():
     b3, b4 = B_SHIFTS[2], B_SHIFTS[3]
     assert b3 == ((b3[0][0].conj(), b3[1][0].conj()), (b3[0][1].conj(), b3[1][1].conj()))
     assert b4 == ((b3[0][0], b3[1][0]), (b3[0][1], b3[1][1]))
+    # read in the field, the Hermitian group's four half-shift cosets
+    assert B_SHIFTS == (
+        ((C_ONE, C_ZERO), (C_ZERO, C_ZERO)),
+        ((C_ZERO, C_ZERO), (C_ZERO, C_ONE)),
+        ((C_ZERO, C_OMEGA), (C_OMEGA2, C_ZERO)),
+        ((C_ZERO, C_OMEGA2), (C_OMEGA, C_ZERO)),
+    )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hessk3.poly import (
     NVARS,
     Poly5,
+    elem_sym,
     elem_sym_polys,
     halve_exponents,
     reciprocal_clear,
@@ -31,6 +32,8 @@ def test_basics():
     assert (x0 * x1).eval((2, 3, 1, 1, 1)) == 6
     sq = (x0 + x1) ** 2
     assert sq == x0 ** 2 + 2 * x0 * x1 + x1 ** 2
+    with pytest.raises(ValueError, match="negative power"):
+        x0 ** -1
     assert sq.degree() == 2
     assert sq.homogeneous_degree() == 2
     assert (sq + Poly5.const(1)).homogeneous_degree() is None
@@ -48,7 +51,7 @@ def test_eval_is_a_homomorphism(p, q, pt):
 
 
 def test_eval_arity_guard():
-    with pytest.raises(Exception, match="wrong arity"):
+    with pytest.raises(ValueError, match="wrong arity"):
         Poly5.var(0).eval((1, 2, 3))
 
 
@@ -62,6 +65,8 @@ def test_elementary_symmetric_values():
     for k, p in enumerate(e, start=1):
         assert p.homogeneous_degree() == k
     assert [p.num_terms() for p in e] == [5, 10, 10, 5, 1]
+    # the same expansion over any ring and any number of roots
+    assert elem_sym((2, 3), 1, 0) == (5, 6)
 
 
 def test_vandermonde_product():
@@ -78,7 +83,7 @@ def test_halve_exponents():
     p = Poly5.var(0, 2) * Poly5.var(1, 4) + Poly5.const(4)
     h = halve_exponents(p)
     assert h == Poly5.var(0) * Poly5.var(1, 2) + Poly5.const(4)
-    with pytest.raises(Exception, match="odd exponent"):
+    with pytest.raises(ValueError, match="odd exponent"):
         halve_exponents(Poly5.var(0))
 
 
@@ -100,7 +105,7 @@ def test_reciprocal_clear():
         prod *= x
     inv = tuple(Fraction(1, x) for x in pt)
     assert q.eval(pt) == prod * p.eval(inv)
-    with pytest.raises(Exception, match="above reciprocal cap"):
+    with pytest.raises(ValueError, match="above reciprocal cap"):
         reciprocal_clear(Poly5.var(0, 3), 2)
 
 
