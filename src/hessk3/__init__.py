@@ -13,7 +13,6 @@ from .correspond import (
     decompose_so0,
     equal_mod_center,
     herm_to_orth,
-    herm_word_to_orth,
     is_so0,
     orth_to_herm,
     orth_word_matrix,
@@ -58,7 +57,6 @@ __all__ = [
     "equal_mod_center",
     "heegner_membership",
     "herm_to_orth",
-    "herm_word_to_orth",
     "is_in_enr",
     "is_in_k3",
     "is_so0",

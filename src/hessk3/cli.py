@@ -13,6 +13,8 @@ matrices are row-major nested lists.
 Exit codes: 0 on success, 1 when a membership or verification check comes
 back negative or an internal invariant trips, 2 for unusable input or a
 usage error (whose envelope has command "usage" and echoes the arguments).
+Each subcommand returns its inputs, outputs and exit code, and main is
+the one place that prints an envelope.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import correspond, cubic, heegner, hermitian, lattice, verify
@@ -187,7 +190,7 @@ def fmt_herm_word(word) -> list:
     return out
 
 
-def emit(command: str, inputs, outputs, status: str = "ok", diagnostics=()) -> None:
+def emit(command: str, inputs, outputs, code: int, status: str = "ok", diagnostics=()) -> int:
     doc = {
         "command": command,
         "inputs": inputs,
@@ -196,12 +199,13 @@ def emit(command: str, inputs, outputs, status: str = "ok", diagnostics=()) -> N
         "diagnostics": list(diagnostics),
     }
     print(json.dumps(doc, sort_keys=True))
+    return code
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args):
     parts = args.lam.split(",")
     if len(parts) != 5:
         raise ValueError("lambda: expected five comma-separated rationals")
@@ -221,15 +225,12 @@ def cmd_invariants(args) -> int:
         "eckardt": rep.eckardt,
         "kummer": rep.kummer,
     }
-    emit("invariants", {"lambda": [fmt_rational(x) for x in lam]}, outputs)
-    return 0
+    return {"lambda": [fmt_rational(x) for x in lam]}, outputs, 0
 
 
-def cmd_orth(args) -> int:
-    doc = load_document(args)
-    g = parse_int_matrix(field_of(doc, "matrix"), "matrix", 6)
+def cmd_orth(args):
+    g = parse_int_matrix(field_of(load_document(args), "matrix"), "matrix", 6)
     inputs = {"matrix": [list(r) for r in g]}
-    cmd = f"orth.{args.action}"
     if args.action == "check":
         # one isometry test; the rest take it as known
         ok = lattice.is_orthogonal(g)
@@ -241,105 +242,80 @@ def cmd_orth(args) -> int:
             if outputs["orientation"] == "plus":
                 outputs["in_k3_kernel"] = lattice._in_k3(g)
                 outputs["in_enr_kernel"] = lattice._in_enr(g)
-        emit(cmd, inputs, outputs)
-        return 0 if ok else 1
+        return inputs, outputs, 0 if ok else 1
     if args.action == "decompose":
-        word = correspond.decompose_so0(g)
-        emit(cmd, inputs, {"word": [[name, p] for name, p in word]})
-        return 0
+        return inputs, {"word": [[name, p] for name, p in correspond.decompose_so0(g)]}, 0
     if args.action == "disc-action":
-        images = lattice.disc_action(g)
         # an element is stored as 6x mod 6; print the coset vector x
-        rows = [[fmt_rational(Fraction(r, 6)) for r in img] for img in images]
-        emit(cmd, inputs, {"generator_images": rows})
-        return 0
-    images = lattice.to_s5(g)
-    emit(cmd, inputs, {"permutation": list(images)})
-    return 0
+        rows = [[fmt_rational(Fraction(r, 6)) for r in img] for img in lattice.disc_action(g)]
+        return inputs, {"generator_images": rows}, 0
+    return inputs, {"permutation": list(lattice.to_s5(g))}, 0
 
 
-def cmd_herm(args) -> int:
-    doc = load_document(args)
-    h = parse_eis_matrix(field_of(doc, "matrix"), "matrix", 4)
+def cmd_herm(args):
+    h = parse_eis_matrix(field_of(load_document(args), "matrix"), "matrix", 4)
     inputs = {"matrix": fmt_eis_matrix(h)}
-    cmd = f"herm.{args.action}"
     if args.action == "check":
         level = hermitian.membership(h)
-        emit(cmd, inputs, {"membership": level})
-        return 0 if level != "none" else 1
+        return inputs, {"membership": level}, 0 if level != "none" else 1
     if args.action == "decompose":
-        word = hermitian.decompose_hgamma1(h)
-        emit(cmd, inputs, {"word": fmt_herm_word(word)})
-        return 0
+        return inputs, {"word": fmt_herm_word(hermitian.decompose_hgamma1(h))}, 0
     if args.action == "mod2":
         fm = hermitian.f_mod2(h)
-        emit(cmd, inputs, {"matrix_f4": [[list(x) for x in row] for row in fm]})
-        return 0
-    coset = hermitian.coset_classify(h)
-    emit(cmd, inputs, {"coset": coset})
-    return 0
+        return inputs, {"matrix_f4": [[list(x) for x in row] for row in fm]}, 0
+    return inputs, {"coset": hermitian.coset_classify(h)}, 0
 
 
-def cmd_map(args) -> int:
+def cmd_map(args):
     doc = load_document(args)
-    cmd = f"map.{args.action}"
     if args.action == "z-to-tau":
         z = parse_point(field_of(doc, "z"), "z")
-        tau = psi(z)
-        emit(cmd, {"z": [fmt_tower(x) for x in z]}, {"tau": fmt_tower_matrix(tau)})
-        return 0
+        return {"z": [fmt_tower(x) for x in z]}, {"tau": fmt_tower_matrix(psi(z))}, 0
     tau = parse_tower_matrix(field_of(doc, "tau"), "tau", 2)
-    z = psi_inv(tau)
-    emit(cmd, {"tau": fmt_tower_matrix(tau)}, {"z": [fmt_tower(x) for x in z]})
-    return 0
+    return {"tau": fmt_tower_matrix(tau)}, {"z": [fmt_tower(x) for x in psi_inv(tau)]}, 0
 
 
-def cmd_correspond(args) -> int:
+def cmd_correspond(args):
     doc = load_document(args)
-    cmd = f"correspond.{args.action}"
     if args.action == "o2h":
         g = parse_int_matrix(field_of(doc, "matrix"), "matrix", 6)
         uses_t, uses_w, word = correspond.orth_to_herm(g)
-        emit(
-            cmd,
-            {"matrix": [list(r) for r in g]},
-            {"uses_t": uses_t, "uses_w": uses_w, "word": fmt_herm_word(word)},
-        )
-        return 0
+        outputs = {"uses_t": uses_t, "uses_w": uses_w, "word": fmt_herm_word(word)}
+        return {"matrix": [list(r) for r in g]}, outputs, 0
     word = parse_herm_word(field_of(doc, "word"), "word")
     uses_t = parse_flag(doc, "uses_t")
     uses_w = parse_flag(doc, "uses_w")
     g = correspond.herm_to_orth(uses_t, uses_w, word)
-    emit(
-        cmd,
-        {"uses_t": uses_t, "uses_w": uses_w, "word": fmt_herm_word(word)},
-        {"matrix": [list(r) for r in g]},
-    )
-    return 0
+    inputs = {"uses_t": uses_t, "uses_w": uses_w, "word": fmt_herm_word(word)}
+    return inputs, {"matrix": [list(r) for r in g]}, 0
 
 
-def cmd_heegner(args) -> int:
+def cmd_heegner(args):
     if args.tau is not None:
         raw = parse_json(args.tau, "tau")
     else:
         raw = field_of(load_document(args), "tau")
     tau = parse_tower_matrix(raw, "tau", 2)
-    flags = heegner.heegner_membership(tau)
-    emit(
-        "heegner",
-        {"tau": fmt_tower_matrix(tau)},
-        {"node": flags.node, "eckardt": flags.eckardt, "ns": flags.ns, "km": flags.km},
-    )
-    return 0
+    return {"tau": fmt_tower_matrix(tau)}, asdict(heegner.heegner_membership(tau)), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.suite == "all":
         report = verify.run_all(args.seed)
     else:
         report = verify.run_suite(args.suite, args.seed)
-    emit("verify", {"suite": args.suite, "seed": args.seed}, report)
-    return 0 if report["passed"] else 1
+    return {"suite": args.suite, "seed": args.seed}, report, 0 if report["passed"] else 1
+
+
+# the subcommands that read one JSON document and take an action
+_DOCUMENT_COMMANDS = {
+    "orth": ("6x6 isometry tools", ["check", "decompose", "disc-action", "to-s5"], cmd_orth),
+    "herm": ("4x4 Hermitian group tools", ["check", "decompose", "mod2", "coset"], cmd_herm),
+    "map": ("chart point to half-space matrix and back", ["z-to-tau", "tau-to-z"], cmd_map),
+    "correspond": ("transport between the two groups", ["o2h", "h2o"], cmd_correspond),
+}
+
+_INPUT_HELP = "JSON document path (default stdin)"
 
 
 # -- wiring ----------------------------------------------------------------------
@@ -377,29 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True, metavar="R,R,R,R,R")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("orth", help="6x6 isometry tools")
-    p.add_argument("action", choices=["check", "decompose", "disc-action", "to-s5"])
-    p.add_argument("--input", help="JSON document path (default stdin)")
-    p.set_defaults(func=cmd_orth)
-
-    p = sub.add_parser("herm", help="4x4 Hermitian group tools")
-    p.add_argument("action", choices=["check", "decompose", "mod2", "coset"])
-    p.add_argument("--input", help="JSON document path (default stdin)")
-    p.set_defaults(func=cmd_herm)
-
-    p = sub.add_parser("map", help="chart point to half-space matrix and back")
-    p.add_argument("action", choices=["z-to-tau", "tau-to-z"])
-    p.add_argument("--input", help="JSON document path (default stdin)")
-    p.set_defaults(func=cmd_map)
-
-    p = sub.add_parser("correspond", help="transport between the two groups")
-    p.add_argument("action", choices=["o2h", "h2o"])
-    p.add_argument("--input", help="JSON document path (default stdin)")
-    p.set_defaults(func=cmd_correspond)
+    for name, (text, actions, func) in _DOCUMENT_COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("action", choices=actions)
+        p.add_argument("--input", help=_INPUT_HELP)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("heegner", help="divisor membership of a half-space point")
-    p.add_argument("--tau", help="inline JSON 2x2 matrix of field elements")
-    p.add_argument("--input", help="JSON document path (default stdin)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--tau", help="inline JSON 2x2 matrix of field elements")
+    source.add_argument("--input", help=_INPUT_HELP)
     p.set_defaults(func=cmd_heegner)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
@@ -411,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and print its one envelope; returns the exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command, inputs = "usage", {"argv": argv}
     try:
@@ -418,16 +382,15 @@ def main(argv=None) -> int:
         command, inputs = args.command, {}
         if getattr(args, "action", None):
             command = f"{command}.{args.action}"
-        return args.func(args)
+        # printing stays inside the try: an output integer too long for
+        # str() is an input error like any other
+        return emit(command, *args.func(args))
     except _Help as exc:
-        emit("help", inputs, {"text": str(exc)})
-        return 0
+        return emit("help", inputs, {"text": str(exc)}, 0)
     except InvariantViolation as exc:
-        emit(command, inputs, None, status="error", diagnostics=[str(exc)])
-        return 1
+        return emit(command, inputs, None, 1, "error", [str(exc)])
     except (ValueError, OSError) as exc:
-        emit(command, inputs, None, status="error", diagnostics=[str(exc)])
-        return 2
+        return emit(command, inputs, None, 2, "error", [str(exc)])
 
 
 if __name__ == "__main__":

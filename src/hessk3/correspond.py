@@ -33,7 +33,7 @@ from .eisenstein import (
     pair_steps,
 )
 from .errors import require
-from .hermitian import m2e, m2e_pow
+from .hermitian import m2e, token_power
 from .lattice import (
     G0,
     G1,
@@ -49,6 +49,7 @@ from .lattice import (
     W0,
     W0_INV,
     _block_parity,
+    _embed_tail,
     _orientation,
     det_int,
     is_orthogonal,
@@ -71,7 +72,6 @@ __all__ = [
     "orth_word_matrix",
     "decompose_so0",
     "herm_token_to_orth",
-    "herm_word_to_orth",
     "orth_to_herm",
     "herm_to_orth",
     "equal_mod_center",
@@ -116,13 +116,7 @@ def psi_hom(a):
             (OMEGA * (a1 * a4.conj() - a3 * a2.conj())).b,
         ),
     )
-    out = tuple(
-        tuple(
-            (1 if i == j else 0) if i < 2 or j < 2 else r[i - 2][j - 2]
-            for j in range(6)
-        )
-        for i in range(6)
-    )
+    out = _embed_tail(r)
     require(is_so0(out), "image left the even orthogonal subgroup")
     return out
 
@@ -162,15 +156,15 @@ _TOKENS = {
 ORTH_TOKEN_MATS = {name: mat for name, (mat, _) in _TOKENS.items()}
 
 
+def _orth_token(name: str):
+    try:
+        return ORTH_TOKEN_MATS[name]
+    except KeyError:
+        raise ValueError(f"unknown orthogonal token {name!r}") from None
+
+
 def orth_word_matrix(word):
-    return mat_prod((mat_pow(ORTH_TOKEN_MATS[name], p) for name, p in word), mat_id(6))
-
-
-def _herm_image(name: str, p: int):
-    kind, payload = _TOKENS[name][1]
-    if kind == "gA":
-        return kind, m2e_pow(payload, p)
-    return kind, tuple(p * x for x in payload)
+    return mat_prod((mat_pow(_orth_token(name), p) for name, p in word), mat_id(6))
 
 
 def herm_token_to_orth(tok):
@@ -186,7 +180,8 @@ def herm_token_to_orth(tok):
     raise ValueError(f"unknown token kind {kind!r}")
 
 
-def herm_word_to_orth(word, uses_t: bool = False, uses_w: bool = False):
+def herm_to_orth(uses_t: bool, uses_w: bool, word):
+    """U1^t W0^w times the image of the Hermitian word."""
     flags = [m for m, used in ((U1, uses_t), (W0, uses_w)) if used]
     return mat_prod(flags + [herm_token_to_orth(tok) for tok in word], mat_id(6))
 
@@ -231,6 +226,39 @@ def decompose_so0(x):
     def tail(col: int) -> Eisenstein:
         return Eisenstein(work[4][col], work[5][col])
 
+    def peel_mult(name: str, q: Eisenstein):
+        # tail gains -q * pivot, pivot = the row entry name translates by
+        lmul(name, -q.a)
+        if q.b:
+            lmul("u2", 2)
+            lmul(name, -q.b)
+            lmul("u2", 1)
+
+    def descend_tail(col: int, stage: str, factor: int, names):
+        # the tail pair of column col against its pivots in rows col - 1
+        # and col, whose product is factor times the tail norm by isotropy:
+        # a full Eisenstein quotient of the tail by the smaller pivot
+        # (reached with a u2 rotation sandwich) when the pivot square is at
+        # most the tail norm, a single rotated unit step otherwise; the
+        # smaller pivot square stays below twice the norm, so both branches
+        # shrink, and with factor one only the division is taken
+        guard = 0
+        while not tail(col).is_zero():
+            guard += 1
+            require(guard < 10000, f"tail descent of column {stage} did not terminate")
+            n = tail(col).norm()
+            b, c = work[col - 1][col], work[col][col]
+            require(b * c == factor * n, f"isotropy of column {stage} broke")
+            name, piv = (names[0], b) if abs(b) <= abs(c) else (names[1], c)
+            if piv * piv <= n:
+                q, _ = eis_divmod(tail(col), Eisenstein(piv, 0))
+                require(not q.is_zero(), f"no progress in the tail division of column {stage}")
+                peel_mult(name, q)
+            else:
+                rotate_tail(tail(col))
+                lmul(name, -_sign(piv))
+            require(tail(col).norm() < n, f"tail norm of column {stage} failed to decrease")
+
     # -- stage one: column two to e2 ------------------------------------
 
     # rows two and three: integer Euclid, a2 odd throughout; the
@@ -240,36 +268,8 @@ def decompose_so0(x):
         lmul("h1p", d)
     require(work[2][1] == 0, "row three of column two did not vanish")
 
-    # tail pair of column two against the two hyperbolic rows: a full
-    # Eisenstein quotient of the tail by the smaller pivot (reached with a
-    # u2 rotation sandwich) when the pivot square is at most the tail norm,
-    # a single rotated unit step otherwise; the isotropy relation keeps the
-    # smaller pivot square below twice the norm, so both branches shrink
-    def peel_mult(name: str, q: Eisenstein):
-        # tail gains -q * pivot, pivot = the row entry name translates by
-        lmul(name, -q.a)
-        if q.b:
-            lmul("u2", 2)
-            lmul(name, -q.b)
-            lmul("u2", 1)
-
-    guard = 0
-    while not tail(1).is_zero():
-        guard += 1
-        require(guard < 10000, "tail descent did not terminate")
-        n = tail(1).norm()
-        require(work[0][1] * work[1][1] == 2 * n, "isotropy of column two broke")
-        a1, a2 = work[0][1], work[1][1]
-        name, piv = ("h3", a1) if abs(a1) <= abs(a2) else ("h3p", a2)
-        if piv * piv <= n:
-            q, _ = eis_divmod(tail(1), Eisenstein(piv, 0))
-            require(not q.is_zero(), "no progress in tail division")
-            peel_mult(name, q)
-        else:
-            rotate_tail(tail(1))
-            lmul(name, -_sign(piv))
-        require(tail(1).norm() < n, "tail norm failed to decrease")
-
+    # the tail pair against the two hyperbolic rows
+    descend_tail(1, "two", 2, ("h3", "h3p"))
     require(work[0][1] == 0, "row one of column two is nonzero")
 
     # row four against the odd row two
@@ -289,12 +289,7 @@ def decompose_so0(x):
 
     # -- peel the translation factor off the right -----------------------
 
-    y = tuple(
-        tuple(
-            (1 if i == j else 0) if i < 2 or j < 2 else work[i][j] for j in range(6)
-        )
-        for i in range(6)
-    )
+    y = _embed_tail([r[2:] for r in work[2:]])
     t_part = mat_mul(isometry_inverse(y), work)
     mvec = (t_part[2][0], t_part[3][0], t_part[4][0], t_part[5][0])
     require(t_part == translation_h(*mvec), "residual is not a translation")
@@ -305,20 +300,7 @@ def decompose_so0(x):
 
     # -- stage two: column four of the block ------------------------------
 
-    # here the isotropy relation has no factor two, so the smaller pivot
-    # square never exceeds the tail norm and division alone suffices
-    guard = 0
-    while not tail(3).is_zero():
-        guard += 1
-        require(guard < 10000, "second tail descent did not terminate")
-        n = tail(3).norm()
-        require(work[2][3] * work[3][3] == n, "isotropy of column four broke")
-        b3, b4 = work[2][3], work[3][3]
-        name, piv = ("g1", b3) if abs(b3) <= abs(b4) else ("u0g1u0", b4)
-        q, _ = eis_divmod(tail(3), Eisenstein(piv, 0))
-        require(not q.is_zero(), "no progress in second tail division")
-        peel_mult(name, q)
-        require(tail(3).norm() < n, "second tail norm failed to decrease")
+    descend_tail(3, "four", 1, ("g1", "u0g1u0"))
 
     if work[3][3] == 0:
         lmul("u0u1", 1)
@@ -374,14 +356,10 @@ def orth_to_herm(g):
     if uses_w:
         work = mat_mul(W0_INV, work)
     word = decompose_so0(work)
-    herm_word = [_herm_image(name, p) for name, p in word]
-    check = herm_word_to_orth(herm_word, uses_t, uses_w)
+    herm_word = [token_power(_TOKENS[name][1], p) for name, p in word]
+    check = herm_to_orth(uses_t, uses_w, herm_word)
     require(equal_mod_center(check, g), "transport does not recover the input")
     return uses_t, uses_w, herm_word
-
-
-def herm_to_orth(uses_t: bool, uses_w: bool, word):
-    return herm_word_to_orth(word, uses_t, uses_w)
 
 
 def equal_mod_center(a, b) -> bool:

@@ -73,6 +73,7 @@ __all__ = [
     "involution_T",
     "involution_W",
     "token_matrix",
+    "token_power",
     "token_inverse",
     "word_matrix",
     "decompose_hgamma1",
@@ -233,15 +234,18 @@ def token_matrix(tok):
     raise ValueError(f"unknown token kind {kind!r}")
 
 
-def token_inverse(tok):
+def token_power(tok, p: int):
+    """The token whose matrix is token_matrix(tok) to the power p."""
     kind = tok[0]
     if kind == "gA":
-        return ("gA", m2e_inv(tok[1]))
-    if kind == "gBu":
-        return ("gBu", tuple(-x for x in tok[1]))
-    if kind == "gBl":
-        return ("gBl", tuple(-x for x in tok[1]))
+        return ("gA", m2e_pow(tok[1], p))
+    if kind in ("gBu", "gBl"):
+        return (kind, tuple(p * x for x in tok[1]))
     raise ValueError(f"unknown token kind {kind!r}")
+
+
+def token_inverse(tok):
+    return token_power(tok, -1)
 
 
 def word_matrix(word):
@@ -249,11 +253,6 @@ def word_matrix(word):
 
 
 # -- decomposition -------------------------------------------------------------
-
-
-def _div2(x: Eisenstein) -> Eisenstein:
-    require(x.a % 2 == 0 and x.b % 2 == 0, "entry is not even")
-    return Eisenstein(x.a // 2, x.b // 2)
 
 
 def _div_int(x: Eisenstein, k: int) -> Eisenstein:
@@ -267,7 +266,7 @@ def _rational_split(x: Eisenstein, y: Eisenstein):
     Unitarity of the ambient matrix forces x * conj(y/2) to be a rational
     integer, which is exactly what makes the split possible.
     """
-    y2 = _div2(y)
+    y2 = _div_int(y, 2)
     r = x * y2.conj()
     require(r.b == 0, "column entries are not rationally dependent")
     fr = Fraction(r.a, y2.norm())
@@ -338,11 +337,11 @@ def decompose_hgamma1(g):
         guard += 1
         require(guard < 10000, "antidiagonal descent did not terminate")
         alpha = work[0][0]
-        half = _div2(work[3][0])
+        half = _div_int(work[3][0], 2)
         q, r = eis_divmod(half, alpha)
         if not q.is_zero() and r.norm() < half.norm():
             gbl_mult(-q)
-            require(_div2(work[3][0]).norm() < half.norm(), "no descent in row four")
+            require(_div_int(work[3][0], 2).norm() < half.norm(), "no descent in row four")
             continue
         q, _ = eis_divmod(alpha, work[3][0])
         if not q.is_zero():
@@ -365,13 +364,10 @@ def decompose_hgamma1(g):
     clear_even_partner(1, 3, 1, 1)
 
     # (iv) residual block-triangular piece: one gA and one upper translation
-    for i in (2, 3):
-        for j in (0, 1):
-            require(work[i][j].is_zero(), "lower-left block did not vanish")
-    a_r = ((work[0][0], work[0][1]), (work[1][0], work[1][1]))
+    a_r, b_r, c_r, _ = blocks(work)
+    require(all(x.is_zero() for row in c_r for x in row), "lower-left block did not vanish")
     require(mat_det2(a_r).is_unit(), "residual A block is not invertible")
     require(_m2e_odd_id(a_r), "residual A block left the congruence kernel")
-    b_r = ((work[0][2], work[0][3]), (work[1][2], work[1][3]))
     h = mat_mul(m2e_inv(a_r), b_r)
     require(
         h[0][0].b == 0 and h[1][1].b == 0 and h[1][0] == h[0][1].conj(),
@@ -535,7 +531,7 @@ def embed_from_hgamma0(h):
     if membership(h) not in ("gamma0", "gamma1"):
         raise ValueError("embedding needs a gamma0 element")
     a, b, c, d = blocks(h)
-    half_c = tuple(tuple(_div2(x) for x in r) for r in c)
+    half_c = tuple(tuple(_div_int(x, 2) for x in r) for r in c)
     out = from_blocks(a, mat_scale(b, 2), half_c, d)
     require(membership(out) != "none", "conjugated element left the group")
     return out

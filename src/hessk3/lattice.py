@@ -587,11 +587,15 @@ def enumerate_disc_orthogonal() -> list:
 def orthogonal_complement(v):
     """Integer basis of v^perp in M and its Gram matrix.
 
-    v must be nonzero and primitive.  The kernel of the functional
-    x -> t(v) Q x is computed by unimodular column operations, so the basis
-    spans the full (saturated) complement, of rank five.
+    v must be nonzero and primitive, with int coordinates.  The kernel of
+    the functional x -> t(v) Q x is computed by unimodular column
+    operations, so the basis spans the full (saturated) complement, of
+    rank five.
     """
-    v = tuple(int(x) for x in v)
+    v = tuple(v)
+    for x in v:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"expected int coordinates, got {type(x).__name__}")
     if not any(v):
         raise ValueError("complement of the zero vector")
     if gcd(*v) != 1:

@@ -89,32 +89,30 @@ def _herm_params(rng, bound: int = 2):
     return tuple(rng.randint(-bound, bound) for _ in range(4))
 
 
+def _token_word(rng, length: int, draws):
+    """length tokens, each from a draw picked uniformly from draws."""
+    return [draws[rng.randrange(len(draws))](rng) for _ in range(length)]
+
+
+_GAMMA1_DRAWS = (
+    lambda rng: ("gA", sample_g2_matrix(rng, 3)),
+    lambda rng: ("gBu", _herm_params(rng)),
+    lambda rng: ("gBl", _herm_params(rng)),
+)
+# gamma0 adds general unit-determinant gA tokens, drawn second
+_GAMMA0_DRAWS = (
+    _GAMMA1_DRAWS[0],
+    lambda rng: ("gA", sample_gl2_matrix(rng, 3)),
+    *_GAMMA1_DRAWS[1:],
+)
+
+
 def sample_hgamma1_word(rng, length: int):
-    word = []
-    for _ in range(length):
-        kind = rng.randrange(3)
-        if kind == 0:
-            word.append(("gA", sample_g2_matrix(rng, 3)))
-        elif kind == 1:
-            word.append(("gBu", _herm_params(rng)))
-        else:
-            word.append(("gBl", _herm_params(rng)))
-    return word
+    return _token_word(rng, length, _GAMMA1_DRAWS)
 
 
 def sample_hgamma0_word(rng, length: int):
-    word = []
-    for _ in range(length):
-        kind = rng.randrange(4)
-        if kind == 0:
-            word.append(("gA", sample_g2_matrix(rng, 3)))
-        elif kind == 1:
-            word.append(("gA", sample_gl2_matrix(rng, 3)))
-        elif kind == 2:
-            word.append(("gBu", _herm_params(rng)))
-        else:
-            word.append(("gBl", _herm_params(rng)))
-    return word
+    return _token_word(rng, length, _GAMMA0_DRAWS)
 
 
 def sample_so0_word(rng, length: int):

@@ -207,7 +207,7 @@ def _gamma0_factors(g) -> bool:
 
 
 def _hermitian_round_trip(word) -> bool:
-    uses_t, uses_w, back = correspond.orth_to_herm(correspond.herm_word_to_orth(word))
+    uses_t, uses_w, back = correspond.orth_to_herm(correspond.herm_to_orth(False, False, word))
     return not uses_t and not uses_w and equal_mod_units(word_matrix(back), word_matrix(word))
 
 
@@ -390,7 +390,7 @@ def suite_enr_iso(seed: int, sizes: dict):
     run.every(
         "gamma1-words-land-in-enr",
         sampling.sample_hgamma1_word,
-        lambda word: is_in_enr(correspond.herm_word_to_orth(word)),
+        lambda word: is_in_enr(correspond.herm_to_orth(False, False, word)),
     )
     run.every("w-prime-is-transpose-flip-inversion", sampling.sample_chart_point, _w_prime_law)
     return run.checks

@@ -283,6 +283,37 @@ def test_heegner_bad_inline_json(capsys, monkeypatch):
     assert doc["command"] == "heegner"
 
 
+@pytest.mark.parametrize("order", ["tau-first", "input-first"])
+def test_heegner_takes_tau_or_input_not_both(order, tmp_path, capsys):
+    # the file holds a lower half-space point, which --tau used to hide
+    lower = [[["0", "0", "-2", "0"], ["0", "0", "0", "0"]], [["0", "0", "0", "0"], ["0", "0", "-2", "0"]]]
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"tau": lower}))
+    upper = json.dumps([[[str(-int(x)) for x in e] for e in row] for row in lower])
+    options = [["--tau", upper], ["--input", str(path)]]
+    argv = ["heegner"] + sum(options if order == "tau-first" else options[::-1], [])
+    rc, doc = run_cli(argv, capsys=capsys)
+    assert rc == 2
+    assert (doc["command"], doc["status"], doc["inputs"]) == ("usage", "error", {"argv": argv})
+    [message] = doc["diagnostics"]
+    assert "not allowed with argument" in message
+
+
+def test_output_too_long_to_print_is_an_input_error(capsys, monkeypatch):
+    # the translation corner squares the payload, past the digit limit of
+    # int-to-str conversion, so the envelope itself cannot be printed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    word = [["gBu", [0, 0, 10 ** (limit - 1), 0]]]
+    rc, doc = run_cli(
+        ["correspond", "h2o"], stdin_doc={"word": word}, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert rc == 2
+    assert (doc["command"], doc["status"], doc["inputs"]) == ("correspond.h2o", "error", {})
+    assert "digits" in doc["diagnostics"][0]
+
+
 def test_malformed_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("{broken"))
     rc = cli.main(["orth", "check"])

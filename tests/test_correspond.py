@@ -10,7 +10,6 @@ from hessk3.correspond import (
     equal_mod_center,
     herm_to_orth,
     herm_token_to_orth,
-    herm_word_to_orth,
     is_so0,
     orth_to_herm,
     orth_word_matrix,
@@ -137,7 +136,7 @@ def test_herm_transport_round_trip_mod_units():
     for k in range(12):
         word = sampling.sample_hgamma0_word(rng, 1 + k % 4)
         h = word_matrix(word)
-        g = herm_word_to_orth(word)
+        g = herm_to_orth(False, False, word)
         assert is_so0(g)
         uses_t, uses_w, back_word = orth_to_herm(g)
         assert not uses_t and not uses_w
@@ -159,3 +158,8 @@ def test_translation_images_compose():
     lb = herm_token_to_orth(("gBl", (1, 1, 1, -2)))
     lab = herm_token_to_orth(("gBl", (3, 0, 1, 1)))
     assert mat_mul(la, lb) == lab
+
+
+def test_orth_word_matrix_rejects_unknown_tokens():
+    with pytest.raises(ValueError, match="unknown orthogonal token 'h5'"):
+        orth_word_matrix([("g1", 1), ("h5", 2)])

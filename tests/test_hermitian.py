@@ -38,6 +38,7 @@ from hessk3.hermitian import (
     section_lift,
     token_inverse,
     token_matrix,
+    token_power,
     word_matrix,
 )
 from hessk3.lattice import mat_conj_transpose, mat_id, mat_mul, mat_neg, mat_sub
@@ -146,6 +147,32 @@ def test_word_round_trip_gamma1():
     # inverse tokens really invert
     for tok in (("gA", m2e(((1, 2), (0, 1)))), ("gBu", (1, -2, 0, 3)), ("gBl", (0, 1, 1, 1))):
         assert mat_mul(token_matrix(tok), token_matrix(token_inverse(tok))) == I4
+
+
+POWER_TOKENS = (
+    ("gA", m2e(((1, 2), (0, 1)))),
+    ("gA", m2e(((OMEGA, 1), (0, 1)))),
+    ("gBu", (1, -2, 0, 3)),
+    ("gBl", (0, 1, 1, 1)),
+)
+
+
+@pytest.mark.parametrize("tok", POWER_TOKENS, ids=lambda tok: tok[0])
+@pytest.mark.parametrize("p", [-2, -1, 0, 1, 2])
+def test_token_power_is_the_matrix_power(tok, p):
+    got = token_matrix(token_power(tok, p))
+    positive = I4
+    for _ in range(abs(p)):
+        positive = mat_mul(positive, token_matrix(tok))
+    if p >= 0:
+        assert got == positive
+    else:
+        assert mat_mul(got, positive) == I4
+
+
+def test_token_power_rejects_unknown_kinds():
+    with pytest.raises(ValueError, match="unknown token kind"):
+        token_power(("gC", (1, 0, 0, 0)), 2)
 
 
 # A gamma1 element whose column-one descent once stalled in row four: the

@@ -439,3 +439,10 @@ def test_orthogonal_complement_rejections():
         orthogonal_complement((0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="vector is not primitive"):
         orthogonal_complement((2, 0, 0, 4, 0, 0))
+
+
+@pytest.mark.parametrize("x", [1.5, "1", Fraction(3, 2), True])
+def test_orthogonal_complement_rejects_non_int_coordinates(x):
+    # int(x) would have read each of these as 1 and answered for e1
+    with pytest.raises(TypeError, match="expected int coordinates"):
+        orthogonal_complement((x, 0, 0, 0, 0, 0))

@@ -1,0 +1,78 @@
+"""Mutation tests: each plants one known fault and asserts that the check
+meant to catch it reports it.
+
+A check that no fault can flip certifies nothing (DeMillo, Lipton and
+Sayward, *Hints on test data selection*, 1978).  Every test here patches
+one table, sampler or formula, runs the suite that holds the check at
+seed 0 with the interactive sizes of `verify.SIZES`, and asserts the
+named outcome.  pytest's monkeypatch undoes each fault afterwards.
+"""
+
+import pytest
+
+from hessk3 import correspond, lattice, sampling, verify
+from hessk3.eisenstein import OMEGA
+from hessk3.errors import InvariantViolation
+from hessk3.hermitian import m2e
+
+
+def outcome(suite: str) -> dict:
+    """check id -> passed, for one suite at seed 0 and the default sizes."""
+    return {c["check_id"]: c["passed"] for c in verify.run_suite(suite, 0)["checks"]}
+
+
+def test_wrong_u2_image_breaks_the_dictionary(monkeypatch):
+    # diag(1, w) instead of diag(1, w^2) as the Hermitian image of u2
+    monkeypatch.setitem(correspond._TOKENS, "u2", (lattice.U2, ("gA", m2e(((1, 0), (0, OMEGA))))))
+    monkeypatch.setattr(
+        correspond,
+        "DICTIONARY_PAIRS",
+        tuple((n, mat, herm) for n, (mat, herm) in correspond._TOKENS.items() if n != "mi42"),
+    )
+    checks = outcome("group-iso")
+    assert checks["image-u2-corrected"] is False
+    assert checks["dictionary-equivariance-on-chart-points"] is False
+    with pytest.raises(InvariantViolation, match="transport does not recover the input"):
+        verify.run_suite("decompose-fuzz", 0)
+
+
+def test_general_gA_tokens_leave_the_enriques_kernel(monkeypatch):
+    # gamma1 words that also draw gA tokens off the congruence kernel
+    monkeypatch.setattr(sampling, "sample_hgamma1_word", sampling.sample_hgamma0_word)
+    assert outcome("enr-iso")["gamma1-words-land-in-enr"] is False
+
+
+def test_translation_corner_off_by_one_breaks_additivity(monkeypatch):
+    exact = lattice.translation_h
+
+    def corner_off(m1, m2, m3, m4):
+        rows = [list(r) for r in exact(m1, m2, m3, m4)]
+        rows[1][0] += 1
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(lattice, "translation_h", corner_off)
+    monkeypatch.setattr(verify, "translation_h", corner_off)
+    assert outcome("quotient-group")["translations-additive"] is False
+
+
+def test_relabelled_two_torsion_classes_move_the_g1_permutation(monkeypatch):
+    v = list(lattice.V_CLASSES)
+    v[0], v[1] = v[1], v[0]
+    monkeypatch.setattr(lattice, "V_CLASSES", tuple(v))
+    checks = outcome("quotient-group")
+    assert checks["g1-perm"] is False
+    # a relabelled map is still a homomorphism, so this check cannot see
+    # the fault; it stays for the faults it can see
+    assert checks["five-class-map-multiplicative"] is True
+
+
+def test_order_two_images_sent_to_the_identity_are_caught(monkeypatch):
+    exact = correspond.psi_hom
+    ident = lattice.mat_id(6)
+
+    def collapsed(a):
+        image = exact(a)
+        return ident if lattice.mat_mul(image, image) == ident else image
+
+    monkeypatch.setattr(correspond, "psi_hom", collapsed)
+    assert outcome("group-iso")["identity-preimages-are-unit-scalars"] is False
