@@ -61,6 +61,7 @@ from .lattice import (
     mat_pow,
     mat_prod,
     mat_scale,
+    power,
     residual_m,
     translation_h,
 )
@@ -116,9 +117,7 @@ def psi_hom(a):
             (OMEGA * (a1 * a4.conj() - a3 * a2.conj())).b,
         ),
     )
-    out = _embed_tail(r)
-    require(is_so0(out), "image left the even orthogonal subgroup")
-    return out
+    return _embed_tail(r)
 
 
 def is_so0(g) -> bool:
@@ -155,16 +154,23 @@ _TOKENS = {
 
 ORTH_TOKEN_MATS = {name: mat for name, (mat, _) in _TOKENS.items()}
 
+# Each token's inverse, derived once: a negative power raises the inverse.
+_ORTH_TOKEN_INVS = {name: isometry_inverse(mat) for name, mat in ORTH_TOKEN_MATS.items()}
 
-def _orth_token(name: str):
+
+def _token_power(name: str, p: int):
+    """The isometry of the orthogonal token name to the power p."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise TypeError(f"token power must be an int, not {type(p).__name__}")
     try:
-        return ORTH_TOKEN_MATS[name]
+        mat = ORTH_TOKEN_MATS[name] if p >= 0 else _ORTH_TOKEN_INVS[name]
     except KeyError:
         raise ValueError(f"unknown orthogonal token {name!r}") from None
+    return power(mat, abs(p), mat_id(6), mat_mul)
 
 
 def orth_word_matrix(word):
-    return mat_prod((mat_pow(_orth_token(name), p) for name, p in word), mat_id(6))
+    return mat_prod((_token_power(name, p) for name, p in word), mat_id(6))
 
 
 def herm_token_to_orth(tok):
@@ -181,9 +187,11 @@ def herm_token_to_orth(tok):
 
 
 def herm_to_orth(uses_t: bool, uses_w: bool, word):
-    """U1^t W0^w times the image of the Hermitian word."""
+    """U1^t W0^w times the word image, which is tested for SO0 once."""
+    image = mat_prod(map(herm_token_to_orth, word), mat_id(6))
+    require(is_so0(image), "word image left the even orthogonal subgroup")
     flags = [m for m, used in ((U1, uses_t), (W0, uses_w)) if used]
-    return mat_prod(flags + [herm_token_to_orth(tok) for tok in word], mat_id(6))
+    return mat_prod(flags + [image], mat_id(6))
 
 
 # (s, t) with u = (-1)^s w^t for each unit u; on the A2 tail, i42 acts as
@@ -205,7 +213,13 @@ def decompose_so0(x):
         raise ValueError("matrix does not preserve the form")
     if not _in_so0(x):
         raise ValueError("matrix is not in the even orthogonal subgroup")
+    word = _descend_so0(x)
+    require(orth_word_matrix(word) == x, "word does not multiply back")
+    return word
 
+
+def _descend_so0(x):
+    """decompose_so0's word for x in SO0; stages are checked, the word is not."""
     work = x
     out_left: list = []
     out_right: list = []
@@ -214,7 +228,7 @@ def decompose_so0(x):
         nonlocal work
         if p == 0:
             return
-        work = mat_mul(mat_pow(ORTH_TOKEN_MATS[name], p), work)
+        work = mat_mul(_token_power(name, p), work)
         out_left.append((name, -p))
 
     def rotate_tail(z: Eisenstein):
@@ -329,9 +343,7 @@ def decompose_so0(x):
     if v:
         residual_toks.append(("g2", v))
 
-    word = out_left + residual_toks + out_right
-    require(orth_word_matrix(word) == x, "word does not multiply back")
-    return word
+    return out_left + residual_toks + out_right
 
 
 def _sign(n: int) -> int:
@@ -341,8 +353,8 @@ def _sign(n: int) -> int:
 def orth_to_herm(g):
     """Involution flags and Hermitian word for an element of O+.
 
-    Returns (uses_t, uses_w, word); the product U1^t W0^s (word image)
-    recovers g up to sign.
+    Returns (uses_t, uses_w, word); the product U1^t W0^w (word image)
+    recovers g up to sign, which is the one check of the answer.
     """
     if not is_orthogonal(g):
         raise ValueError("matrix does not preserve the form")
@@ -355,7 +367,7 @@ def orth_to_herm(g):
     uses_w = _block_parity(work) == "antidiagonal"
     if uses_w:
         work = mat_mul(W0_INV, work)
-    word = decompose_so0(work)
+    word = _descend_so0(work)
     herm_word = [token_power(_TOKENS[name][1], p) for name, p in word]
     check = herm_to_orth(uses_t, uses_w, herm_word)
     require(equal_mod_center(check, g), "transport does not recover the input")

@@ -286,7 +286,13 @@ def decompose_hgamma1(g):
     """Exact token word for a gamma1 element; multiplies back bit for bit."""
     if membership(g) != "gamma1":
         raise ValueError("matrix is not in the gamma1 congruence subgroup")
+    word = _descend_hgamma1(g)
+    require(word_matrix(word) == g, "decomposition does not multiply back")
+    return word
 
+
+def _descend_hgamma1(g):
+    """decompose_hgamma1's word for g in gamma1; stages are checked, the word is not."""
     work = g
     left_inv = []
 
@@ -380,7 +386,6 @@ def decompose_hgamma1(g):
         word.append(("gA", a_r))
     if any(mvec):
         word.append(("gBu", mvec))
-    require(word_matrix(word) == g, "decomposition does not multiply back")
     return word
 
 
@@ -468,10 +473,10 @@ def decompose_hgamma0(g):
     if membership(g) not in ("gamma0", "gamma1"):
         raise ValueError("matrix is not in the gamma0 congruence subgroup")
     # rem = gA(lift)^(-1) g has A block == I mod 2 and C block lift* C, still
-    # even, so it lies in gamma1; decompose_hgamma1 tests that on entry
+    # even, so it lies in gamma1 and the descent needs no membership test
     lift = section_lift(m2e_mod2(blocks(g)[0]))
     rem = mat_mul(g_a(m2e_inv(lift)), g)
-    word = decompose_hgamma1(rem)
+    word = _descend_hgamma1(rem)
     require(mat_mul(g_a(lift), word_matrix(word)) == g, "gamma0 factorization failed")
     return lift, word
 

@@ -1,5 +1,7 @@
 """Transport between the 6x6 isometries and the Hermitian modular side."""
 
+from fractions import Fraction
+
 import pytest
 
 from hessk3 import sampling
@@ -163,3 +165,7 @@ def test_translation_images_compose():
 def test_orth_word_matrix_rejects_unknown_tokens():
     with pytest.raises(ValueError, match="unknown orthogonal token 'h5'"):
         orth_word_matrix([("g1", 1), ("h5", 2)])
+    # a power is an int: True is not read as 1, nor 1.5 left to the product
+    for p in (True, 1.5, "2", Fraction(1)):
+        with pytest.raises(TypeError, match="token power must be an int"):
+            orth_word_matrix([("g1", p)])

@@ -21,6 +21,10 @@ def outcome(suite: str) -> dict:
     return {c["check_id"]: c["passed"] for c in verify.run_suite(suite, 0)["checks"]}
 
 
+def failed(suite: str) -> set:
+    return {cid for cid, passed in outcome(suite).items() if not passed}
+
+
 def test_wrong_u2_image_breaks_the_dictionary(monkeypatch):
     # diag(1, w) instead of diag(1, w^2) as the Hermitian image of u2
     monkeypatch.setitem(correspond._TOKENS, "u2", (lattice.U2, ("gA", m2e(((1, 0), (0, OMEGA))))))
@@ -76,3 +80,36 @@ def test_order_two_images_sent_to_the_identity_are_caught(monkeypatch):
 
     monkeypatch.setattr(correspond, "psi_hom", collapsed)
     assert outcome("group-iso")["identity-preimages-are-unit-scalars"] is False
+
+
+def test_images_outside_the_even_subgroup_are_caught(monkeypatch):
+    # rows five and six of every psi_hom image swapped: the image leaves SO0,
+    # which herm_to_orth tests once per word
+    exact = correspond.psi_hom
+
+    def swapped(a):
+        image = exact(a)
+        return image[:4] + (image[5], image[4])
+
+    monkeypatch.setattr(correspond, "psi_hom", swapped)
+    images = {f"image-{n}" for n in ("g1", "g2", "u0g1u0", "u0u1", "i42", "u2-corrected")}
+    psi = {"psi-multiplicative", "psi-kernel-scalars", "psi-mod2-kernel-is-scalar-class"}
+    assert failed("group-iso") == images | psi
+    for suite in ("enr-iso", "decompose-fuzz"):
+        with pytest.raises(InvariantViolation, match="word image left the even orthogonal subgroup"):
+            verify.run_suite(suite, 0)
+
+
+def test_images_conjugated_inside_the_even_subgroup_are_caught(monkeypatch):
+    # every psi_hom image conjugated by I42: still in SO0, so only the frozen
+    # images and the transport check can see it
+    exact = correspond.psi_hom
+
+    def conjugated(a):
+        return lattice.mat_mul(lattice.I42, lattice.mat_mul(exact(a), lattice.I42))
+
+    monkeypatch.setattr(correspond, "psi_hom", conjugated)
+    # u0u1, i42 and u2 commute with I42, so their image checks cannot see it
+    assert failed("group-iso") == {"image-g1", "image-g2", "image-u0g1u0"}
+    with pytest.raises(InvariantViolation, match="transport does not recover the input"):
+        verify.run_suite("decompose-fuzz", 0)

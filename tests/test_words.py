@@ -7,6 +7,10 @@ word from the stored input, so a refactor of the word layer is checked for
 byte identity without running the old code next to the new.  The inputs
 are stored, not re-sampled, so a change to the samplers cannot move them.
 
+The same inputs pin the cost of the word layer: each public entry point
+certifies its answer once, so the number of matrix products it takes is
+bounded, and a second proof of the same answer fails the bound.
+
 Regenerate only when a change to the words is intended:
 
     PYTHONPATH=src python3 tests/test_words.py
@@ -14,11 +18,12 @@ Regenerate only when a change to the words is intended:
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from hessk3 import sampling
+from hessk3 import lattice, sampling
 from hessk3.correspond import decompose_so0, orth_to_herm
 from hessk3.eisenstein import Eisenstein
 from hessk3.hermitian import decompose_hgamma0, decompose_hgamma1, word_matrix
@@ -83,6 +88,32 @@ def test_words_match_the_golden_file(name):
     assert len(cases) == COUNT
     for case in cases:
         assert _enc(FUNCTIONS[name](_dec(case["input"]))) == case["word"]
+
+
+# At most this many n x n products over the COUNT stored inputs, as (n, total).
+PRODUCT_CEILINGS = {
+    "orth_to_herm": (6, 1283),
+    "decompose_so0": (6, 2023),
+    "decompose_hgamma0": (4, 401),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CEILINGS))
+def test_one_certificate_per_answer_bounds_the_products(name, monkeypatch):
+    size, ceiling = PRODUCT_CEILINGS[name]
+    exact = lattice.mat_mul
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(len(a))
+        return exact(a, b)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("hessk3") and getattr(module, "mat_mul", None) is exact:
+            monkeypatch.setattr(module, "mat_mul", counted)
+    for case in _cases(name):
+        FUNCTIONS[name](_dec(case["input"]))
+    assert sizes.count(size) <= ceiling
 
 
 if __name__ == "__main__":
