@@ -32,7 +32,7 @@ from .eisenstein import (
     eis_divmod,
     pair_steps,
 )
-from .errors import require
+from .errors import integer, require
 from .hermitian import m2e, token_power
 from .lattice import (
     G0,
@@ -160,8 +160,7 @@ _ORTH_TOKEN_INVS = {name: isometry_inverse(mat) for name, mat in ORTH_TOKEN_MATS
 
 def _token_power(name: str, p: int):
     """The isometry of the orthogonal token name to the power p."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise TypeError(f"token power must be an int, not {type(p).__name__}")
+    integer(p, "token power")
     try:
         mat = ORTH_TOKEN_MATS[name] if p >= 0 else _ORTH_TOKEN_INVS[name]
     except KeyError:

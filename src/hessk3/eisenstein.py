@@ -4,12 +4,10 @@ Elements live on the integer basis (1, w) with w^2 = -1 - w.  The ring is
 Euclidean for the norm N(a + b*w) = a^2 - a*b + b^2, which yields division
 with small remainder, an extended gcd, and a determinant-one column
 reduction for pairs congruent to (1, 0) mod 2.  Everything is plain integer
-arithmetic; no value ever passes through a float.
+arithmetic; an operand that is neither an int nor an Eisenstein is refused.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import require
 
@@ -63,40 +61,60 @@ def pair_steps(m: int, n: int):
         yield c, d
 
 
-@dataclass(frozen=True)
 class Eisenstein:
-    a: int
-    b: int
+    """a + b*w with integer a, b; immutable by convention, as Cyclo12 is.
+    The constructor checks nothing, since it is on every hot path."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        if type(other) is not Eisenstein:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    # Each operator tries an exact Eisenstein first, then any int (bool
+    # included); anything else is NotImplemented, so a float or a Fraction
+    # operand ends in TypeError.
 
     def __add__(self, other: "Eisenstein | int") -> "Eisenstein":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return Eisenstein(self.a + o.a, self.b + o.b)
+        if type(other) is Eisenstein:
+            return Eisenstein(self.a + other.a, self.b + other.b)
+        if isinstance(other, int):
+            return Eisenstein(self.a + other, self.b)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: "Eisenstein | int") -> "Eisenstein":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return Eisenstein(self.a - o.a, self.b - o.b)
+        if type(other) is Eisenstein:
+            return Eisenstein(self.a - other.a, self.b - other.b)
+        if isinstance(other, int):
+            return Eisenstein(self.a - other, self.b)
+        return NotImplemented
 
-    def __rsub__(self, other: "Eisenstein | int") -> "Eisenstein":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def __rsub__(self, other: int) -> "Eisenstein":
+        if isinstance(other, int):
+            return Eisenstein(other - self.a, -self.b)
+        return NotImplemented
 
     def __neg__(self) -> "Eisenstein":
         return Eisenstein(-self.a, -self.b)
 
     def __mul__(self, other: "Eisenstein | int") -> "Eisenstein":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        return Eisenstein(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
+        if type(other) is Eisenstein:
+            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+            bb = b1 * b2
+            return Eisenstein(a1 * a2 - bb, a1 * b2 + a2 * b1 - bb)
+        if isinstance(other, int):
+            return Eisenstein(self.a * other, self.b * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -122,16 +140,6 @@ class Eisenstein:
 
     def __repr__(self) -> str:
         return f"Eis({self.a},{self.b})"
-
-
-def _coerce(v) -> "Eisenstein | None":
-    """v in Z[w], or None, so that the operator returns NotImplemented and
-    Python raises TypeError or tries the other operand."""
-    if isinstance(v, Eisenstein):
-        return v
-    if isinstance(v, int):
-        return Eisenstein(v, 0)
-    return None
 
 
 ZERO = Eisenstein(0, 0)

@@ -1,4 +1,4 @@
-"""Shared exception types and the input guard for exact rationals.
+"""Shared exception types and the input guards for exact integers and rationals.
 
 ValueError is reserved for caller mistakes: malformed input or violated
 preconditions.  InvariantViolation means the library itself derived
@@ -19,6 +19,14 @@ def require(condition: bool, message: str) -> None:
     """Check an internal invariant; active regardless of python -O."""
     if not condition:
         raise InvariantViolation(message)
+
+
+def integer(x, what: str) -> int:
+    """x itself when it is an int other than a bool, else TypeError naming
+    what x was meant to be."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"{what} must be an int, not {type(x).__name__}")
 
 
 def rational(x) -> Fraction:

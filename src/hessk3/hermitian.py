@@ -38,7 +38,7 @@ from .eisenstein import (
     g2_column_reduce,
     pair_steps,
 )
-from .errors import require
+from .errors import integer, require
 from .lattice import (
     mat_add,
     mat_conj_transpose,
@@ -161,8 +161,8 @@ W_MAT = from_blocks(_Z2, mat_neg(_I2), mat_scale(_I2, 2), _Z2)
 
 
 def herm_b(m):
-    m1, m2, m3, m4 = m
-    off = Eisenstein(m3, 0) + Eisenstein(m4, 0) * OMEGA
+    m1, m2, m3, m4 = (integer(x, "translation parameter") for x in m)
+    off = Eisenstein(m3, m4)
     return ((Eisenstein(m1, 0), off), (off.conj(), Eisenstein(m2, 0)))
 
 
@@ -181,7 +181,11 @@ def g_a(a):
 
 
 def membership(g) -> str:
-    if mat_mul(mat_conj_transpose(g), mat_mul(J_MAT, g)) != J_MAT:
+    if len(g) != 4:
+        raise ValueError("expected a 4x4 matrix")
+    # J g is a signed row permutation: rows three and four, then minus one and two
+    jg = (g[2], g[3]) + mat_neg(g[:2])
+    if mat_mul(mat_conj_transpose(g), jg) != J_MAT:
         return "none"
     _, _, c, _ = blocks(g)
     if not _m2e_even(c):

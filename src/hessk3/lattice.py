@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd
 from operator import add, mul, sub
 
-from .errors import require
+from .errors import integer, require
 
 __all__ = [
     "GRAM",
@@ -294,6 +294,8 @@ def translation_h(m1: int, m2: int, m3: int, m4: int):
     what t(g) Q g = Q forces.  These form a free abelian group of rank four:
     h(a) h(b) = h(a + b).
     """
+    for m in (m1, m2, m3, m4):
+        integer(m, "translation parameter")
     a21 = -2 * m1 * m2 + 2 * m3 * m3 - 2 * m3 * m4 + 2 * m4 * m4
     rows = [
         [1, 0, 0, 0, 0, 0],

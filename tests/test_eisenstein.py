@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from hessk3.correspond import _UNIT_ST
 from hessk3.eisenstein import (
     OMEGA,
     OMEGA2,
@@ -46,6 +49,48 @@ def test_ring_basics():
 def test_float_operand_is_a_type_error(op):
     with pytest.raises(TypeError):
         op(Eisenstein(1, 0))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda x: x + Fraction(1, 2),
+        lambda x: Fraction(1, 2) + x,
+        lambda x: x - Fraction(1, 2),
+        lambda x: Fraction(1, 2) - x,
+        lambda x: x * Fraction(1, 2),
+        lambda x: Fraction(1, 2) * x,
+    ],
+)
+def test_fraction_operand_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op(Eisenstein(1, 0))
+
+
+def test_equality_holds_only_between_eisenstein_values():
+    assert Eisenstein(1, 0) != 1
+    assert Eisenstein(1, 0) != (1, 0)
+    assert ONE == Eisenstein(1, 0)
+
+
+def test_equal_values_hash_equal_and_find_the_same_entry():
+    built = OMEGA * OMEGA
+    assert built is not OMEGA2 and built == Eisenstein(-1, -1)
+    assert hash(built) == hash(Eisenstein(-1, -1)) == hash((-1, -1))
+    assert _UNIT_ST[built] == _UNIT_ST[OMEGA2]
+
+
+@pytest.mark.parametrize("k", [3, 1, -2, 0, True, False])
+def test_int_and_bool_operands_on_both_sides(k):
+    x = Eisenstein(3, 5)
+    assert x + k == k + x == Eisenstein(3 + k, 5)
+    assert x - k == Eisenstein(3 - k, 5)
+    assert k - x == Eisenstein(k - 3, -5)
+    assert x * k == k * x == Eisenstein(3 * k, 5 * k)
+
+
+def test_instances_have_no_dict():
+    assert not hasattr(Eisenstein(1, 2), "__dict__")
 
 
 def test_conj_and_two_re():

@@ -1,5 +1,7 @@
 """Degree-two Hermitian modular group: words, descents, mod-2 structure."""
 
+from fractions import Fraction
+
 import pytest
 
 from hessk3 import sampling
@@ -77,6 +79,8 @@ def test_membership_levels():
     assert membership(J_MAT) == "full"
     assert membership(W_MAT) == "none"
     assert membership(mat_neg(I4)) == "gamma1"
+    with pytest.raises(ValueError):
+        membership(I4[:3])
 
 
 def test_g_a_rejects_non_unit_determinant():
@@ -94,6 +98,16 @@ def test_herm_b_is_hermitian_and_additive():
     msum = tuple(x + y for x, y in zip(ma, mb))
     assert mat_mul(g_upper(ma), g_upper(mb)) == g_upper(msum)
     assert mat_mul(g_lower(ma), g_lower(mb)) == g_lower(msum)
+
+
+def test_upper_translation_rejects_a_float_parameter():
+    with pytest.raises(TypeError, match="translation parameter must be an int"):
+        g_upper((0.5, 0, 0, 0))
+
+
+def test_lower_translation_rejects_a_fraction_parameter():
+    with pytest.raises(TypeError, match="translation parameter must be an int"):
+        g_lower((Fraction(1, 2), 0, 0, 0))
 
 
 def test_w_mat_relations():

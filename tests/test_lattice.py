@@ -230,6 +230,11 @@ def test_translation_identity():
     assert translation_h(0, 0, 0, 0) == mat_id()
 
 
+def test_translation_rejects_a_float_parameter():
+    with pytest.raises(TypeError, match="translation parameter must be an int"):
+        translation_h(0.5, 0, 0, 0)
+
+
 def test_residual_family_closed_form():
     assert lattice.residual_m(1, 0) == G1
     assert lattice.residual_m(0, 1) == G2

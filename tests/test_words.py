@@ -94,7 +94,7 @@ def test_words_match_the_golden_file(name):
 PRODUCT_CEILINGS = {
     "orth_to_herm": (6, 1283),
     "decompose_so0": (6, 2023),
-    "decompose_hgamma0": (4, 401),
+    "decompose_hgamma0": (4, 361),
 }
 
 
