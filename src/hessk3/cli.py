@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import correspond, cubic, heegner, hermitian, lattice, verify
 from .domain import psi, psi_inv
 from .eisenstein import Eisenstein
-from .errors import InvariantViolation
+from .errors import InvariantViolation, integer, rational
 from .tower import Cyclo12
 
 __all__ = ["main"]
@@ -42,22 +42,12 @@ def _fail(field: str, reason: str):
 
 
 def parse_rational(v, field: str) -> Fraction:
-    if isinstance(v, bool):
-        _fail(field, "expected a rational, got a boolean")
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, str):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             _fail(field, f"bad rational {v!r} ({exc})")
-    _fail(field, f"expected an integer or a 'p/q' string, got {type(v).__name__}")
-
-
-def parse_int(v, field: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(field, f"expected an integer, got {type(v).__name__}")
-    return v
+    return rational(v, field)
 
 
 def parse_flag(doc: dict, name: str) -> bool:
@@ -71,7 +61,7 @@ def parse_flag(doc: dict, name: str) -> bool:
 def parse_eisenstein(v, field: str) -> Eisenstein:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         _fail(field, "expected a two-element integer array")
-    return Eisenstein(parse_int(v[0], field + "[0]"), parse_int(v[1], field + "[1]"))
+    return Eisenstein(integer(v[0], field + "[0]"), integer(v[1], field + "[1]"))
 
 
 def parse_tower(v, field: str) -> Cyclo12:
@@ -92,7 +82,7 @@ def _parse_matrix(v, field: str, n: int, entry, shape: str, row_of: str = "entri
 
 
 def parse_int_matrix(v, field: str, n: int):
-    return _parse_matrix(v, field, n, parse_int, "integer matrix", "integers")
+    return _parse_matrix(v, field, n, integer, "integer matrix", "integers")
 
 
 def parse_eis_matrix(v, field: str, n: int):
@@ -104,7 +94,8 @@ def parse_tower_matrix(v, field: str, n: int):
 
 
 def parse_point(v, field: str):
-    if not isinstance(v, (list, tuple)) or len(v) != 6:
+    # domain.chart_point checks the number of coordinates
+    if not isinstance(v, (list, tuple)):
         _fail(field, "expected six field elements")
     return tuple(parse_tower(x, f"{field}[{i}]") for i, x in enumerate(v))
 
@@ -124,7 +115,7 @@ def parse_herm_word(v, field: str):
             payload = tok[1]
             if not isinstance(payload, (list, tuple)) or len(payload) != 4:
                 _fail(where, "translation payload must be four integers")
-            word.append((kind, tuple(parse_int(x, f"{where}.payload[{j}]") for j, x in enumerate(payload))))
+            word.append((kind, tuple(integer(x, f"{where}.payload[{j}]") for j, x in enumerate(payload))))
         else:
             _fail(where, f"unknown token kind {kind!r}")
     return word
@@ -206,10 +197,8 @@ def emit(command: str, inputs, outputs, code: int, status: str = "ok", diagnosti
 
 
 def cmd_invariants(args):
-    parts = args.lam.split(",")
-    if len(parts) != 5:
-        raise ValueError("lambda: expected five comma-separated rationals")
-    lam = tuple(parse_rational(p.strip(), f"lambda[{i}]") for i, p in enumerate(parts))
+    # cubic.classify checks the number of coefficients
+    lam = tuple(parse_rational(p.strip(), f"lambda[{i}]") for i, p in enumerate(args.lam.split(",")))
     rep = cubic.classify(lam)
     outputs = {
         "I8": fmt_rational(rep.invariants.i8),

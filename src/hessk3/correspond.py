@@ -153,6 +153,7 @@ _TOKENS = {
 }
 
 ORTH_TOKEN_MATS = {name: mat for name, (mat, _) in _TOKENS.items()}
+_I6 = mat_id(6)
 
 # Each token's inverse, derived once: a negative power raises the inverse.
 _ORTH_TOKEN_INVS = {name: isometry_inverse(mat) for name, mat in ORTH_TOKEN_MATS.items()}
@@ -165,11 +166,11 @@ def _token_power(name: str, p: int):
         mat = ORTH_TOKEN_MATS[name] if p >= 0 else _ORTH_TOKEN_INVS[name]
     except KeyError:
         raise ValueError(f"unknown orthogonal token {name!r}") from None
-    return power(mat, abs(p), mat_id(6), mat_mul)
+    return power(mat, abs(p), _I6, mat_mul)
 
 
 def orth_word_matrix(word):
-    return mat_prod((_token_power(name, p) for name, p in word), mat_id(6))
+    return mat_prod((_token_power(name, p) for name, p in word), _I6)
 
 
 def herm_token_to_orth(tok):
@@ -187,16 +188,19 @@ def herm_token_to_orth(tok):
 
 def herm_to_orth(uses_t: bool, uses_w: bool, word):
     """U1^t W0^w times the word image, which is tested for SO0 once."""
-    image = mat_prod(map(herm_token_to_orth, word), mat_id(6))
+    image = mat_prod(map(herm_token_to_orth, word), _I6)
     require(is_so0(image), "word image left the even orthogonal subgroup")
     flags = [m for m, used in ((U1, uses_t), (W0, uses_w)) if used]
-    return mat_prod(flags + [image], mat_id(6))
+    return mat_prod(flags + [image], _I6)
 
 
 # (s, t) with u = (-1)^s w^t for each unit u; on the A2 tail, i42 acts as
 # -1 and u2 as w, through the tail block of U2
 _UNIT_ST = dict(zip(UNITS, ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))))
 _U2_TAIL = tuple(r[4:] for r in U2[4:])
+# each tail block (-1)^s u2^(-t) with the (s, t) whose u2^t, then i42^s,
+# aligns it; u2 has order three on the tail
+_TAIL_ALIGN = {mat_scale(mat_pow(_U2_TAIL, -t % 3), (-1) ** s): (s, t) for s, t in _UNIT_ST.values()}
 
 
 def decompose_so0(x):
@@ -322,15 +326,10 @@ def _descend_so0(x):
 
     # -- align the A2 tail block ------------------------------------------
 
-    p_blk = tuple(r[4:] for r in work[4:])
-    for s, t in _UNIT_ST.values():
-        rot = mat_scale(mat_pow(_U2_TAIL, t), (-1) ** s)
-        if mat_mul(rot, p_blk) == mat_id(2):
-            lmul("u2", t)
-            lmul("i42", s)
-            break
-    else:
-        require(False, "tail block is not a unit rotation")
+    align = _TAIL_ALIGN.get(tuple(r[4:] for r in work[4:]))
+    require(align is not None, "tail block is not a unit rotation")
+    lmul("u2", align[1])
+    lmul("i42", align[0])
 
     # -- residual unipotent ------------------------------------------------
 

@@ -44,12 +44,21 @@ __all__ = [
 ]
 
 
+def _coefficients(lam) -> tuple:
+    """lam as five exact rationals, else ValueError."""
+    lam = tuple(lam)
+    if len(lam) != NVARS:
+        raise ValueError(f"lambda: expected five coefficients, got {len(lam)}")
+    return tuple(rational(x, f"lambda[{i}]") for i, x in enumerate(lam))
+
+
+def _sigma(lam):
+    return elem_sym(lam, Fraction(1), Fraction(0))
+
+
 def elem_sym_values(lam):
     """sigma1..sigma5 of lam, the coefficients of prod_i (1 + lam_i t)."""
-    lam = tuple(rational(x) for x in lam)
-    if len(lam) != NVARS:
-        raise ValueError("need exactly five coefficients")
-    return elem_sym(lam, Fraction(1), Fraction(0))
+    return _sigma(_coefficients(lam))
 
 
 @dataclass(frozen=True)
@@ -120,11 +129,12 @@ def _partners(lam, xs):
 
 
 _VARS = tuple(Poly5.var(i) for i in range(NVARS))
+_HYPERPLANE = sum(_VARS, Poly5())
 
 
 def classical_invariants(lam) -> InvariantSet:
-    lam = tuple(rational(x) for x in lam)
-    return _invariants(elem_sym_values(lam), _vandermonde(lam))
+    lam = _coefficients(lam)
+    return _invariants(_sigma(lam), _vandermonde(lam))
 
 
 # -- certificate polynomials ---------------------------------------------------
@@ -192,9 +202,7 @@ def delta_km(lam) -> Fraction:
 def hessian_equations(lam):
     """The hyperplane sum X_i and the quartic sum_i prod_{j != i} lam_j X_j,
     the sum of the partner coordinates."""
-    lam = tuple(rational(x) for x in lam)
-    zero = Poly5()
-    return sum(_VARS, zero), sum(_partners(lam, _VARS), zero)
+    return _HYPERPLANE, sum(_partners(_coefficients(lam), _VARS), Poly5())
 
 
 def hessian_singular_points():
@@ -213,22 +221,17 @@ def hessian_line_check(lam, pair) -> bool:
     """The quartic vanishes identically on the plane X_i = X_j = 0."""
     i, j = pair
     _, quartic = hessian_equations(lam)
-    killed = {}
-    for exps, coef in quartic.terms.items():
-        if exps[i] == 0 and exps[j] == 0:
-            killed[exps] = coef
-    return not killed
+    return not any(e[i] == 0 and e[j] == 0 for e in quartic.terms)
 
 
 def enriques_partner_check(lam) -> bool:
     """The coordinate swap X -> Y with Y_i = prod_{j != i} lam_j X_j sends
     the quartic, which is the sum of the Y_i, to the hyperplane times
     sigma5^4 (prod X)^3, exactly."""
-    lam = tuple(rational(x) for x in lam)
-    hyper, _ = hessian_equations(lam)
+    lam = _coefficients(lam)
     swapped = sum(_partners(lam, _partners(lam, _VARS)), Poly5())
-    s5 = elem_sym_values(lam)[4]
-    return swapped == hyper * prod(_VARS) ** 3 * s5 ** 4
+    s5 = _sigma(lam)[4]
+    return swapped == _HYPERPLANE * prod(_VARS) ** 3 * s5 ** 4
 
 
 @dataclass(frozen=True)
@@ -243,8 +246,8 @@ class LocusReport:
 
 
 def classify(lam) -> LocusReport:
-    lam = tuple(rational(x) for x in lam)
-    s = elem_sym_values(lam)
+    lam = _coefficients(lam)
+    s = _sigma(lam)
     diff = _vandermonde(lam)
     inv = _invariants(s, diff)
     degenerate = s[4] == 0

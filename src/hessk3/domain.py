@@ -27,6 +27,7 @@ from .tower import (
 
 __all__ = [
     "Point",
+    "chart_point",
     "dm_from_chart",
     "Q0",
     "dm_membership",
@@ -41,6 +42,16 @@ Point = tuple
 
 def _c(v) -> Cyclo12:
     return v if isinstance(v, Cyclo12) else Cyclo12(v)
+
+
+def chart_point(z) -> Point:
+    """z as six Cyclo12 coordinates with z1 = 1, else ValueError."""
+    z = tuple(map(_c, z))
+    if len(z) != 6:
+        raise ValueError(f"z: expected six coordinates, got {len(z)}")
+    if z[0] != C_ONE:
+        raise ValueError("point is not chart normalized (z1 = 1)")
+    return z
 
 
 def dm_from_chart(z3, z4, z5, z6) -> Point:
@@ -58,13 +69,12 @@ Q0 = dm_from_chart(Cyclo12(0, 0, 2, 0), Cyclo12(0, 0, 2, 0), 0, 0)
 def dm_membership(z: Point) -> str:
     """Component of the domain: "plus", "minus", or "none".
 
-    The point must be chart normalized (z1 = 1), or ValueError.  Membership
-    needs t(z) Q z = 0 and t(z) Q conj(z) > 0; the component is the sign of
-    Im z3, which is nonzero on the domain since the positivity forces
-    Im z3 * Im z4 > 0 in the chart.
+    z must pass chart_point.  Membership needs t(z) Q z = 0 and
+    t(z) Q conj(z) > 0; the component is the sign of Im z3, which is
+    nonzero on the domain since the positivity forces Im z3 * Im z4 > 0 in
+    the chart.
     """
-    if z[0] != C_ONE:
-        raise ValueError("point is not chart normalized (z1 = 1)")
+    z = chart_point(z)
     if not qpair(z, z).is_zero():
         return "none"
     pos = qpair(z, tuple(x.conj() for x in z))
@@ -87,6 +97,7 @@ def act(g, z: Point) -> Point:
 
 def psi(z: Point) -> Mat2C:
     """Matrix coordinate ((z3, z5 + w z6), (z5 + w^2 z6, z4)) of a plus point."""
+    z = chart_point(z)
     if dm_membership(z) != "plus":
         raise ValueError("psi needs a point of the plus component")
     return ((z[2], z[4] + C_OMEGA * z[5]), (z[4] + C_OMEGA2 * z[5], z[3]))

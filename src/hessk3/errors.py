@@ -1,9 +1,11 @@
-"""Shared exception types and the input guards for exact integers and rationals.
+"""Shared exception types and the two scalar guards, integer and rational.
 
 ValueError is reserved for caller mistakes: malformed input or violated
-preconditions.  InvariantViolation means the library itself derived
-something inconsistent, i.e. a postcondition or a proof-backed shape
-assertion failed, so the surrounding computation cannot be trusted.
+preconditions.  A type mistake (a float, bool or string where an exact int
+or rational belongs) raises InputTypeError, both a TypeError and a
+ValueError.  InvariantViolation means the library itself derived something
+inconsistent, i.e. a postcondition or a proof-backed shape assertion
+failed, so the surrounding computation cannot be trusted.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ class InvariantViolation(AssertionError):
     """An internal consistency check failed."""
 
 
+class InputTypeError(TypeError, ValueError):
+    """A caller passed a value of the wrong type."""
+
+
 def require(condition: bool, message: str) -> None:
     """Check an internal invariant; active regardless of python -O."""
     if not condition:
@@ -22,18 +28,16 @@ def require(condition: bool, message: str) -> None:
 
 
 def integer(x, what: str) -> int:
-    """x itself when it is an int other than a bool, else TypeError naming
-    what x was meant to be."""
+    """x when it is an int other than a bool, else InputTypeError."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    raise TypeError(f"{what} must be an int, not {type(x).__name__}")
+    raise InputTypeError(f"{what}: expected an integer, got {type(x).__name__}")
 
 
-def rational(x) -> Fraction:
-    """x as a Fraction; only an int or a Fraction is accepted, so a float
-    never enters exact arithmetic."""
+def rational(x, what: str) -> Fraction:
+    """x as a Fraction when it is a Fraction or an int other than a bool."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
+    raise InputTypeError(f"{what}: expected an exact rational, got {type(x).__name__}")

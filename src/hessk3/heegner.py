@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domain import Point, h2_contains, psi
+from .domain import Point, chart_point, h2_contains, psi
 from .errors import require
 from .hermitian import B_COSETS
 from .lattice import det_int, mat_det2, orthogonal_complement, qpair
@@ -69,18 +69,17 @@ def heegner_membership(tau: Mat2C) -> HeegnerFlags:
 
 
 def chart_flags(z: Point) -> HeegnerFlags:
-    if z[0] != C_ONE:
-        raise ValueError("point is not chart normalized")
-    one = C_ONE
+    z = chart_point(z)
     return HeegnerFlags(
-        node=(z[1] - one).is_zero(),
+        node=(z[1] - C_ONE).is_zero(),
         eckardt=(z[5] - z[4] * 2).is_zero(),
         ns=z[5].is_zero(),
-        km=(z[5] * 2 - one).is_zero(),
+        km=(z[5] * 2 - C_ONE).is_zero(),
     )
 
 
 def perp_flags(z: Point) -> HeegnerFlags:
+    z = chart_point(z)
     return HeegnerFlags(**{name: qpair(z, v).is_zero() for name, v in PERP_VECTORS.items()})
 
 

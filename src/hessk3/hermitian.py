@@ -97,13 +97,14 @@ __all__ = [
 
 
 def m2e(rows):
-    out = []
-    for r in rows:
-        row = []
-        for x in r:
-            row.append(x if isinstance(x, Eisenstein) else Eisenstein(x, 0))
-        out.append(tuple(row))
-    return tuple(out)
+    """A 2x2 matrix over Z[w] from rows of Eisenstein integers and ints."""
+    out = tuple(
+        tuple(x if isinstance(x, Eisenstein) else Eisenstein(integer(x, "matrix entry"), 0) for x in r)
+        for r in rows
+    )
+    if len(out) != 2 or any(len(r) != 2 for r in out):
+        raise ValueError("expected a 2x2 matrix")
+    return out
 
 
 _I2 = mat_id(2, ONE, ZERO)
@@ -127,12 +128,12 @@ def m2e_mod2(a):
     return tuple(tuple(a[i][j].mod2() for j in range(2)) for i in range(2))
 
 
+# the identity over F4, whose elements are pairs (x, y) for x + y w
+F4_ID = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+
+
 def _m2e_even(a) -> bool:
     return all(a[i][j].mod2() == (0, 0) for i in range(2) for j in range(2))
-
-
-def _m2e_odd_id(a) -> bool:
-    return m2e_mod2(a) == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
 
 
 # -- 4x4 matrices ------------------------------------------------------------
@@ -187,13 +188,10 @@ def membership(g) -> str:
     jg = (g[2], g[3]) + mat_neg(g[:2])
     if mat_mul(mat_conj_transpose(g), jg) != J_MAT:
         return "none"
-    _, _, c, _ = blocks(g)
+    a, _, c, _ = blocks(g)
     if not _m2e_even(c):
         return "full"
-    a, _, _, _ = blocks(g)
-    if _m2e_odd_id(a):
-        return "gamma1"
-    return "gamma0"
+    return "gamma1" if m2e_mod2(a) == F4_ID else "gamma0"
 
 
 # -- action on the half-space -------------------------------------------------
@@ -377,7 +375,7 @@ def _descend_hgamma1(g):
     a_r, b_r, c_r, _ = blocks(work)
     require(all(x.is_zero() for row in c_r for x in row), "lower-left block did not vanish")
     require(mat_det2(a_r).is_unit(), "residual A block is not invertible")
-    require(_m2e_odd_id(a_r), "residual A block left the congruence kernel")
+    require(m2e_mod2(a_r) == F4_ID, "residual A block left the congruence kernel")
     h = mat_mul(m2e_inv(a_r), b_r)
     require(
         h[0][0].b == 0 and h[1][1].b == 0 and h[1][0] == h[0][1].conj(),
@@ -415,9 +413,6 @@ def f4_mat_mul(a, b):
 
 def f4_det(a):
     return f4_add(f4_mul(a[0][0], a[1][1]), f4_mul(a[0][1], a[1][0]))
-
-
-F4_ID = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
 
 
 def f_mod2(g):

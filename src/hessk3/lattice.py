@@ -589,15 +589,14 @@ def enumerate_disc_orthogonal() -> list:
 def orthogonal_complement(v):
     """Integer basis of v^perp in M and its Gram matrix.
 
-    v must be nonzero and primitive, with int coordinates.  The kernel of
-    the functional x -> t(v) Q x is computed by unimodular column
+    v must be nonzero and primitive, with six int coordinates.  The kernel
+    of the functional x -> t(v) Q x is computed by unimodular column
     operations, so the basis spans the full (saturated) complement, of
     rank five.
     """
-    v = tuple(v)
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError(f"expected int coordinates, got {type(x).__name__}")
+    v = tuple(integer(x, f"v[{i}]") for i, x in enumerate(v))
+    if len(v) != N:
+        raise ValueError(f"v: expected six coordinates, got {len(v)}")
     if not any(v):
         raise ValueError("complement of the zero vector")
     if gcd(*v) != 1:

@@ -107,7 +107,7 @@ class Poly5:
         return None
 
     def eval(self, point) -> Fraction:
-        point = [rational(p) for p in point]
+        point = [rational(p, "evaluation point coordinate") for p in point]
         if len(point) != NVARS:
             raise ValueError("evaluation point has wrong arity")
         total = Fraction(0)

@@ -38,13 +38,13 @@ __all__ = [
 class Cyclo12:
     """a + b*sqrt3 + c*i + d*sqrt3*i with rational a, b, c, d.
 
-    Coordinates are ints or Fractions; anything else is a TypeError.
+    Coordinates are ints or Fractions; anything else (a bool too) is an InputTypeError.
     """
 
     __slots__ = ("_n", "_den")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        xs = (rational(a), rational(b), rational(c), rational(d))
+        xs = tuple(rational(x, "field coordinate") for x in (a, b, c, d))
         # over the lcm of reduced denominators, no common factor is left
         den = lcm(*(x.denominator for x in xs))
         self._n = tuple(x.numerator * (den // x.denominator) for x in xs)

@@ -167,5 +167,5 @@ def test_orth_word_matrix_rejects_unknown_tokens():
         orth_word_matrix([("g1", 1), ("h5", 2)])
     # a power is an int: True is not read as 1, nor 1.5 left to the product
     for p in (True, 1.5, "2", Fraction(1)):
-        with pytest.raises(TypeError, match="token power must be an int"):
+        with pytest.raises(TypeError, match="token power: expected an integer"):
             orth_word_matrix([("g1", p)])

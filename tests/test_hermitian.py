@@ -101,12 +101,12 @@ def test_herm_b_is_hermitian_and_additive():
 
 
 def test_upper_translation_rejects_a_float_parameter():
-    with pytest.raises(TypeError, match="translation parameter must be an int"):
+    with pytest.raises(TypeError, match="translation parameter: expected an integer"):
         g_upper((0.5, 0, 0, 0))
 
 
 def test_lower_translation_rejects_a_fraction_parameter():
-    with pytest.raises(TypeError, match="translation parameter must be an int"):
+    with pytest.raises(TypeError, match="translation parameter: expected an integer"):
         g_lower((Fraction(1, 2), 0, 0, 0))
 
 

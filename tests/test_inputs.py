@@ -1,0 +1,140 @@
+"""Caller input at the library's entry points.
+
+Each rule for an exact input lives in one place: the scalar guards in
+errors, the coefficient count in cubic, lattice vectors in lattice and
+chart points in domain.  The regression tests below are inputs that used
+to be answered; the property checks that the entry points answer only
+well-formed input and otherwise raise TypeError or ValueError.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hessk3.cubic import classify, elem_sym_values, hessian_equations, hessian_line_check
+from hessk3.domain import Q0, dm_membership, psi
+from hessk3.errors import InputTypeError, integer, rational
+from hessk3.heegner import chart_flags, perp_equivalence, perp_flags
+from hessk3.hermitian import g_upper, m2e
+from hessk3.lattice import orthogonal_complement, translation_h
+from hessk3.poly import elem_sym_polys
+from hessk3.tower import C_ZERO, Cyclo12
+
+
+@pytest.mark.parametrize("guard", [integer, rational])
+@pytest.mark.parametrize("x", [True, 0.5, "1", None])
+def test_scalar_guards_raise_one_type_and_value_error(guard, x):
+    with pytest.raises(InputTypeError, match="^x: expected an") as caught:
+        guard(x, "x")
+    assert isinstance(caught.value, TypeError) and isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("lam", [(1, 2, 3, 4), (1, 2, 3, 4, 5, 6)])
+def test_lambda_of_the_wrong_length_is_rejected(lam):
+    with pytest.raises(ValueError, match="lambda: expected five coefficients"):
+        hessian_equations(lam)
+    with pytest.raises(ValueError, match="lambda: expected five coefficients"):
+        hessian_line_check(lam, (0, 1))
+
+
+@pytest.mark.parametrize("v", [(1, 0, 0, 0, 0, 0, 7), (1, 0, 0, 0, 0)])
+def test_lattice_vector_of_the_wrong_length_is_rejected(v):
+    with pytest.raises(ValueError, match="v: expected six coordinates"):
+        orthogonal_complement(v)
+
+
+@pytest.mark.parametrize("z", [Q0 + (C_ZERO,), Q0[:5]], ids=["seven", "five"])
+@pytest.mark.parametrize("fn", [psi, dm_membership, chart_flags, perp_flags, perp_equivalence])
+def test_chart_point_of_the_wrong_length_is_rejected(fn, z):
+    with pytest.raises(ValueError, match="z: expected six coordinates"):
+        fn(z)
+
+
+def test_a_bool_is_not_a_rational():
+    with pytest.raises(TypeError, match=r"lambda\[0\]: expected an exact rational, got bool"):
+        classify((True, 2, 3, 4, 5))
+    with pytest.raises(TypeError, match="field coordinate: expected an exact rational, got bool"):
+        Cyclo12(True)
+
+
+def test_m2e_rejects_a_float_entry():
+    with pytest.raises(TypeError, match="matrix entry: expected an integer, got float"):
+        m2e(((0.5, 0), (0, 2)))
+
+
+# -- the contract as a property ------------------------------------------------
+
+_INT, _RAT = "int", "rational"
+
+
+def _spread(fn):
+    """fn taking the entries of a tuple as its arguments, anything else as one."""
+    return lambda xs: fn(*xs) if type(xs) is tuple else fn(xs)
+
+
+# each entry point with the shape of its one argument: a scalar kind, or
+# (the allowed lengths, the shape of each entry)
+_ENTRY_POINTS = {
+    "translation_h": (_spread(translation_h), ({4}, _INT)),
+    "g_upper": (g_upper, ({4}, _INT)),
+    "m2e": (m2e, ({2}, ({2}, _INT))),
+    "orthogonal_complement": (orthogonal_complement, ({6}, _INT)),
+    "classify": (classify, ({5}, _RAT)),
+    "elem_sym_values": (elem_sym_values, ({5}, _RAT)),
+    "hessian_equations": (hessian_equations, ({5}, _RAT)),
+    "dm_membership": (dm_membership, ({6}, _RAT)),
+    "chart_flags": (chart_flags, ({6}, _RAT)),
+    "Cyclo12": (_spread(Cyclo12), (set(range(5)), _RAT)),
+    "Poly5.eval": (elem_sym_polys()[1].eval, ({5}, _RAT)),
+}
+
+_EXACT = {
+    _INT: st.integers(-2, 2),
+    _RAT: st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3),
+}
+_JUNK = (
+    st.booleans()
+    | st.floats(-2, 2)
+    | st.text(max_size=2)
+    | st.none()
+    | st.lists(st.integers(-2, 2), max_size=7).map(tuple)
+)
+
+
+def _fits(value, shape) -> bool:
+    if shape == _INT:
+        return type(value) is int
+    if shape == _RAT:
+        return type(value) in (int, Fraction)
+    lengths, entry = shape
+    return type(value) is tuple and len(value) in lengths and all(_fits(x, entry) for x in value)
+
+
+def _values(shape):
+    """Values of the shape, now and then with a wrong length or a junk entry."""
+    if isinstance(shape, str):
+        exact = _EXACT[shape]
+    else:
+        lengths, entry = shape
+        # a length from 0 to 7 about one time in five, else an allowed one
+        size = st.integers(0, 9).flatmap(
+            lambda k: st.integers(0, 7) if k < 2 else st.sampled_from(sorted(lengths))
+        )
+        exact = size.flatmap(lambda n: st.tuples(*[_values(entry)] * n))
+    return st.integers(0, 19).flatmap(lambda k: _JUNK if k == 0 else exact)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_ENTRY_POINTS)).flatmap(
+    lambda name: st.tuples(st.just(name), _values(_ENTRY_POINTS[name][1]))
+))
+def test_entry_points_answer_only_well_formed_input(case):
+    name, arg = case
+    fn, shape = _ENTRY_POINTS[name]
+    try:
+        fn(arg)
+    except (TypeError, ValueError):
+        return
+    assert _fits(arg, shape), f"{name} answered {arg!r}"

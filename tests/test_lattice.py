@@ -231,7 +231,7 @@ def test_translation_identity():
 
 
 def test_translation_rejects_a_float_parameter():
-    with pytest.raises(TypeError, match="translation parameter must be an int"):
+    with pytest.raises(TypeError, match="translation parameter: expected an integer"):
         translation_h(0.5, 0, 0, 0)
 
 
@@ -449,5 +449,5 @@ def test_orthogonal_complement_rejections():
 @pytest.mark.parametrize("x", [1.5, "1", Fraction(3, 2), True])
 def test_orthogonal_complement_rejects_non_int_coordinates(x):
     # int(x) would have read each of these as 1 and answered for e1
-    with pytest.raises(TypeError, match="expected int coordinates"):
+    with pytest.raises(TypeError, match=r"v\[0\]: expected an integer"):
         orthogonal_complement((x, 0, 0, 0, 0, 0))
