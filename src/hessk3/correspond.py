@@ -83,9 +83,12 @@ __all__ = [
 def psi_hom(a):
     """6x6 isometry induced by a unit-determinant 2x2 matrix over Z[w].
 
-    The first hyperbolic plane is fixed; on the remaining four coordinates
-    the entry pattern is quadratic in the input, with the real rows given
-    by norms and doubled real parts and the two tail rows by w-coefficients.
+    The first hyperbolic plane is fixed.  On coordinates 3..6, read as the
+    parameters m of herm_b (m1 = X11, m2 = X22, m3 + w m4 = X12), it is the
+    congruence B(m) -> a B(m) a*.  The entries are that map written out,
+    quadratic in a: the real rows are norms and doubled real parts, the
+    two tail rows w-coefficients.  Forming a B(m) a* instead costs about
+    four times as much per call.
     """
     if not mat_det2(a).is_unit():
         raise ValueError("matrix must have unit determinant")

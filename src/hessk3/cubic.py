@@ -22,7 +22,7 @@ from functools import cache
 from itertools import combinations, permutations
 from math import prod
 
-from .errors import rational, require
+from .errors import integer, rational, require
 from .poly import NVARS, Poly5, elem_sym, elem_sym_polys, halve_exponents, reciprocal_clear
 
 __all__ = [
@@ -218,7 +218,11 @@ def hessian_singular_points():
 
 
 def hessian_line_check(lam, pair) -> bool:
-    """The quartic vanishes identically on the plane X_i = X_j = 0."""
+    """The quartic vanishes identically on the plane X_i = X_j = 0, for a
+    pair of distinct indices in 0..4."""
+    pair = tuple(integer(k, "pair index") for k in pair)
+    if len(pair) != 2 or pair[0] == pair[1] or not all(0 <= k < NVARS for k in pair):
+        raise ValueError(f"pair: expected two distinct indices in 0..{NVARS - 1}, got {pair}")
     i, j = pair
     _, quartic = hessian_equations(lam)
     return not any(e[i] == 0 and e[j] == 0 for e in quartic.terms)

@@ -87,8 +87,9 @@ def dm_membership(z: Point) -> str:
 
 
 def act(g, z: Point) -> Point:
-    """Projective action of an integer matrix, renormalized to z1 = 1."""
-    w = mat_vec(g, z)
+    """Projective action of an integer matrix on a chart point (z must pass
+    chart_point), renormalized to z1 = 1."""
+    w = mat_vec(g, chart_point(z))
     if w[0].is_zero():
         raise ValueError("chart escape")
     inv = w[0].inverse()

@@ -51,6 +51,7 @@ from .lattice import (
     mat_scale,
     mat_sub,
     mat_transpose,
+    mat_vec,
     power,
 )
 from .tower import Mat2C, from_eisenstein
@@ -79,9 +80,6 @@ __all__ = [
     "decompose_hgamma1",
     "decompose_hgamma0",
     "f_mod2",
-    "f4_mul",
-    "f4_mat_mul",
-    "f4_det",
     "gl2f4_group",
     "section_lift",
     "p1_f4_points",
@@ -176,9 +174,11 @@ def g_lower(m):
 
 
 def g_a(a):
-    if not mat_det2(a).is_unit():
+    d = mat_det2(a)
+    if not d.is_unit():
         raise ValueError("gA block must have unit determinant")
-    return from_blocks(a, _Z2, _Z2, m2e_inv(mat_conj_transpose(a)))
+    # det A* = conj(d), whose inverse is d for a unit d
+    return from_blocks(a, _Z2, _Z2, mat_inv2(mat_conj_transpose(a), d))
 
 
 def membership(g) -> str:
@@ -392,27 +392,10 @@ def _descend_hgamma1(g):
 
 
 # -- mod-2 reduction and section ------------------------------------------------
+# F4 = Z[w]/2 has no arithmetic of its own: products are taken on lifts to
+# Z[w] and reduced with Eisenstein.mod2.
 
 F4_ELEMS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def f4_mul(x, y):
-    return ((x[0] * y[0] + x[1] * y[1]) & 1, (x[0] * y[1] + x[1] * y[0] + x[1] * y[1]) & 1)
-
-
-def f4_add(x, y):
-    return (x[0] ^ y[0], x[1] ^ y[1])
-
-
-def f4_mat_mul(a, b):
-    return tuple(
-        tuple(f4_add(f4_mul(a[i][0], b[0][j]), f4_mul(a[i][1], b[1][j])) for j in range(2))
-        for i in range(2)
-    )
-
-
-def f4_det(a):
-    return f4_add(f4_mul(a[0][0], a[1][1]), f4_mul(a[0][1], a[1][0]))
 
 
 def f_mod2(g):
@@ -491,13 +474,13 @@ def p1_f4_points():
 
 
 def p1_action(fm, pt):
-    x = f4_add(f4_mul(fm[0][0], pt[0]), f4_mul(fm[0][1], pt[1]))
-    y = f4_add(f4_mul(fm[1][0], pt[0]), f4_mul(fm[1][1], pt[1]))
-    if y != (0, 0):
-        # normalize second coordinate to 1
-        inv = next(u for u in F4_ELEMS if f4_mul(u, y) == (1, 0))
-        return (f4_mul(inv, x), (1, 0))
-    require(x != (0, 0), "projective image vanished")
+    """fm applied to a point of P1(F4), on lifts to Z[w] reduced mod 2.  A
+    y nonzero mod 2 is scaled to 1 by conj(y), as y conj(y) = N(y) is odd."""
+    lift = tuple(tuple(Eisenstein(*c) for c in r) for r in fm)
+    x, y = mat_vec(lift, [Eisenstein(*c) for c in pt])
+    if y.mod2() != (0, 0):
+        return ((x * y.conj()).mod2(), (1, 0))
+    require(x.mod2() != (0, 0), "projective image vanished")
     return ((1, 0), (0, 0))
 
 

@@ -1,5 +1,6 @@
 """Transport between the 6x6 isometries and the Hermitian modular side."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from hessk3.domain import act, psi
 from hessk3.eisenstein import UNITS, ZERO
 from hessk3.hermitian import (
     equal_mod_units,
+    herm_b,
     involution_T,
     involution_W,
     m2e,
@@ -31,6 +33,7 @@ from hessk3.hermitian import (
 from hessk3.lattice import (
     U1,
     W0,
+    mat_conj_transpose,
     mat_id,
     mat_mul,
     mat_neg,
@@ -53,6 +56,22 @@ def test_psi_hom_frozen_images():
             assert psi_hom(tok[1]) == orth, name
     with pytest.raises(ValueError, match="unit determinant"):
         psi_hom(m2e(((1, 0), (0, 2))))
+
+
+def test_psi_hom_is_congruence_by_a_on_hermitian_matrices():
+    # on coordinates 3..6, read as the parameters m of herm_b, psi_hom(a)
+    # sends B(m) to a B(m) a*; both sides are linear in m, so the four unit
+    # vectors pin all sixteen entries
+    rng = random.Random(1)
+    samples = [sampling.sample_gl2_matrix(rng, 5) for _ in range(100)]
+    for a in samples + [m2e(((u, 0), (0, u))) for u in UNITS]:
+        image = psi_hom(a)
+        assert image[:2] == mat_id(6)[:2] and all(row[:2] == (0, 0) for row in image[2:])
+        for j in range(4):
+            m = tuple(int(k == j) for k in range(4))
+            x = mat_mul(a, mat_mul(herm_b(m), mat_conj_transpose(a)))
+            assert x[1][0] == x[0][1].conj() and x[0][0].b == 0 and x[1][1].b == 0
+            assert tuple(row[2 + j] for row in image[2:]) == (x[0][0].a, x[1][1].a, x[0][1].a, x[0][1].b)
 
 
 def test_psi_hom_is_multiplicative():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hessk3 import sampling
-from hessk3.eisenstein import OMEGA, OMEGA2, ONE, ZERO, Eisenstein
+from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein
 from hessk3.hermitian import (
     B_COSETS,
     F4_ELEMS,
@@ -18,9 +18,6 @@ from hessk3.hermitian import (
     decompose_hgamma1,
     embed_from_hgamma0,
     equal_mod_units,
-    f4_det,
-    f4_mat_mul,
-    f4_mul,
     f_mod2,
     from_blocks,
     g_a,
@@ -43,7 +40,7 @@ from hessk3.hermitian import (
     token_power,
     word_matrix,
 )
-from hessk3.lattice import mat_conj_transpose, mat_id, mat_mul, mat_neg, mat_sub
+from hessk3.lattice import mat_conj_transpose, mat_det2, mat_id, mat_mul, mat_neg, mat_sub, mat_vec
 from hessk3.tower import from_eisenstein
 
 I4 = mat_id(4, ONE, ZERO)
@@ -248,17 +245,26 @@ def test_decompose_hgamma0_tests_membership_once(monkeypatch):
         assert mat_mul(g_a(lift), word_matrix(tail)) == g
 
 
+def _lift(fm):
+    """Each F4 pair (x, y) of a matrix read as x + y w in Z[w]."""
+    return tuple(tuple(Eisenstein(*x) for x in row) for row in fm)
+
+
 def test_f4_field():
-    omega = (0, 1)
-    assert f4_mul(omega, omega) == (1, 1)
-    assert f4_mul(omega, (1, 1)) == (1, 0)
+    # F4 is Z[w]/2: the class of a product does not depend on the lifts
+    assert (OMEGA * OMEGA).mod2() == (1, 1)
+    assert (OMEGA * Eisenstein(1, 1)).mod2() == (1, 0)
     for x in F4_ELEMS:
-        assert f4_mul(x, (1, 0)) == x
+        lx = Eisenstein(*x)
+        assert lx.mod2() == x
+        for y in F4_ELEMS:
+            ly = Eisenstein(*y)
+            assert (lx * ly).mod2() == ((lx + 2 * OMEGA) * (ly - 2)).mod2()
         if x != (0, 0):
-            assert any(f4_mul(x, y) == (1, 0) for y in F4_ELEMS)
-        # Frobenius is the square map, and cubes of nonzero elements are 1
-        x3 = f4_mul(x, f4_mul(x, x))
-        assert x3 == ((1, 0) if x != (0, 0) else (0, 0))
+            # conj inverts every nonzero class: x conj(x) = N(x) is odd
+            assert (lx * lx.conj()).mod2() == (1, 0)
+        # cubes of nonzero elements are 1
+        assert (lx * lx * lx).mod2() == ((1, 0) if x != (0, 0) else (0, 0))
 
 
 def test_mod2_reduction_is_a_homomorphism():
@@ -266,7 +272,8 @@ def test_mod2_reduction_is_a_homomorphism():
     for _ in range(15):
         g = word_matrix(sampling.sample_hgamma0_word(rng, 3))
         h = word_matrix(sampling.sample_hgamma0_word(rng, 3))
-        assert f_mod2(mat_mul(g, h)) == f4_mat_mul(f_mod2(g), f_mod2(h))
+        lifts = mat_mul(section_lift(f_mod2(g)), section_lift(f_mod2(h)))
+        assert f_mod2(mat_mul(g, h)) == m2e_mod2(lifts)
     with pytest.raises(ValueError, match="mod-2 reduction needs a gamma0 element"):
         f_mod2(J_MAT)
 
@@ -276,7 +283,7 @@ def test_section_table_and_group():
     assert len(group) == 180
     assert F4_ID in group
     for fm in group:
-        assert f4_det(fm) != (0, 0)
+        assert mat_det2(_lift(fm)).mod2() != (0, 0)
         lift = section_lift(fm)
         assert m2e_mod2(lift) == fm
         assert membership(g_a(lift)) in ("gamma0", "gamma1")
@@ -295,11 +302,19 @@ def test_p1_f4():
         assert p1_action(scalar, pt) == pt
     fm = (((1, 0), (1, 0)), ((0, 0), (1, 0)))
     gm = (((0, 1), (0, 0)), ((0, 0), (1, 1)))
+    fgm = m2e_mod2(mat_mul(_lift(fm), _lift(gm)))
     for pt in pts:
-        assert p1_action(f4_mat_mul(fm, gm), pt) == p1_action(fm, p1_action(gm, pt))
+        assert p1_action(fgm, pt) == p1_action(fm, p1_action(gm, pt))
     # any invertible matrix permutes the five points
     img = {p1_action(fm, pt) for pt in pts}
     assert img == set(pts)
+    # the image is the point on the line of the reduced product: some unit
+    # multiple of its lift agrees with fm pt mod 2
+    for fm in gl2f4_group():
+        for pt in pts:
+            image = [Eisenstein(*x) for x in p1_action(fm, pt)]
+            want = tuple(v.mod2() for v in mat_vec(_lift(fm), [Eisenstein(*x) for x in pt]))
+            assert any(tuple((u * x).mod2() for x in image) == want for u in UNITS)
 
 
 COSET_CASES = [

@@ -8,17 +8,18 @@ well-formed input and otherwise raise TypeError or ValueError.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessk3.cubic import classify, elem_sym_values, hessian_equations, hessian_line_check
-from hessk3.domain import Q0, dm_membership, psi
+from hessk3.domain import Q0, act, dm_membership, psi
 from hessk3.errors import InputTypeError, integer, rational
 from hessk3.heegner import chart_flags, perp_equivalence, perp_flags
 from hessk3.hermitian import g_upper, m2e
-from hessk3.lattice import orthogonal_complement, translation_h
+from hessk3.lattice import G1, orthogonal_complement, translation_h
 from hessk3.poly import elem_sym_polys
 from hessk3.tower import C_ZERO, Cyclo12
 
@@ -50,6 +51,25 @@ def test_lattice_vector_of_the_wrong_length_is_rejected(v):
 def test_chart_point_of_the_wrong_length_is_rejected(fn, z):
     with pytest.raises(ValueError, match="z: expected six coordinates"):
         fn(z)
+
+
+@pytest.mark.parametrize("z", [Q0 + (C_ZERO,), Q0[:5]], ids=["seven", "five"])
+def test_act_rejects_a_point_of_the_wrong_length(z):
+    # both used to answer with six coordinates
+    with pytest.raises(ValueError, match="z: expected six coordinates"):
+        act(G1, z)
+
+
+@pytest.mark.parametrize("pair", [(0, 9), (-1, 0), (2, 2), (0, 1, 2)])
+def test_hessian_line_check_rejects_a_bad_pair(pair):
+    # (0, 9) raised IndexError, (-1, 0) answered for X5
+    with pytest.raises(ValueError, match="pair: expected two distinct indices in 0..4"):
+        hessian_line_check((1, 2, 3, 4, 5), pair)
+
+
+def test_hessian_line_check_rejects_a_bool_index():
+    with pytest.raises(TypeError, match="pair index: expected an integer, got bool"):
+        hessian_line_check((1, 2, 3, 4, 5), (True, 2))
 
 
 def test_a_bool_is_not_a_rational():
@@ -86,6 +106,7 @@ _ENTRY_POINTS = {
     "hessian_equations": (hessian_equations, ({5}, _RAT)),
     "dm_membership": (dm_membership, ({6}, _RAT)),
     "chart_flags": (chart_flags, ({6}, _RAT)),
+    "act": (partial(act, G1), ({6}, _RAT)),
     "Cyclo12": (_spread(Cyclo12), (set(range(5)), _RAT)),
     "Poly5.eval": (elem_sym_polys()[1].eval, ({5}, _RAT)),
 }

@@ -3,14 +3,14 @@ meant to catch it reports it.
 
 A check that no fault can flip certifies nothing (DeMillo, Lipton and
 Sayward, *Hints on test data selection*, 1978).  Every test here patches
-one table, sampler or formula, runs the suite that holds the check at
-seed 0 with the interactive sizes of `verify.SIZES`, and asserts the
-named outcome.  pytest's monkeypatch undoes each fault afterwards.
+one table, sampler, formula or descent, runs the suite that holds the
+check at seed 0 with the interactive sizes of `verify.SIZES`, and asserts
+the named outcome.  pytest's monkeypatch undoes each fault afterwards.
 """
 
 import pytest
 
-from hessk3 import correspond, lattice, sampling, verify
+from hessk3 import correspond, hermitian, lattice, sampling, verify
 from hessk3.eisenstein import OMEGA
 from hessk3.errors import InvariantViolation
 from hessk3.hermitian import m2e
@@ -112,4 +112,20 @@ def test_images_conjugated_inside_the_even_subgroup_are_caught(monkeypatch):
     # u0u1, i42 and u2 commute with I42, so their image checks cannot see it
     assert failed("group-iso") == {"image-g1", "image-g2", "image-u0g1u0"}
     with pytest.raises(InvariantViolation, match="transport does not recover the input"):
+        verify.run_suite("decompose-fuzz", 0)
+
+
+@pytest.mark.parametrize(
+    "module, descent, message",
+    [
+        (hermitian, "_descend_hgamma1", "decomposition does not multiply back"),
+        (correspond, "_descend_so0", "word does not multiply back"),
+    ],
+)
+def test_a_descent_that_drops_its_last_token_is_caught(monkeypatch, module, descent, message):
+    # decompose-fuzz checks that the entry point returns, so the entry
+    # point's own certificate must see the wrong word
+    exact = getattr(module, descent)
+    monkeypatch.setattr(module, descent, lambda g: exact(g)[:-1])
+    with pytest.raises(InvariantViolation, match=message):
         verify.run_suite("decompose-fuzz", 0)

@@ -9,7 +9,8 @@ are stored, not re-sampled, so a change to the samplers cannot move them.
 
 The same inputs pin the cost of the word layer: each public entry point
 certifies its answer once, so the number of matrix products it takes is
-bounded, and a second proof of the same answer fails the bound.
+bounded, and a second proof of the same answer fails the bound.  The
+verify suites that run the entry points are bounded the same way.
 
 Regenerate only when a change to the words is intended:
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from hessk3 import lattice, sampling
+from hessk3 import lattice, sampling, verify
 from hessk3.correspond import decompose_so0, orth_to_herm
 from hessk3.eisenstein import Eisenstein
 from hessk3.hermitian import decompose_hgamma0, decompose_hgamma1, word_matrix
@@ -97,10 +98,18 @@ PRODUCT_CEILINGS = {
     "decompose_hgamma0": (4, 361),
 }
 
+# At most this many n x n products in one verify suite at seed 0 with the
+# default sizes, as {n: total}.  The suites rest on the entry points'
+# certificates, so a check that proves an answer a second time fails the
+# bound.
+SUITE_PRODUCT_CEILINGS = {
+    "decompose-fuzz": {6: 3219, 4: 1678},
+    "enr-iso": {6: 419},
+}
 
-@pytest.mark.parametrize("name", sorted(PRODUCT_CEILINGS))
-def test_one_certificate_per_answer_bounds_the_products(name, monkeypatch):
-    size, ceiling = PRODUCT_CEILINGS[name]
+
+def _product_sizes(monkeypatch) -> list:
+    """The sizes of the matrix products taken from here on, in order."""
     exact = lattice.mat_mul
     sizes = []
 
@@ -111,9 +120,25 @@ def test_one_certificate_per_answer_bounds_the_products(name, monkeypatch):
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("hessk3") and getattr(module, "mat_mul", None) is exact:
             monkeypatch.setattr(module, "mat_mul", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CEILINGS))
+def test_one_certificate_per_answer_bounds_the_products(name, monkeypatch):
+    size, ceiling = PRODUCT_CEILINGS[name]
+    sizes = _product_sizes(monkeypatch)
     for case in _cases(name):
         FUNCTIONS[name](_dec(case["input"]))
     assert sizes.count(size) <= ceiling
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_PRODUCT_CEILINGS))
+def test_suites_prove_each_answer_once(suite, monkeypatch):
+    sizes = _product_sizes(monkeypatch)
+    verify.run_suite(suite, 0)
+    ceilings = SUITE_PRODUCT_CEILINGS[suite]
+    counts = {n: sizes.count(n) for n in ceilings}
+    assert all(counts[n] <= ceilings[n] for n in ceilings), counts
 
 
 if __name__ == "__main__":
