@@ -13,7 +13,7 @@ All tests are exact; nothing here touches floats.
 
 from __future__ import annotations
 
-from .errors import require
+from .errors import integer, require
 from .lattice import mat_det2, mat_vec, qpair
 from .tower import (
     C_OMEGA,
@@ -87,8 +87,11 @@ def dm_membership(z: Point) -> str:
 
 
 def act(g, z: Point) -> Point:
-    """Projective action of an integer matrix on a chart point (z must pass
-    chart_point), renormalized to z1 = 1."""
+    """Projective action of a 6x6 integer matrix on a chart point (z must
+    pass chart_point), renormalized to z1 = 1."""
+    g = tuple(tuple(integer(x, "matrix entry") for x in row) for row in g)
+    if len(g) != 6 or any(len(row) != 6 for row in g):
+        raise ValueError("g: expected a 6x6 integer matrix")
     w = mat_vec(g, chart_point(z))
     if w[0].is_zero():
         raise ValueError("chart escape")

@@ -99,7 +99,9 @@ QPRIME = tuple(row[2:] for row in GRAM[2:])
 #
 # Matrices are tuples of row tuples.  Entries only need +, - and *, so one
 # kernel serves int, Eisenstein and Cyclo12 matrices; a ring whose identity
-# is not the integer 1 passes its own one and zero.
+# is not the integer 1 passes its own one and zero.  Each entry of a product
+# is sum(p, next(p)) over the termwise products p: sum adds ints in C and
+# falls back to the ring's own + for any other entry type.
 
 
 def power(x, k: int, one, times=mul, invert=None):
@@ -133,7 +135,9 @@ def mat_mul(a, b):
     if len(a[0]) != len(b):
         raise ValueError("matrix product of mismatched shapes")
     bt = tuple(zip(*b))
-    return tuple(tuple(reduce(add, map(mul, ra, cb)) for cb in bt) for ra in a)
+    return tuple(
+        tuple(sum(p, next(p)) for cb in bt for p in (map(mul, ra, cb),)) for ra in a
+    )
 
 
 def mat_prod(mats, one):
@@ -146,7 +150,7 @@ def mat_prod(mats, one):
 
 
 def mat_vec(a, v):
-    return tuple(reduce(add, map(mul, r, v)) for r in a)
+    return tuple(sum(p, next(p)) for r in a for p in (map(mul, r, v),))
 
 
 def mat_add(a, b):
@@ -544,42 +548,81 @@ def _check_oplus(g) -> None:
 
 
 # -- brute-force orthogonal group of the discriminant form ------------------
+#
+# The certificates run on a numbered table: an element is its index in the
+# sorted disc_group() list, a map of M*/M is the tuple of its 48 image
+# indices, and a sum is a lookup in a 48x48 table.  The calls that need the
+# table build it from disc_add, so importing the module builds nothing.
+
+
+def _numbering():
+    """The sorted group, and the index of each element in it."""
+    group = disc_group()
+    return group, {x: i for i, x in enumerate(group)}
+
+
+def _indices(elts, index, stage: str) -> tuple:
+    """The index of each of elts; an element outside M*/M fails the stage."""
+    out = tuple(map(index.get, elts))
+    require(None not in out, f"{stage}: an element left the 48 classes")
+    return out
+
+
+def _disc_perm(g, index) -> tuple:
+    """The permutation of the numbered group induced by the matrix g."""
+    return _indices((disc_act(g, x) for x in index), index, "discriminant permutation")
 
 
 def enumerate_disc_orthogonal() -> list:
     """All automorphisms of (M*/M, q), each as a dict elt -> image.
 
     Candidates are images of the four generators filtered by order, q value
-    and pairwise b values.  Each surviving tuple extends along one fixed
-    word per element, and the extension is kept when it is additive on
-    every generator (hence a homomorphism), bijective and q-preserving on
-    all 48 elements.
+    and pairwise b values, looked up in one table over the 25 candidates.
+    Each surviving tuple extends along one fixed word per element, summed
+    in the 48x48 addition table, and the extension is kept when it is
+    additive on every generator (hence a homomorphism), bijective and
+    q-preserving on all 48 elements.  Only the kept maps are turned back
+    into 6-tuples.
     """
-    group = disc_group()
-    qs = {x: _q72(x) for x in group}
-    # each element with its sums x + D1, ..., x + D4
-    steps = [(x, [disc_add(x, d) for d in DISC_GENS]) for x in _WORDS]
-    c_top = [x for x in group if disc_order(x) == 2 and qs[x] == qs[D1]]
-    c_six = [x for x in group if disc_order(x) == 6 and qs[x] == qs[D3]]
+    group, index = _numbering()
+    table = [_indices((disc_add(x, y) for y in group), index, "addition table") for x in group]
+    qs = [_q72(x) for x in group]
+    orders = [disc_order(x) for x in group]
+    gens = [index[d] for d in DISC_GENS]
+    c_top = [i for i in range(48) if orders[i] == 2 and qs[i] == qs[gens[0]]]
+    c_six = [i for i in range(48) if orders[i] == 6 and qs[i] == qs[gens[2]]]
+    b36 = {(i, j): _b36(group[i], group[j]) for i in c_top + c_six for j in c_top + c_six}
+    b36_gens = {(i, k): _b36(DISC_GENS[i], DISC_GENS[k]) for k in range(4) for i in range(k)}
 
     def fits(ys):
         # the newest image pairs with the earlier ones as the generators do
         k = len(ys) - 1
-        return all(_b36(ys[i], ys[k]) == _b36(DISC_GENS[i], DISC_GENS[k]) for i in range(k))
+        return all(b36[ys[i], ys[k]] == b36_gens[i, k] for i in range(k))
+
+    def multiples(y):
+        # k y for k in range(6)
+        ks = [index[(0,) * 6]]
+        for _ in range(5):
+            ks.append(table[ks[-1]][y])
+        return ks
 
     tuples = [()]
     for pool in (c_top, c_top, c_six, c_six):
         tuples = [ys + (y,) for ys in tuples for y in pool if fits(ys + (y,))]
+    words = [_WORDS[x] for x in group]
+    # x + D1, ..., x + D4 for every x
+    shifts = [[row[g] for row in table] for g in gens]
     auts = []
     for ys in tuples:
-        mapping = {x: _combine(word, ys) for x, word in _WORDS.items()}
-        if any(mapping[s] != disc_add(mapping[x], y) for x, ss in steps for s, y in zip(ss, ys)):
+        m1, m2, m3, m4 = map(multiples, ys)
+        image = [table[table[table[m1[a]][m2[b]]][m3[c]]][m4[d]] for a, b, c, d in words]
+        if any([image[s] for s in xs] != [table[i][y] for i in image] for xs, y in zip(shifts, ys)):
             continue
-        if len(set(mapping.values())) != 48:
+        if len(set(image)) != 48:
             continue
-        if any(qs[x] != qs[y] for x, y in mapping.items()):
+        if [qs[y] for y in image] != qs:
             continue
-        auts.append(mapping)
+        auts.append({x: group[image[index[x]]] for x in _WORDS})
     return auts
 
 

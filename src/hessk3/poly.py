@@ -9,6 +9,7 @@ same slots.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import rational
 from .lattice import power
@@ -66,7 +67,7 @@ class Poly5:
         t: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = t.get(e, 0) + c1 * c2
                 if s:
                     t[e] = s

@@ -143,17 +143,21 @@ class _Run:
 
 def _disc_closure(gens) -> set:
     """The actions on M*/M of all products of gens, each given by the
-    images of the four generators."""
-    seen = {DISC_GENS}
-    todo = [DISC_GENS]
+    images of the four generators.  Each generator acts as its permutation
+    of the numbered group, and the closure maps back to 6-tuples once."""
+    group, index = lattice._numbering()
+    perms = [lattice._disc_perm(g, index) for g in gens]
+    start = tuple(index[d] for d in DISC_GENS)
+    seen = {start}
+    todo = [start]
     while todo:
         images = todo.pop()
-        for g in gens:
-            moved = tuple(disc_act(g, y) for y in images)
+        for p in perms:
+            moved = tuple(p[i] for i in images)
             if moved not in seen:
                 seen.add(moved)
                 todo.append(moved)
-    return seen
+    return {tuple(group[i] for i in images) for images in seen}
 
 
 def _scalar(u):

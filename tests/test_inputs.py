@@ -60,6 +60,26 @@ def test_act_rejects_a_point_of_the_wrong_length(z):
         act(G1, z)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [G1[:5], G1 + (G1[0],), tuple(r[:5] for r in G1), tuple(r + (0,) for r in G1)],
+    ids=["five-rows", "seven-rows", "five-columns", "seven-columns"],
+)
+def test_act_rejects_a_matrix_that_is_not_6x6(g):
+    # each used to answer: with five or seven coordinates, or with z6 or a
+    # seventh column ignored
+    with pytest.raises(ValueError, match="g: expected a 6x6 integer matrix"):
+        act(g, Q0)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 2), True, Cyclo12(1)])
+def test_act_rejects_a_matrix_entry_that_is_not_an_int(x):
+    # each used to answer
+    g = ((x,) + G1[0][1:],) + G1[1:]
+    with pytest.raises(TypeError, match="matrix entry: expected an integer"):
+        act(g, Q0)
+
+
 @pytest.mark.parametrize("pair", [(0, 9), (-1, 0), (2, 2), (0, 1, 2)])
 def test_hessian_line_check_rejects_a_bad_pair(pair):
     # (0, 9) raised IndexError, (-1, 0) answered for X5
@@ -107,6 +127,7 @@ _ENTRY_POINTS = {
     "dm_membership": (dm_membership, ({6}, _RAT)),
     "chart_flags": (chart_flags, ({6}, _RAT)),
     "act": (partial(act, G1), ({6}, _RAT)),
+    "act matrix": (lambda g: act(g, Q0), ({6}, ({6}, _INT))),
     "Cyclo12": (_spread(Cyclo12), (set(range(5)), _RAT)),
     "Poly5.eval": (elem_sym_polys()[1].eval, ({5}, _RAT)),
 }

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessk3 import lattice, sampling
+from hessk3 import lattice, sampling, verify
 from hessk3.eisenstein import ONE, ZERO, Eisenstein
+from hessk3.errors import InvariantViolation
 from hessk3.lattice import (
     DISC_GENS,
     G0,
@@ -35,6 +36,7 @@ from hessk3.lattice import (
     disc_order,
     disc_q,
     disc_scale,
+    enumerate_disc_orthogonal,
     is_in_enr,
     is_in_k3,
     is_orthogonal,
@@ -113,12 +115,18 @@ def test_isometry_inverse_is_a_two_sided_inverse():
         assert mat_mul(g, h) == mat_id() == mat_mul(h, g)
 
 
-def _naive_product(a, b):
-    n = len(b)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j]) for j in range(n))
-        for i in range(len(a))
-    )
+def _triple_loop(a, b):
+    """The product entry by entry, each sum started at its first term."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            s = a[i][0] * b[0][j]
+            for k in range(1, len(b)):
+                s = s + a[i][k] * b[k][j]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _kernel_cases():
@@ -147,7 +155,7 @@ def test_matrix_kernel_is_ring_generic(a, b, one, zero):
     n = len(a)
     ident = lattice.mat_id(n, one, zero)
     ab = lattice.mat_mul(a, b)
-    assert ab == _naive_product(a, b)
+    assert ab == _triple_loop(a, b)
     assert lattice.mat_mul(ident, a) == a == lattice.mat_mul(a, ident)
     assert lattice.mat_mul(ab, a) == lattice.mat_mul(a, lattice.mat_mul(b, a))
     assert lattice.mat_vec(a, lattice.mat_transpose(b)[0]) == lattice.mat_transpose(ab)[0]
@@ -170,6 +178,33 @@ def test_matrix_kernel_is_ring_generic(a, b, one, zero):
         # conjugate transpose is an antihomomorphism
         ct = lattice.mat_conj_transpose
         assert ct(ab) == lattice.mat_mul(ct(b), ct(a))
+
+
+_ENTRIES = {
+    "int": st.integers(),
+    "Eisenstein": st.builds(Eisenstein, small_ints, small_ints),
+    "Fraction": st.builds(Fraction, small_ints, st.integers(1, 12)),
+    "Cyclo12": st.builds(
+        Cyclo12, small_ints, small_ints, small_ints, st.builds(Fraction, small_ints, st.integers(1, 4))
+    ),
+}
+
+
+def _matrices(entry, rows, cols):
+    return st.tuples(*[st.tuples(*[entry] * cols)] * rows)
+
+
+@pytest.mark.parametrize("ring", sorted(_ENTRIES))
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 1), (6, 6, 6)], ids=["1x1", "2x3.3x1", "6x6"])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_products_match_the_triple_loop(ring, shape, data):
+    n, k, m = shape
+    a = data.draw(_matrices(_ENTRIES[ring], n, k))
+    b = data.draw(_matrices(_ENTRIES[ring], k, m))
+    assert lattice.mat_mul(a, b) == _triple_loop(a, b)
+    v = tuple(r[0] for r in b)
+    assert lattice.mat_vec(a, v) == tuple(r[0] for r in _triple_loop(a, b))
 
 
 def test_power_spends_no_product_on_the_identity():
@@ -417,6 +452,80 @@ def test_kernel_membership_matches_disc_action():
         assert is_in_k3(g) == fixes_all
         fixes_two = all(disc_act(g, x) == x for x in two_torsion())
         assert is_in_enr(g) == fixes_two
+
+
+# -- the tuple-based certificates that the numbered table replaced ------------
+
+
+def _tuple_enumeration() -> list:
+    """enumerate_disc_orthogonal as it ran on 6-tuples, as an oracle."""
+    group = disc_group()
+    qs = {x: lattice._q72(x) for x in group}
+    steps = [(x, [disc_add(x, d) for d in DISC_GENS]) for x in lattice._WORDS]
+    c_top = [x for x in group if disc_order(x) == 2 and qs[x] == qs[D1]]
+    c_six = [x for x in group if disc_order(x) == 6 and qs[x] == qs[D3]]
+
+    def fits(ys):
+        k = len(ys) - 1
+        return all(
+            lattice._b36(ys[i], ys[k]) == lattice._b36(DISC_GENS[i], DISC_GENS[k])
+            for i in range(k)
+        )
+
+    tuples = [()]
+    for pool in (c_top, c_top, c_six, c_six):
+        tuples = [ys + (y,) for ys in tuples for y in pool if fits(ys + (y,))]
+    auts = []
+    for ys in tuples:
+        mapping = {x: lattice._combine(word, ys) for x, word in lattice._WORDS.items()}
+        if any(mapping[s] != disc_add(mapping[x], y) for x, ss in steps for s, y in zip(ss, ys)):
+            continue
+        if len(set(mapping.values())) != 48:
+            continue
+        if any(qs[x] != qs[y] for x, y in mapping.items()):
+            continue
+        auts.append(mapping)
+    return auts
+
+
+def _tuple_closure(gens) -> set:
+    """verify._disc_closure as it ran on 6-tuples, as an oracle."""
+    seen = {DISC_GENS}
+    todo = [DISC_GENS]
+    while todo:
+        images = todo.pop()
+        for g in gens:
+            moved = tuple(disc_act(g, y) for y in images)
+            if moved not in seen:
+                seen.add(moved)
+                todo.append(moved)
+    return seen
+
+
+def test_disc_orthogonal_matches_the_tuple_oracle():
+    auts = enumerate_disc_orthogonal()
+    want = _tuple_enumeration()
+    assert len(auts) == 240
+    assert auts == want
+    # the same keys in the same order, map by map
+    assert [list(a.items()) for a in auts] == [list(a.items()) for a in want]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [NAMED + lattice.H_GENS, (G0, U0), (G1,), (MINUS_I6, translation_h(1, 2, 0, -1))],
+    ids=["named", "g0-u0", "g1", "minus-translation"],
+)
+def test_disc_closure_matches_the_tuple_oracle(gens):
+    assert verify._disc_closure(gens) == _tuple_closure(gens)
+
+
+def test_disc_perm_names_its_stage_for_an_image_outside_the_group():
+    # the swap of e1 and e3 sends D1 = (0, 0, 3, 0, 0, 0) to (3, 0, 0, 0, 0, 0),
+    # which is no class of M*/M
+    swap = mat_id()[2:3] + mat_id()[1:2] + mat_id()[0:1] + mat_id()[3:]
+    with pytest.raises(InvariantViolation, match="discriminant permutation: an element left"):
+        verify._disc_closure((swap,))
 
 
 def test_orthogonal_complement_basic():

@@ -129,3 +129,27 @@ def test_a_descent_that_drops_its_last_token_is_caught(monkeypatch, module, desc
     monkeypatch.setattr(module, descent, lambda g: exact(g)[:-1])
     with pytest.raises(InvariantViolation, match=message):
         verify.run_suite("decompose-fuzz", 0)
+
+
+def test_a_wrong_sum_in_the_discriminant_group_is_caught(monkeypatch):
+    # D1 + D3 read as D1 + D2 + D3: the addition table of the enumeration
+    # is built from disc_add, so its homomorphism test must see the fault
+    exact = lattice.disc_add
+
+    def skewed(x, y):
+        s = exact(x, y)
+        return exact(s, lattice.D2) if {x, y} == {lattice.D1, lattice.D3} else s
+
+    monkeypatch.setattr(lattice, "disc_add", skewed)
+    assert failed("disc-group") == {
+        "disc-orthogonal-order-240",
+        "five-class-image-order-120",
+        "five-class-kernel-order-2",
+        "named-generators-generate-disc-orthogonal",
+    }
+
+
+def test_a_lost_generator_no_longer_generates_the_disc_orthogonal_group(monkeypatch):
+    # U0 read as G0: the named generators then reach a subgroup of order 48
+    monkeypatch.setattr(lattice, "U0", lattice.G0)
+    assert failed("disc-group") == {"named-generators-generate-disc-orthogonal"}
