@@ -149,14 +149,25 @@ def delta_sing_poly() -> Poly5:
     expansion is even in each square root, halving exponents gives a
     degree-8 polynomial in mu, and clearing reciprocals at cap 8 lands in
     the lam ring.
+
+    The sign forms are multiplied in pairs, as a balanced tree: the form
+    of mask i with the form of mask i + 8, which differs only in the sign
+    of sqrt(mu_4), then the eight products i with i + 4 (the sign of
+    sqrt(mu_3)), and so on.  Each pair is (A + s)(A - s) = A^2 - s^2, so
+    the terms odd in that square root cancel at each level and the
+    operands stay small.
     """
-    prod = Poly5.const(1)
+    forms = []
     for mask in range(16):
         form = Poly5.var(0)
         for i in range(4):
             sign = -1 if (mask >> i) & 1 else 1
             form = form + Poly5.var(i + 1) * sign
-        prod = prod * form
+        forms.append(form)
+    while len(forms) > 1:
+        half = len(forms) // 2
+        forms = [forms[i] * forms[i + half] for i in range(half)]
+    prod = forms[0]
     require(prod.homogeneous_degree() == 16, "product has wrong degree")
     return reciprocal_clear(halve_exponents(prod), 8)
 

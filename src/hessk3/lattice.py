@@ -19,6 +19,7 @@ from itertools import product
 from math import gcd
 from operator import add, mul, sub
 
+from .eisenstein import Eisenstein
 from .errors import integer, require
 
 __all__ = [
@@ -101,7 +102,11 @@ QPRIME = tuple(row[2:] for row in GRAM[2:])
 # kernel serves int, Eisenstein and Cyclo12 matrices; a ring whose identity
 # is not the integer 1 passes its own one and zero.  Each entry of a product
 # is sum(p, next(p)) over the termwise products p: sum adds ints in C and
-# falls back to the ring's own + for any other entry type.
+# falls back to the ring's own + for any other entry type.  mat_mul is the
+# one product; when both factors are Z[w] matrices with int coordinates, its
+# inner loop sums each entry's two integer coordinates and builds one
+# Eisenstein per entry, instead of one per termwise product and partial sum.
+# Shapes are checked, so a mismatch is a ValueError, never a zip truncation.
 
 
 def power(x, k: int, one, times=mul, invert=None):
@@ -135,9 +140,37 @@ def mat_mul(a, b):
     if len(a[0]) != len(b):
         raise ValueError("matrix product of mismatched shapes")
     bt = tuple(zip(*b))
+    if _over_zw(a) and _over_zw(bt):
+        return _zw_mul(a, bt)
     return tuple(
         tuple(sum(p, next(p)) for cb in bt for p in (map(mul, ra, cb),)) for ra in a
     )
+
+
+def _over_zw(m) -> bool:
+    """Every entry an Eisenstein with int coordinates."""
+    return all(
+        type(x) is Eisenstein and type(x.a) is int and type(x.b) is int for r in m for x in r
+    )
+
+
+def _zw_mul(a, bt):
+    """Product of the Z[w] rows a with the Z[w] columns bt, on coordinates:
+    (a1 + b1 w)(a2 + b2 w) = a1 a2 - b1 b2 + (a1 b2 + a2 b1 - b1 b2) w."""
+    rows = [[(x.a, x.b) for x in r] for r in a]
+    cols = [[(x.a, x.b) for x in c] for c in bt]
+    out = []
+    for r in rows:
+        row = []
+        for c in cols:
+            sa = sb = 0
+            for (a1, b1), (a2, b2) in zip(r, c):
+                bb = b1 * b2
+                sa += a1 * a2 - bb
+                sb += a1 * b2 + a2 * b1 - bb
+            row.append(Eisenstein(sa, sb))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def mat_prod(mats, one):
@@ -150,14 +183,23 @@ def mat_prod(mats, one):
 
 
 def mat_vec(a, v):
+    if len(a[0]) != len(v):
+        raise ValueError("matrix times vector of mismatched shapes")
     return tuple(sum(p, next(p)) for r in a for p in (map(mul, r, v),))
 
 
+def _same_shape(a, b):
+    if list(map(len, a)) != list(map(len, b)):
+        raise ValueError("matrix sum of mismatched shapes")
+
+
 def mat_add(a, b):
+    _same_shape(a, b)
     return tuple(tuple(map(add, ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a, b):
+    _same_shape(a, b)
     return tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(a, b))
 
 

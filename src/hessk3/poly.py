@@ -9,7 +9,9 @@ same slots.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from itertools import accumulate, repeat
+from math import lcm, prod
+from operator import add, getitem, mul
 
 from .errors import rational
 from .lattice import power
@@ -108,17 +110,21 @@ class Poly5:
         return None
 
     def eval(self, point) -> Fraction:
+        """The value at a rational point, on integers: the point is n_i / D
+        over one common denominator D, each term is c times tabulated powers
+        of the n_i, and each total degree's sum is divided by D^deg once."""
         point = [rational(p, "evaluation point coordinate") for p in point]
         if len(point) != NVARS:
             raise ValueError("evaluation point has wrong arity")
-        total = Fraction(0)
+        den = lcm(*(x.denominator for x in point))
+        nums = [x.numerator * (den // x.denominator) for x in point]
+        tops = map(max, zip(*self.terms))  # the highest power of each variable
+        pows = [list(accumulate(repeat(n, k), mul, initial=1)) for n, k in zip(nums, tops)]
+        by_degree: dict = {}
         for e, c in self.terms.items():
-            v = Fraction(c)
-            for x, k in zip(point, e):
-                if k:
-                    v *= x**k
-            total += v
-        return total
+            d = sum(e)
+            by_degree[d] = by_degree.get(d, 0) + c * prod(map(getitem, pows, e))
+        return sum((Fraction(v, den**d) for d, v in by_degree.items()), Fraction(0))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -20,7 +20,7 @@ from hessk3.cubic import (
     hessian_line_check,
     hessian_singular_points,
 )
-from hessk3.poly import NVARS, Poly5, elem_sym_polys
+from hessk3.poly import NVARS, Poly5, elem_sym_polys, halve_exponents, reciprocal_clear
 
 ONES = (1, 1, 1, 1, 1)
 KUMMER_POINT = (1, 3, 3, -2, -2)
@@ -231,3 +231,15 @@ def test_closed_forms_at_named_points():
     for lam in ((0, 1, 2, 3, 4), (1, 2, 0, 0, 5)):
         with pytest.raises(ValueError, match="Sylvester degenerate"):
             delta_km(lam)
+
+
+def test_paired_sign_product_equals_the_sequential_one():
+    # delta_sing_poly multiplies its sixteen sign forms in pairs; the product
+    # one form at a time, mask 0 to 15, must give the same polynomial
+    prod = Poly5.const(1)
+    for mask in range(16):
+        form = Poly5.var(0)
+        for i in range(4):
+            form = form + Poly5.var(i + 1) * (-1 if (mask >> i) & 1 else 1)
+        prod = prod * form
+    assert delta_sing_poly() == reciprocal_clear(halve_exponents(prod), 8)

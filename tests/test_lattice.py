@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,32 @@ def test_mat_mul_rejects_mismatched_shapes():
         mat_mul(GRAM, ((1, 0), (0, 1)))
     # non-square factors whose inner dimensions agree are fine
     assert mat_mul(((1, 2, 3),), ((1,), (1,), (1,))) == ((6,),)
+
+
+def test_mat_vec_rejects_mismatched_shapes():
+    # both used to answer, for the first three columns only
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        lattice.mat_vec(G1, (1, 2, 3))
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        disc_act(G1, (0, 0, 3))
+    assert lattice.mat_vec(((1, 2, 3),), (1, 1, 1)) == (6,)
+
+
+@pytest.mark.parametrize("op", [lattice.mat_add, lattice.mat_sub])
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (((1, 2), (3, 4)), ((1,),)),
+        (((1, 2), (3, 4)), ((1, 2),)),
+        (((1, 2), (3, 4)), ((1, 2), (3,))),
+        (((1,),), ((1, 2), (3, 4))),
+    ],
+    ids=["one-entry", "one-row", "short-row", "larger-right"],
+)
+def test_mat_add_and_sub_reject_mismatched_shapes(op, a, b):
+    # each used to answer with the shape of the smaller factor
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        op(a, b)
 
 
 def _sampled_oplus(seed, count=20):
@@ -205,6 +232,54 @@ def test_products_match_the_triple_loop(ring, shape, data):
     assert lattice.mat_mul(a, b) == _triple_loop(a, b)
     v = tuple(r[0] for r in b)
     assert lattice.mat_vec(a, v) == tuple(r[0] for r in _triple_loop(a, b))
+
+
+# -- the Z[w] inner loop of mat_mul against the generic loop -------------------
+
+
+def _generic_mul(a, b):
+    """The ring-generic loop of mat_mul, without its Z[w] path."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(p, next(p)) for cb in bt for p in (map(mul, ra, cb),)) for ra in a)
+
+
+def _zw_matrix(rng, rows, cols):
+    """Z[w] entries, each coordinate small or past 2**64 alike."""
+
+    def coordinate():
+        return rng.randint(-5, 5) if rng.random() < 0.5 else rng.randint(-(2**70), 2**70)
+
+    return tuple(tuple(Eisenstein(coordinate(), coordinate()) for _ in range(cols)) for _ in range(rows))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (2, 4, 2), (4, 4, 4)], ids=["1x1", "2x2", "2x4.4x2", "4x4"])
+def test_zw_products_match_the_generic_loop(shape, monkeypatch):
+    n, k, m = shape
+    rng = random.Random(16)
+    calls = []
+    exact = lattice._zw_mul
+    monkeypatch.setattr(lattice, "_zw_mul", lambda a, bt: calls.append(1) or exact(a, bt))
+    for _ in range(20):
+        a, b = _zw_matrix(rng, n, k), _zw_matrix(rng, k, m)
+        # repr compares the coordinates' types too, not only their values
+        assert repr(mat_mul(a, b)) == repr(_generic_mul(a, b))
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize(
+    "x",
+    [3, Eisenstein(0.5, 1), Eisenstein(Fraction(1, 2), 0), Eisenstein(True, 0)],
+    ids=["int", "float-coordinate", "Fraction-coordinate", "bool-coordinate"],
+)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_other_zw_entries_take_the_generic_loop(x, side, monkeypatch):
+    e = Eisenstein
+    a = ((e(2**65, -3), e(1, 1)), (e(0, -1), e(-7, 2**64 + 1)))
+    b = ((x, e(2, -1)), (e(-1, 4), e(3, 3)))
+    if side == "left":
+        a, b = b, a
+    monkeypatch.setattr(lattice, "_zw_mul", None)  # a call would be a TypeError
+    assert repr(mat_mul(a, b)) == repr(_generic_mul(a, b))
 
 
 def test_power_spends_no_product_on_the_identity():

@@ -11,7 +11,7 @@ the named outcome.  pytest's monkeypatch undoes each fault afterwards.
 import pytest
 
 from hessk3 import correspond, hermitian, lattice, sampling, verify
-from hessk3.eisenstein import OMEGA
+from hessk3.eisenstein import OMEGA, Eisenstein
 from hessk3.errors import InvariantViolation
 from hessk3.hermitian import m2e
 
@@ -153,3 +153,36 @@ def test_a_lost_generator_no_longer_generates_the_disc_orthogonal_group(monkeypa
     # U0 read as G0: the named generators then reach a subgroup of order 48
     monkeypatch.setattr(lattice, "U0", lattice.G0)
     assert failed("disc-group") == {"named-generators-generate-disc-orthogonal"}
+
+
+def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch):
+    # the Z[w] inner loop of mat_mul with the - b1 b2 dropped from each
+    # termwise w-coefficient
+    def dropped_bb(a, bt):
+        rows = [[(x.a, x.b) for x in r] for r in a]
+        cols = [[(x.a, x.b) for x in c] for c in bt]
+        out = []
+        for r in rows:
+            row = []
+            for c in cols:
+                sa = sb = 0
+                for (a1, b1), (a2, b2) in zip(r, c):
+                    bb = b1 * b2
+                    sa += a1 * a2 - bb
+                    sb += a1 * b2 + a2 * b1
+                row.append(Eisenstein(sa, sb))
+            out.append(tuple(row))
+        return tuple(out)
+
+    monkeypatch.setattr(lattice, "_zw_mul", dropped_bb)
+    # the fault surfaces as an entry point's input check raising on a
+    # product the kernel got wrong, not as a failed check id
+    with pytest.raises(ValueError, match="not in the gamma1 congruence subgroup"):
+        verify.run_all(0)
+    for suite, message in (
+        ("enr-iso", "unit determinant"),
+        ("group-iso", "unit determinant"),
+        ("heegner", "needs a gamma0 element"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            verify.run_suite(suite, 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hessk3.cubic import delta_km_mu_poly, delta_sing_poly
 from hessk3.poly import (
     NVARS,
     Poly5,
@@ -48,6 +49,38 @@ def test_eval_is_a_homomorphism(p, q, pt):
     assert (p * q).eval(pt) == p.eval(pt) * q.eval(pt)
     assert (p - q).eval(pt) == p.eval(pt) - q.eval(pt)
     assert (3 * p).eval(pt) == 3 * p.eval(pt)
+
+
+def _fraction_eval(p, point):
+    """The term-by-term Fraction loop that Poly5.eval replaced, as its oracle."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        v = Fraction(c)
+        for x, k in zip(point, e):
+            if k:
+                v *= Fraction(x) ** k
+        total += v
+    return total
+
+
+fraction_coeffs = coeffs | st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+mixed_points = st.tuples(
+    *[st.integers(-9, 9) | st.fractions(min_value=-4, max_value=4, max_denominator=12)] * NVARS
+)
+
+
+@given(st.dictionaries(exponents, fraction_coeffs, max_size=6).map(Poly5), mixed_points)
+def test_eval_matches_the_fraction_loop(p, pt):
+    got = p.eval(pt)
+    assert type(got) is Fraction
+    assert got == _fraction_eval(p, pt)
+
+
+def test_eval_matches_the_fraction_loop_on_the_certificate_polynomials():
+    pts = [(1, 2, 3, 4, 5), (Fraction(-7, 3), 2, Fraction(5, 8), 0, -1), (Fraction(1, 16), 1, 1, 1, 1)]
+    for p in (delta_sing_poly(), delta_km_mu_poly(), Poly5.const(Fraction(2, 3)), Poly5()):
+        for pt in pts:
+            assert p.eval(pt) == _fraction_eval(p, pt)
 
 
 def test_eval_arity_guard():
