@@ -17,7 +17,9 @@ matrix is the left-to-right product; the rightmost token acts first.
 decompose_hgamma1 rewrites any gamma1 element as such a word, exactly;
 decompose_hgamma0 peels one fixed mod-2 section factor first.  The descent
 arguments only use that Z[w] is Euclidean and that the six units cover the
-angular sector needed to shrink norms; every step is checked at run time.
+angular sector needed to shrink norms; every step is checked at run time:
+each integer Euclid step halves its even entry, and each antidiagonal step
+lowers the positive integer P = N(row one) N(row four / 2) of column one.
 """
 
 from __future__ import annotations
@@ -100,9 +102,14 @@ def m2e(rows):
         tuple(x if isinstance(x, Eisenstein) else Eisenstein(integer(x, "matrix entry"), 0) for x in r)
         for r in rows
     )
-    if len(out) != 2 or any(len(r) != 2 for r in out):
+    return _two_by_two(out)
+
+
+def _two_by_two(a):
+    """a, when it has two rows of two entries."""
+    if len(a) != 2 or any(len(r) != 2 for r in a):
         raise ValueError("expected a 2x2 matrix")
-    return out
+    return a
 
 
 _I2 = mat_id(2, ONE, ZERO)
@@ -112,7 +119,7 @@ _Z2 = ((ZERO, ZERO), (ZERO, ZERO))
 
 def m2e_inv(a):
     """Inverse of a matrix with unit determinant (d^(-1) = conj(d))."""
-    d = mat_det2(a)
+    d = mat_det2(_two_by_two(a))
     if not d.is_unit():
         raise ValueError("determinant is not a unit")
     return mat_inv2(a, d.conj())
@@ -159,8 +166,15 @@ J_MAT = from_blocks(_Z2, _I2, mat_neg(_I2), _Z2)
 W_MAT = from_blocks(_Z2, mat_neg(_I2), mat_scale(_I2, 2), _Z2)
 
 
+def _translation(m):
+    """m as the four int parameters of B(m)."""
+    if len(m) != 4:
+        raise ValueError("expected four translation parameters")
+    return tuple(integer(x, "translation parameter") for x in m)
+
+
 def herm_b(m):
-    m1, m2, m3, m4 = (integer(x, "translation parameter") for x in m)
+    m1, m2, m3, m4 = _translation(m)
     off = Eisenstein(m3, m4)
     return ((Eisenstein(m1, 0), off), (off.conj(), Eisenstein(m2, 0)))
 
@@ -174,7 +188,7 @@ def g_lower(m):
 
 
 def g_a(a):
-    d = mat_det2(a)
+    d = mat_det2(_two_by_two(a))
     if not d.is_unit():
         raise ValueError("gA block must have unit determinant")
     # det A* = conj(d), whose inverse is d for a unit d
@@ -242,7 +256,7 @@ def token_power(tok, p: int):
     if kind == "gA":
         return ("gA", m2e_pow(tok[1], p))
     if kind in ("gBu", "gBl"):
-        return (kind, tuple(p * x for x in tok[1]))
+        return (kind, tuple(p * x for x in _translation(tok[1])))
     raise ValueError(f"unknown token kind {kind!r}")
 
 
@@ -331,7 +345,11 @@ def _descend_hgamma1(g):
     # strictly smaller, since a nonzero quotient can leave the norm as it
     # was.  Both quotients round to zero only in the band
     # 4 N(half) <= 3 N(alpha) <= 9 N(half), where a single best-unit step
-    # is strict on one side or the other.
+    # is strict on one side or the other.  A gBl step moves only rows three
+    # and four, a gBu step only rows one and two, so each step moves one
+    # factor of P = N(alpha) N(half).  alpha stays odd, so P is a positive
+    # integer while half is nonzero; it is checked to fall on every step,
+    # so the loop ends within P steps or fails on the step that stalled.
     def gbl_mult(w: Eisenstein):
         # work[3][0] / 2 gains w * work[0][0]
         lmul(("gBl", (0, 0, w.a - w.b, -w.b)))
@@ -340,31 +358,24 @@ def _descend_hgamma1(g):
         # work[0][0] gains u * work[3][0]
         lmul(("gBu", (0, 0, u.a, u.b)))
 
-    guard = 0
     while not work[3][0].is_zero():
-        guard += 1
-        require(guard < 10000, "antidiagonal descent did not terminate")
         alpha = work[0][0]
         half = _div_int(work[3][0], 2)
         q, r = eis_divmod(half, alpha)
         if not q.is_zero() and r.norm() < half.norm():
             gbl_mult(-q)
-            require(_div_int(work[3][0], 2).norm() < half.norm(), "no descent in row four")
-            continue
-        q, _ = eis_divmod(alpha, work[3][0])
-        if not q.is_zero():
-            before = alpha.norm()
+        elif not (q := eis_divmod(alpha, work[3][0])[0]).is_zero():
             gbu_mult(-q)
-            require(work[0][0].norm() < before, "no descent in row one")
-            continue
-        eps = best_unit(lambda e: (e * half.conj() * alpha).two_re())
-        if (eps * half.conj() * alpha).two_re() > alpha.norm():
-            gbl_mult(-eps)
         else:
-            eps = best_unit(lambda e: (e * alpha.conj() * half).two_re())
-            before = alpha.norm()
-            gbu_mult(-eps)
-            require(work[0][0].norm() < before, "no descent in row one")
+            eps = best_unit(lambda e: (e * half.conj() * alpha).two_re())
+            if (eps * half.conj() * alpha).two_re() > alpha.norm():
+                gbl_mult(-eps)
+            else:
+                gbu_mult(-best_unit(lambda e: (e * alpha.conj() * half).two_re()))
+        require(
+            work[0][0].norm() * _div_int(work[3][0], 2).norm() < alpha.norm() * half.norm(),
+            "antidiagonal descent failed to decrease N(row one) N(row four / 2)",
+        )
     require(work[0][0].norm() == 1, "column one did not reduce to a unit")
 
     # (iii) column two: row three vanishes by unitarity, row four reduces

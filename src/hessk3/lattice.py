@@ -106,7 +106,8 @@ QPRIME = tuple(row[2:] for row in GRAM[2:])
 # one product; when both factors are Z[w] matrices with int coordinates, its
 # inner loop sums each entry's two integer coordinates and builds one
 # Eisenstein per entry, instead of one per termwise product and partial sum.
-# Shapes are checked, so a mismatch is a ValueError, never a zip truncation.
+# Every row of every operand is checked, so a mismatched or ragged shape is
+# a ValueError, never a zip truncation.
 
 
 def power(x, k: int, one, times=mul, invert=None):
@@ -137,9 +138,13 @@ def mat_id(n: int = N, one=1, zero=0):
 
 
 def mat_mul(a, b):
-    if len(a[0]) != len(b):
+    k = len(b)
+    if any(len(r) != k for r in a):
         raise ValueError("matrix product of mismatched shapes")
-    bt = tuple(zip(*b))
+    try:
+        bt = tuple(zip(*b, strict=True))
+    except ValueError:
+        raise ValueError("matrix product of mismatched shapes") from None
     if _over_zw(a) and _over_zw(bt):
         return _zw_mul(a, bt)
     return tuple(
@@ -183,7 +188,8 @@ def mat_prod(mats, one):
 
 
 def mat_vec(a, v):
-    if len(a[0]) != len(v):
+    k = len(v)
+    if any(len(r) != k for r in a):
         raise ValueError("matrix times vector of mismatched shapes")
     return tuple(sum(p, next(p)) for r in a for p in (map(mul, r, v),))
 
@@ -396,23 +402,20 @@ def orientation(g) -> str:
 
 
 def _orientation(g) -> str:
-    """orientation of a matrix already known to be an isometry."""
-    x = tuple(g[k][0] + 8 * g[k][1] for k in range(N))
-    y = tuple(2 * (g[k][2] + g[k][3]) for k in range(N))
-    if (x[0], y[0]) != (0, 0):
-        # sign of Im(w3 / w1) = (y3 x1 - x3 y1) / |w1|^2
-        s = y[2] * x[0] - x[2] * y[0]
-        require(s != 0, "isometry image landed on the component boundary")
-        return "plus" if s > 0 else "minus"
-    # The image escapes the affine chart (w1 = 0).  Compare the oriented
-    # positive-definite plane span(x, y) against the reference plane via the
-    # pairing determinant; positive planes never pair degenerately in
-    # signature (2, 4).
-    x0 = (1, 8, 0, 0, 0, 0)
-    y0 = (0, 0, 2, 2, 0, 0)
-    d = (qpair(x, x0) * qpair(y, y0)) - (qpair(x, y0) * qpair(y, x0))
-    require(d != 0, "degenerate pairing of positive planes")
-    return "plus" if d > 0 else "minus"
+    """orientation of a matrix already known to be an isometry.
+
+    The component is the sign of Im(w3 / w1) = (y3 x1 - x3 y1) / |w1|^2.
+    The image never leaves the chart: w1 = t(e2) Q w = b(g^-1 e2, w0) for
+    the base point w0, and g^-1 e2 is a nonzero isotropic vector.  Re w0 and
+    Im w0 span a positive plane, whose orthogonal complement is negative
+    definite in signature (2, 4) and so holds no nonzero isotropic vector;
+    hence w1 != 0 for every isometry.
+    """
+    x1, x3 = g[0][0] + 8 * g[0][1], g[2][0] + 8 * g[2][1]
+    y1, y3 = 2 * (g[0][2] + g[0][3]), 2 * (g[2][2] + g[2][3])
+    s = y3 * x1 - x3 * y1
+    require(s != 0, "isometry image landed on the component boundary")
+    return "plus" if s > 0 else "minus"
 
 
 def block_parity(g) -> str:

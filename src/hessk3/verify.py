@@ -29,6 +29,7 @@ from functools import partial
 from . import correspond, cubic, heegner, hermitian, lattice, poly, sampling
 from .domain import act, psi
 from .eisenstein import ONE, UNITS, Eisenstein
+from .errors import InvariantViolation, integer
 from .hermitian import (
     decompose_hgamma0,
     decompose_hgamma1,
@@ -562,14 +563,38 @@ SUITES = {
 }
 
 
+def _size(check_id: str, size):
+    """size when it has the shape of SIZES[check_id]: a positive count, or
+    a pair (count, longest word) of positive ints."""
+    if isinstance(SIZES[check_id], int):
+        parts, shape = (size,), "a positive count"
+    else:
+        parts, shape = size, "a pair of positive ints (count, longest word)"
+        if not isinstance(size, (tuple, list)) or len(size) != 2:
+            raise ValueError(f"size of {check_id!r}: expected {shape}")
+    if any(integer(x, f"size of {check_id!r}") < 1 for x in parts):
+        raise ValueError(f"size of {check_id!r}: expected {shape}")
+    return size
+
+
 def run_suite(name: str, seed: int = 0, sizes: dict | None = None) -> dict:
-    """One suite's report; sizes overrides entries of SIZES by check id."""
+    """One suite's report; sizes overrides entries of SIZES by check id.
+
+    Every input is checked before the suite runs, and the suite draws every
+    other value itself, so a ValueError raised inside it is the library's
+    own fault: it is raised again as an InvariantViolation naming the suite.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    integer(seed, "seed")
     unknown = set(sizes or ()) - set(SIZES)
     if unknown:
         raise ValueError(f"no sized check {sorted(unknown)[0]!r}")
-    checks = SUITES[name](seed, {**SIZES, **(sizes or {})})
+    sizes = {**SIZES, **{cid: _size(cid, size) for cid, size in (sizes or {}).items()}}
+    try:
+        checks = SUITES[name](seed, sizes)
+    except ValueError as exc:
+        raise InvariantViolation(f"{name}: {exc}") from exc
     return {
         "suite": name,
         "seed": seed,

@@ -393,6 +393,32 @@ def test_suite_sizes_must_name_sized_checks():
         verify.run_suite("group-iso", 0, {"psi-multiplicative-typo": 1})
 
 
+@pytest.mark.parametrize("seed", [None, "abc", 1.5, True])
+def test_suite_seeds_must_be_integers(seed):
+    # None used to seed from the operating system and report "seed": null
+    with pytest.raises(TypeError, match="seed: expected an integer"):
+        verify.run_suite("delta-sing", seed)
+
+
+@pytest.mark.parametrize(
+    "check_id, size",
+    [
+        ("psi-multiplicative", 0),
+        ("psi-multiplicative", -5),
+        ("psi-multiplicative", True),
+        ("psi-multiplicative", (5, 2)),
+        ("gamma0-words-mod2-in-gl2f4", (5, 0)),
+        ("gamma0-words-mod2-in-gl2f4", 5),
+        ("gamma0-words-mod2-in-gl2f4", (5,)),
+        ("gamma0-words-mod2-in-gl2f4", (5, 1.5)),
+    ],
+)
+def test_suite_sizes_must_have_the_shape_of_their_default(check_id, size):
+    # a count below one used to pass its check without a single draw
+    with pytest.raises(ValueError, match=f"size of '{check_id}'"):
+        verify.run_suite("group-iso", 0, {check_id: size})
+
+
 def test_verify_suite_runs(capsys, monkeypatch):
     rc, doc = run_cli(["verify", "--suite", "delta-sing", "--seed", "3"], capsys=capsys)
     assert rc == 0

@@ -19,7 +19,7 @@ from hessk3.correspond import (
     psi_hom,
 )
 from hessk3.domain import act, psi
-from hessk3.eisenstein import UNITS, ZERO
+from hessk3.eisenstein import UNITS, ZERO, Eisenstein
 from hessk3.hermitian import (
     equal_mod_units,
     herm_b,
@@ -56,6 +56,14 @@ def test_psi_hom_frozen_images():
             assert psi_hom(tok[1]) == orth, name
     with pytest.raises(ValueError, match="unit determinant"):
         psi_hom(m2e(((1, 0), (0, 2))))
+
+
+def test_word_images_need_two_by_two_gA_blocks():
+    # a 3x3 identity block used to map to the 6x6 identity
+    eye3 = tuple(tuple(Eisenstein(int(i == j), 0) for j in range(3)) for i in range(3))
+    for entry in (psi_hom, lambda a: herm_to_orth(False, False, [("gA", a)])):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            entry(eye3)
 
 
 def test_psi_hom_is_congruence_by_a_on_hermitian_matrices():

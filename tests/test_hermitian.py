@@ -97,6 +97,24 @@ def test_herm_b_is_hermitian_and_additive():
     assert mat_mul(g_lower(ma), g_lower(mb)) == g_lower(msum)
 
 
+_I3 = tuple(tuple(ONE if i == j else ZERO for j in range(3)) for i in range(3))
+
+
+@pytest.mark.parametrize("entry", [g_a, m2e_inv, lambda a: token_matrix(("gA", a))], ids=["g_a", "m2e_inv", "token"])
+def test_gA_blocks_must_be_two_by_two(entry):
+    # a 3x3 identity has a unit top-left determinant; g_a used to build
+    # rows of lengths 5, 5, 4 and 4 from it
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        entry(_I3)
+
+
+@pytest.mark.parametrize("payload", [(1, 2, 3, 4, 5), (1, 2, 3), (1, 2, 0.5, 4)], ids=["five", "three", "float"])
+def test_token_power_reads_four_integer_parameters(payload):
+    # five parameters used to come back scaled, all five
+    with pytest.raises(ValueError, match="translation parameter"):
+        token_power(("gBu", payload), 2)
+
+
 def test_upper_translation_rejects_a_float_parameter():
     with pytest.raises(TypeError, match="translation parameter: expected an integer"):
         g_upper((0.5, 0, 0, 0))

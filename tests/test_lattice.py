@@ -5,10 +5,11 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hessk3 import lattice, sampling, verify
+from hessk3.domain import Q0, act, dm_membership
 from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.errors import InvariantViolation
 from hessk3.lattice import (
@@ -110,6 +111,21 @@ def test_mat_vec_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="mismatched shapes"):
         disc_act(G1, (0, 0, 3))
     assert lattice.mat_vec(((1, 2, 3),), (1, 1, 1)) == (6,)
+
+
+@pytest.mark.parametrize(
+    "op, a, b",
+    [
+        (mat_mul, ((1, 2), (3,)), ((1,), (1,))),
+        (mat_mul, ((1, 1), (1, 1)), ((1, 2), (3,))),
+        (lattice.mat_vec, ((1, 2), (3,)), (1, 1)),
+    ],
+    ids=["ragged-left", "ragged-right", "ragged-matrix-times-vector"],
+)
+def test_products_reject_ragged_factors(op, a, b):
+    # each used to answer, with the ragged rows cut to their shortest
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        op(a, b)
 
 
 @pytest.mark.parametrize("op", [lattice.mat_add, lattice.mat_sub])
@@ -223,7 +239,11 @@ def _matrices(entry, rows, cols):
 
 @pytest.mark.parametrize("ring", sorted(_ENTRIES))
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 1), (6, 6, 6)], ids=["1x1", "2x3.3x1", "6x6"])
-@settings(max_examples=10, derandomize=True, deadline=None)
+# no shrink phase: a kernel fault fails every Eisenstein row, and shrinking
+# those failures took minutes; the first failure is reported as drawn
+@settings(
+    max_examples=10, derandomize=True, deadline=None, phases=[p for p in Phase if p is not Phase.shrink]
+)
 @given(data=st.data())
 def test_products_match_the_triple_loop(ring, shape, data):
     n, k, m = shape
@@ -368,6 +388,22 @@ def test_orientation_is_multiplicative():
         for b in pool:
             prod = mat_mul(a, b)
             assert orientation(prod) == ("plus" if signs[a] * signs[b] > 0 else "minus")
+
+
+def test_orientation_is_the_component_of_the_base_point_image():
+    # the chart formula against dm_membership of g Q0 itself: named
+    # generators, then seeded samples of both components, the minus ones
+    # through diag(-1, -1, 1, 1, 1, 1), which swaps the components
+    flip = tuple(tuple(-1 if i == j < 2 else int(i == j) for j in range(6)) for i in range(6))
+    rng = random.Random(17)
+    plus = [sampling.sample_orth_plus(rng, rng.randint(1, 8)) for _ in range(100)]
+    pool = [*NAMED, *lattice.H_GENS, *lattice.HP_GENS, lattice.U0G1U0, lattice.U0U1, lattice.G0I42, NEG_SWAP]
+    pool += plus + [mat_mul(flip, g) for g in plus]
+    seen = set()
+    for g in pool:
+        seen.add(orientation(g))
+        assert orientation(g) == dm_membership(act(g, Q0))
+    assert seen == {"plus", "minus"}
 
 
 def test_block_parity():

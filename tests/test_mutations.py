@@ -5,13 +5,16 @@ A check that no fault can flip certifies nothing (DeMillo, Lipton and
 Sayward, *Hints on test data selection*, 1978).  Every test here patches
 one table, sampler, formula or descent, runs the suite that holds the
 check at seed 0 with the interactive sizes of `verify.SIZES`, and asserts
-the named outcome.  pytest's monkeypatch undoes each fault afterwards.
+the named outcome; a planted stall in a descent instead runs the descent
+on one fixed input.  pytest's monkeypatch undoes each fault afterwards.
 """
+
+import json
 
 import pytest
 
-from hessk3 import correspond, hermitian, lattice, sampling, verify
-from hessk3.eisenstein import OMEGA, Eisenstein
+from hessk3 import cli, correspond, eisenstein, hermitian, lattice, sampling, verify
+from hessk3.eisenstein import OMEGA, UNITS, ZERO, Eisenstein
 from hessk3.errors import InvariantViolation
 from hessk3.hermitian import m2e
 
@@ -155,7 +158,7 @@ def test_a_lost_generator_no_longer_generates_the_disc_orthogonal_group(monkeypa
     assert failed("disc-group") == {"named-generators-generate-disc-orthogonal"}
 
 
-def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch):
+def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch, capsys):
     # the Z[w] inner loop of mat_mul with the - b1 b2 dropped from each
     # termwise w-coefficient
     def dropped_bb(a, bt):
@@ -175,14 +178,61 @@ def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch):
         return tuple(out)
 
     monkeypatch.setattr(lattice, "_zw_mul", dropped_bb)
-    # the fault surfaces as an entry point's input check raising on a
-    # product the kernel got wrong, not as a failed check id
-    with pytest.raises(ValueError, match="not in the gamma1 congruence subgroup"):
+    # an entry point's input check raises on a product the kernel got
+    # wrong; verify drew that input itself, so the suite reports the fault
+    # as its own, and the command line exits 1, not 2
+    with pytest.raises(InvariantViolation, match="^decompose-fuzz: matrix is not in the gamma1 congruence subgroup"):
         verify.run_all(0)
     for suite, message in (
         ("enr-iso", "unit determinant"),
         ("group-iso", "unit determinant"),
         ("heegner", "needs a gamma0 element"),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(InvariantViolation, match=f"^{suite}: .*{message}"):
             verify.run_suite(suite, 0)
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "group-iso"]) == 1
+    assert json.loads(capsys.readouterr().out)["diagnostics"][0].startswith("group-iso: ")
+
+
+# -- stalls: each descent checks its decrease after every step ----------------
+
+
+def counted(monkeypatch, module, name, replacement) -> list:
+    """Patch module.name with replacement; the returned list grows by one per call."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return replacement(*args)
+
+    monkeypatch.setattr(module, name, patched)
+    return calls
+
+
+def test_a_pair_step_that_rounds_to_zero_stalls_on_its_first_step(monkeypatch):
+    # c = d = 0 leaves the pair as it was
+    calls = counted(monkeypatch, eisenstein, "_round_half_to_zero", lambda p, q: 0)
+    with pytest.raises(InvariantViolation, match="pair reduction failed to halve"):
+        list(eisenstein.pair_steps(3, 2))
+    assert len(calls) == 2
+
+
+def test_a_zero_tail_quotient_stalls_on_its_first_step(monkeypatch):
+    # h1 h3p puts a tail on column two that its first step divides
+    x = correspond.orth_word_matrix([("h1", 1), ("h3p", 1)])
+    calls = counted(monkeypatch, correspond, "eis_divmod", lambda y, p: (ZERO, y))
+    with pytest.raises(InvariantViolation, match="tail norm of column two failed to decrease"):
+        correspond.decompose_so0(x)
+    assert len(calls) == 1
+
+
+def test_the_worst_unit_in_the_band_stalls_on_its_first_step(monkeypatch):
+    # this word's antidiagonal descent reaches the band, where both unit
+    # choices go to best_unit; the worst unit raises N(row one)
+    word = [("gBu", (1, 0, 1, -1)), ("gBu", (-2, 0, 0, -1)), ("gBl", (0, 0, 1, 1)), ("gBu", (2, -2, 0, -1))]
+    g = hermitian.word_matrix(word)
+    calls = counted(monkeypatch, hermitian, "best_unit", lambda f: min(UNITS, key=f))
+    with pytest.raises(InvariantViolation, match=r"antidiagonal descent failed to decrease N\(row one\)"):
+        hermitian.decompose_hgamma1(g)
+    assert len(calls) == 2

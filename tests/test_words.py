@@ -17,6 +17,7 @@ Regenerate only when a change to the words is intended:
     PYTHONPATH=src python3 tests/test_words.py
 """
 
+import functools
 import json
 import random
 import sys
@@ -139,6 +140,55 @@ def test_suites_prove_each_answer_once(suite, monkeypatch):
     ceilings = SUITE_PRODUCT_CEILINGS[suite]
     counts = {n: sizes.count(n) for n in ceilings}
     assert all(counts[n] <= ceilings[n] for n in ceilings), counts
+
+
+# Word length against the largest entry bit length of the input: for each
+# function, (a, b) with tokens <= a * bits + b, b the least intercept for
+# slope a over the stored inputs and the seeded long inputs below.  Every
+# descent step at least halves an integer entry or lowers a norm product,
+# so words grow linearly in bits; the gate pins that workload.  Measured
+# worst ratios on the stored inputs, all at small inputs: 7.0 tokens per
+# bit for decompose_so0, 4.1 for orth_to_herm, 2.0 for both Hermitian ones.
+LENGTH_BOUNDS = {
+    "decompose_so0": (3, 20),
+    "orth_to_herm": (3, 8),
+    "decompose_hgamma1": (2, 0),
+    "decompose_hgamma0": (2, 0),
+}
+
+
+@functools.cache
+def _long_inputs() -> dict:
+    """Five inputs per function from words of each of three long lengths."""
+    rng = random.Random(11)
+    out = {name: [] for name in FUNCTIONS}
+    for length in (16, 32, 48):
+        for _ in range(5):
+            out["decompose_so0"].append(sampling.sample_orth_so0(rng, length))
+            out["orth_to_herm"].append(sampling.sample_orth_plus(rng, length))
+            out["decompose_hgamma1"].append(word_matrix(sampling.sample_hgamma1_word(rng, length // 2)))
+            out["decompose_hgamma0"].append(word_matrix(sampling.sample_hgamma0_word(rng, length // 2)))
+    return out
+
+
+def _bits(m) -> int:
+    """The largest bit length of an entry, or of an Eisenstein coordinate."""
+    coords = (c for r in m for x in r for c in ((x.a, x.b) if isinstance(x, Eisenstein) else (x,)))
+    return max(abs(c).bit_length() for c in coords)
+
+
+def _word(name, answer):
+    """The token word in a function's answer."""
+    if name == "orth_to_herm":
+        return answer[2]
+    return answer[1] if name == "decompose_hgamma0" else answer
+
+
+@pytest.mark.parametrize("name", sorted(LENGTH_BOUNDS))
+def test_words_grow_linearly_in_the_input_bits(name):
+    a, b = LENGTH_BOUNDS[name]
+    for x in [_dec(case["input"]) for case in _cases(name)] + _long_inputs()[name]:
+        assert len(_word(name, FUNCTIONS[name](x))) <= a * _bits(x) + b
 
 
 if __name__ == "__main__":
