@@ -22,16 +22,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
-from . import correspond, cubic, heegner, hermitian, lattice, verify
-from .domain import psi, psi_inv
 from .eisenstein import Eisenstein
 from .errors import InvariantViolation, integer, rational
-from .tower import Cyclo12
 
 __all__ = ["main"]
+
+# verify.SUITES in sorted order, so that parsing a command line does not
+# import verify; a test keeps the two in step
+_SUITES = (
+    "decompose-fuzz",
+    "delta-km",
+    "delta-sing",
+    "disc-group",
+    "enr-iso",
+    "group-iso",
+    "heegner",
+    "quotient-group",
+)
 
 
 # -- input parsing --------------------------------------------------------------
@@ -65,6 +74,8 @@ def parse_eisenstein(v, field: str) -> Eisenstein:
 
 
 def parse_tower(v, field: str) -> Cyclo12:
+    from .tower import Cyclo12
+
     if not isinstance(v, (list, tuple)) or len(v) != 4:
         _fail(field, "expected a four-element array of rational strings")
     return Cyclo12(*(parse_rational(x, f"{field}[{i}]") for i, x in enumerate(v)))
@@ -197,6 +208,8 @@ def emit(command: str, inputs, outputs, code: int, status: str = "ok", diagnosti
 
 
 def cmd_invariants(args):
+    from . import cubic
+
     # cubic.classify checks the number of coefficients
     lam = tuple(parse_rational(p.strip(), f"lambda[{i}]") for i, p in enumerate(args.lam.split(",")))
     rep = cubic.classify(lam)
@@ -218,6 +231,8 @@ def cmd_invariants(args):
 
 
 def cmd_orth(args):
+    from . import lattice
+
     g = parse_int_matrix(field_of(load_document(args), "matrix"), "matrix", 6)
     inputs = {"matrix": [list(r) for r in g]}
     if args.action == "check":
@@ -233,6 +248,8 @@ def cmd_orth(args):
                 outputs["in_enr_kernel"] = lattice._in_enr(g)
         return inputs, outputs, 0 if ok else 1
     if args.action == "decompose":
+        from . import correspond
+
         return inputs, {"word": [[name, p] for name, p in correspond.decompose_so0(g)]}, 0
     if args.action == "disc-action":
         # an element is stored as 6x mod 6; print the coset vector x
@@ -242,6 +259,8 @@ def cmd_orth(args):
 
 
 def cmd_herm(args):
+    from . import hermitian
+
     h = parse_eis_matrix(field_of(load_document(args), "matrix"), "matrix", 4)
     inputs = {"matrix": fmt_eis_matrix(h)}
     if args.action == "check":
@@ -256,6 +275,8 @@ def cmd_herm(args):
 
 
 def cmd_map(args):
+    from .domain import psi, psi_inv
+
     doc = load_document(args)
     if args.action == "z-to-tau":
         z = parse_point(field_of(doc, "z"), "z")
@@ -265,6 +286,8 @@ def cmd_map(args):
 
 
 def cmd_correspond(args):
+    from . import correspond
+
     doc = load_document(args)
     if args.action == "o2h":
         g = parse_int_matrix(field_of(doc, "matrix"), "matrix", 6)
@@ -280,15 +303,19 @@ def cmd_correspond(args):
 
 
 def cmd_heegner(args):
+    from . import heegner
+
     if args.tau is not None:
         raw = parse_json(args.tau, "tau")
     else:
         raw = field_of(load_document(args), "tau")
     tau = parse_tower_matrix(raw, "tau", 2)
-    return {"tau": fmt_tower_matrix(tau)}, asdict(heegner.heegner_membership(tau)), 0
+    return {"tau": fmt_tower_matrix(tau)}, heegner.heegner_membership(tau)._asdict(), 0
 
 
 def cmd_verify(args):
+    from . import verify
+
     if args.suite == "all":
         report = verify.run_all(args.seed)
     else:
@@ -355,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_heegner)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
+    p.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

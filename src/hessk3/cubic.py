@@ -16,11 +16,11 @@ claims symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from math import prod
+from typing import NamedTuple
 
 from .errors import integer, rational, require
 from .poly import NVARS, Poly5, elem_sym, elem_sym_polys, halve_exponents, reciprocal_clear
@@ -61,8 +61,7 @@ def elem_sym_values(lam):
     return _sigma(_coefficients(lam))
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(NamedTuple):
     """I8..I100; Fractions from classical_invariants, Poly5 in lam where
     the certificates build the same formulas symbolically."""
 
@@ -249,8 +248,7 @@ def enriques_partner_check(lam) -> bool:
     return swapped == _HYPERPLANE * prod(_VARS) ** 3 * s5 ** 4
 
 
-@dataclass(frozen=True)
-class LocusReport:
+class LocusReport(NamedTuple):
     invariants: InvariantSet
     delta_sing: Fraction
     delta_km: Fraction | None

@@ -17,8 +17,8 @@ certifies the basis spans the full kernel (index one via determinants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .domain import Point, chart_point, h2_contains, psi
 from .errors import require
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeegnerFlags:
+class HeegnerFlags(NamedTuple):
     node: bool
     eckardt: bool
     ns: bool

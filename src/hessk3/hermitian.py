@@ -252,6 +252,7 @@ def token_matrix(tok):
 
 def token_power(tok, p: int):
     """The token whose matrix is token_matrix(tok) to the power p."""
+    integer(p, "token power")
     kind = tok[0]
     if kind == "gA":
         return ("gA", m2e_pow(tok[1], p))

@@ -22,9 +22,9 @@ answer (the word multiplies back, or maps back up to sign) before it does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from . import correspond, cubic, heegner, hermitian, lattice, poly, sampling
 from .domain import act, psi
@@ -109,8 +109,7 @@ SIZES = {
 }
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     check_id: str
     passed: bool
     detail: str = ""
@@ -599,7 +598,7 @@ def run_suite(name: str, seed: int = 0, sizes: dict | None = None) -> dict:
         "suite": name,
         "seed": seed,
         "passed": all(c.passed for c in checks),
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
     }
 
 

@@ -199,6 +199,15 @@ def test_token_power_is_the_matrix_power(tok, p):
         assert mat_mul(got, positive) == I4
 
 
+@pytest.mark.parametrize("tok", POWER_TOKENS[::2], ids=lambda tok: tok[0])
+@pytest.mark.parametrize("p", [1.5, True], ids=["float", "bool"])
+def test_token_power_reads_an_integer_power(tok, p):
+    # a gBu token used to scale its payload by 1.5 and read True as 1, and
+    # a gA token failed inside the square-and-multiply
+    with pytest.raises(TypeError, match="token power: expected an integer"):
+        token_power(tok, p)
+
+
 def test_token_power_rejects_unknown_kinds():
     with pytest.raises(ValueError, match="unknown token kind"):
         token_power(("gC", (1, 0, 0, 0)), 2)
