@@ -8,7 +8,9 @@ with sorted keys and no timestamps, so identical inputs give identical
 bytes.  Numeric formats: rationals are "p/q" strings (plain integers
 allowed on input), Eisenstein integers are [a, b] pairs, field elements
 are 4-tuples of rational strings (coefficients of 1, sqrt3, i, sqrt3 i),
-matrices are row-major nested lists.
+matrices are row-major nested lists.  The encoder _json_value is the one
+home of these formats: each subcommand returns the library's values as
+they are, and the envelope is serialized once.
 
 Exit codes: 0 on success, 1 when a membership or verification check comes
 back negative or an internal invariant trips, 2 for unusable input or a
@@ -162,34 +164,18 @@ def field_of(doc: dict, name: str):
 # -- output formatting ---------------------------------------------------------
 
 
-def fmt_rational(x) -> str:
-    return str(Fraction(x))
+def _json_value(x):
+    """The one home of the exact formats: json.dumps calls it for each value
+    that is not already JSON (tuples, NamedTuples included, are arrays)."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, Eisenstein):
+        return [x.a, x.b]
+    from .tower import Cyclo12
 
-
-def fmt_eisenstein(e: Eisenstein) -> list:
-    return [e.a, e.b]
-
-
-def fmt_tower(x: Cyclo12) -> list:
-    return [str(x.a), str(x.b), str(x.c), str(x.d)]
-
-
-def fmt_eis_matrix(m) -> list:
-    return [[fmt_eisenstein(x) for x in row] for row in m]
-
-
-def fmt_tower_matrix(m) -> list:
-    return [[fmt_tower(x) for x in row] for row in m]
-
-
-def fmt_herm_word(word) -> list:
-    out = []
-    for kind, payload in word:
-        if kind == "gA":
-            out.append([kind, fmt_eis_matrix(payload)])
-        else:
-            out.append([kind, list(payload)])
-    return out
+    if isinstance(x, Cyclo12):
+        return [str(c) for c in x.coords()]
+    raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
 def emit(command: str, inputs, outputs, code: int, status: str = "ok", diagnostics=()) -> int:
@@ -200,7 +186,7 @@ def emit(command: str, inputs, outputs, code: int, status: str = "ok", diagnosti
         "status": status,
         "diagnostics": list(diagnostics),
     }
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True, default=_json_value))
     return code
 
 
@@ -212,29 +198,16 @@ def cmd_invariants(args):
 
     # cubic.classify checks the number of coefficients
     lam = tuple(parse_rational(p.strip(), f"lambda[{i}]") for i, p in enumerate(args.lam.split(",")))
-    rep = cubic.classify(lam)
-    outputs = {
-        "I8": fmt_rational(rep.invariants.i8),
-        "I16": fmt_rational(rep.invariants.i16),
-        "I24": fmt_rational(rep.invariants.i24),
-        "I32": fmt_rational(rep.invariants.i32),
-        "I40": fmt_rational(rep.invariants.i40),
-        "I100": fmt_rational(rep.invariants.i100),
-        "delta_sing": fmt_rational(rep.delta_sing),
-        "delta_km": None if rep.delta_km is None else fmt_rational(rep.delta_km),
-        "sylvester_degenerate": rep.sylvester_degenerate,
-        "singular": rep.singular,
-        "eckardt": rep.eckardt,
-        "kummer": rep.kummer,
-    }
-    return {"lambda": [fmt_rational(x) for x in lam]}, outputs, 0
+    outputs = cubic.classify(lam)._asdict()
+    outputs.update((k.upper(), v) for k, v in outputs.pop("invariants")._asdict().items())
+    return {"lambda": lam}, outputs, 0
 
 
 def cmd_orth(args):
     from . import lattice
 
     g = parse_int_matrix(field_of(load_document(args), "matrix"), "matrix", 6)
-    inputs = {"matrix": [list(r) for r in g]}
+    inputs = {"matrix": g}
     if args.action == "check":
         # one isometry test; the rest take it as known
         ok = lattice.is_orthogonal(g)
@@ -250,27 +223,26 @@ def cmd_orth(args):
     if args.action == "decompose":
         from . import correspond
 
-        return inputs, {"word": [[name, p] for name, p in correspond.decompose_so0(g)]}, 0
+        return inputs, {"word": correspond.decompose_so0(g)}, 0
     if args.action == "disc-action":
         # an element is stored as 6x mod 6; print the coset vector x
-        rows = [[fmt_rational(Fraction(r, 6)) for r in img] for img in lattice.disc_action(g)]
+        rows = [[Fraction(r, 6) for r in img] for img in lattice.disc_action(g)]
         return inputs, {"generator_images": rows}, 0
-    return inputs, {"permutation": list(lattice.to_s5(g))}, 0
+    return inputs, {"permutation": lattice.to_s5(g)}, 0
 
 
 def cmd_herm(args):
     from . import hermitian
 
     h = parse_eis_matrix(field_of(load_document(args), "matrix"), "matrix", 4)
-    inputs = {"matrix": fmt_eis_matrix(h)}
+    inputs = {"matrix": h}
     if args.action == "check":
         level = hermitian.membership(h)
         return inputs, {"membership": level}, 0 if level != "none" else 1
     if args.action == "decompose":
-        return inputs, {"word": fmt_herm_word(hermitian.decompose_hgamma1(h))}, 0
+        return inputs, {"word": hermitian.decompose_hgamma1(h)}, 0
     if args.action == "mod2":
-        fm = hermitian.f_mod2(h)
-        return inputs, {"matrix_f4": [[list(x) for x in row] for row in fm]}, 0
+        return inputs, {"matrix_f4": hermitian.f_mod2(h)}, 0
     return inputs, {"coset": hermitian.coset_classify(h)}, 0
 
 
@@ -280,9 +252,9 @@ def cmd_map(args):
     doc = load_document(args)
     if args.action == "z-to-tau":
         z = parse_point(field_of(doc, "z"), "z")
-        return {"z": [fmt_tower(x) for x in z]}, {"tau": fmt_tower_matrix(psi(z))}, 0
+        return {"z": z}, {"tau": psi(z)}, 0
     tau = parse_tower_matrix(field_of(doc, "tau"), "tau", 2)
-    return {"tau": fmt_tower_matrix(tau)}, {"z": [fmt_tower(x) for x in psi_inv(tau)]}, 0
+    return {"tau": tau}, {"z": psi_inv(tau)}, 0
 
 
 def cmd_correspond(args):
@@ -292,14 +264,12 @@ def cmd_correspond(args):
     if args.action == "o2h":
         g = parse_int_matrix(field_of(doc, "matrix"), "matrix", 6)
         uses_t, uses_w, word = correspond.orth_to_herm(g)
-        outputs = {"uses_t": uses_t, "uses_w": uses_w, "word": fmt_herm_word(word)}
-        return {"matrix": [list(r) for r in g]}, outputs, 0
+        return {"matrix": g}, {"uses_t": uses_t, "uses_w": uses_w, "word": word}, 0
     word = parse_herm_word(field_of(doc, "word"), "word")
     uses_t = parse_flag(doc, "uses_t")
     uses_w = parse_flag(doc, "uses_w")
-    g = correspond.herm_to_orth(uses_t, uses_w, word)
-    inputs = {"uses_t": uses_t, "uses_w": uses_w, "word": fmt_herm_word(word)}
-    return inputs, {"matrix": [list(r) for r in g]}, 0
+    inputs = {"uses_t": uses_t, "uses_w": uses_w, "word": word}
+    return inputs, {"matrix": correspond.herm_to_orth(uses_t, uses_w, word)}, 0
 
 
 def cmd_heegner(args):
@@ -310,7 +280,7 @@ def cmd_heegner(args):
     else:
         raw = field_of(load_document(args), "tau")
     tau = parse_tower_matrix(raw, "tau", 2)
-    return {"tau": fmt_tower_matrix(tau)}, heegner.heegner_membership(tau)._asdict(), 0
+    return {"tau": tau}, heegner.heegner_membership(tau)._asdict(), 0
 
 
 def cmd_verify(args):

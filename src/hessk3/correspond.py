@@ -33,7 +33,7 @@ from .eisenstein import (
     pair_steps,
 )
 from .errors import integer, require
-from .hermitian import _two_by_two, m2e, token_power
+from .hermitian import _square, _translation, m2e, token_power
 from .lattice import (
     G0,
     G1,
@@ -90,7 +90,7 @@ def psi_hom(a):
     two tail rows w-coefficients.  Forming a B(m) a* instead costs about
     four times as much per call.
     """
-    if not mat_det2(_two_by_two(a)).is_unit():
+    if not mat_det2(_square(a, 2)).is_unit():
         raise ValueError("matrix must have unit determinant")
     a1, a2 = a[0][0], a[0][1]
     a3, a4 = a[1][0], a[1][1]
@@ -181,9 +181,9 @@ def herm_token_to_orth(tok):
     if kind == "gA":
         return psi_hom(tok[1])
     if kind == "gBu":
-        return translation_h(*tok[1])
+        return translation_h(*_translation(tok[1]))
     if kind == "gBl":
-        n1, n2, n3, n4 = tok[1]
+        n1, n2, n3, n4 = _translation(tok[1])
         inner = translation_h(-n2, -n1, n3, n4)
         return mat_mul(G0, mat_mul(inner, G0))
     raise ValueError(f"unknown token kind {kind!r}")

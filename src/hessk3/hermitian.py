@@ -102,13 +102,13 @@ def m2e(rows):
         tuple(x if isinstance(x, Eisenstein) else Eisenstein(integer(x, "matrix entry"), 0) for x in r)
         for r in rows
     )
-    return _two_by_two(out)
+    return _square(out, 2)
 
 
-def _two_by_two(a):
-    """a, when it has two rows of two entries."""
-    if len(a) != 2 or any(len(r) != 2 for r in a):
-        raise ValueError("expected a 2x2 matrix")
+def _square(a, n: int):
+    """a, when it has n rows of n entries."""
+    if len(a) != n or any(len(r) != n for r in a):
+        raise ValueError(f"expected a {n}x{n} matrix")
     return a
 
 
@@ -119,7 +119,7 @@ _Z2 = ((ZERO, ZERO), (ZERO, ZERO))
 
 def m2e_inv(a):
     """Inverse of a matrix with unit determinant (d^(-1) = conj(d))."""
-    d = mat_det2(_two_by_two(a))
+    d = mat_det2(_square(a, 2))
     if not d.is_unit():
         raise ValueError("determinant is not a unit")
     return mat_inv2(a, d.conj())
@@ -188,7 +188,7 @@ def g_lower(m):
 
 
 def g_a(a):
-    d = mat_det2(_two_by_two(a))
+    d = mat_det2(_square(a, 2))
     if not d.is_unit():
         raise ValueError("gA block must have unit determinant")
     # det A* = conj(d), whose inverse is d for a unit d
@@ -196,8 +196,7 @@ def g_a(a):
 
 
 def membership(g) -> str:
-    if len(g) != 4:
-        raise ValueError("expected a 4x4 matrix")
+    _square(g, 4)
     # J g is a signed row permutation: rows three and four, then minus one and two
     jg = (g[2], g[3]) + mat_neg(g[:2])
     if mat_mul(mat_conj_transpose(g), jg) != J_MAT:

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from hessk3 import cli, lattice, verify
 from hessk3.correspond import orth_word_matrix
 from hessk3.domain import Q0
-from hessk3.eisenstein import ONE, ZERO
+from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.hermitian import W_MAT, g_upper, word_matrix
 from hessk3.lattice import G1, is_orthogonal, mat_id, translation_h
+from hessk3.tower import Cyclo12
 
 ENVELOPE_KEYS = {"command", "inputs", "outputs", "status", "diagnostics"}
 
@@ -230,7 +232,7 @@ def test_herm_mod2_and_coset(capsys, monkeypatch):
 
 
 def test_map_round_trip(capsys, monkeypatch):
-    z_doc = [cli.fmt_tower(x) for x in Q0]
+    z_doc = [cli._json_value(x) for x in Q0]
     rc, doc = run_cli(
         ["map", "z-to-tau"], stdin_doc={"z": z_doc}, monkeypatch=monkeypatch, capsys=capsys
     )
@@ -312,6 +314,16 @@ def test_output_too_long_to_print_is_an_input_error(capsys, monkeypatch):
     assert rc == 2
     assert (doc["command"], doc["status"], doc["inputs"]) == ("correspond.h2o", "error", {})
     assert "digits" in doc["diagnostics"][0]
+
+
+def test_one_encoder_writes_the_exact_formats():
+    assert cli._json_value(Fraction(-3, 4)) == "-3/4"
+    assert cli._json_value(Eisenstein(2, -1)) == [2, -1]
+    assert cli._json_value(Cyclo12(1, Fraction(1, 2), 0, -3)) == ["1", "1/2", "0", "-3"]
+    # no fallback to str(): a value with no JSON form is a fault, not output
+    for x in (object(), 1j, {1}):
+        with pytest.raises(TypeError, match="no JSON form"):
+            cli._json_value(x)
 
 
 def test_malformed_stdin(capsys, monkeypatch):
@@ -486,12 +498,12 @@ def _valid_documents():
     from hessk3.domain import psi
 
     z = sampling.sample_chart_point(sampling.make_rng(0))
-    tau = [[cli.fmt_tower(x) for x in row] for row in psi(z)]
+    tau = [[cli._json_value(x) for x in row] for row in psi(z)]
     return [
         {"matrix": [list(r) for r in G1]},
         {"matrix": eis_rows(W_MAT)},
         {"word": [["gBu", [1, 0, 0, 0]], ["gA", [[[1, 0], [0, 0]], [[1, 0], [1, 0]]]]]},
-        {"z": [cli.fmt_tower(x) for x in z]},
+        {"z": [cli._json_value(x) for x in z]},
         {"tau": tau},
     ]
 

@@ -189,6 +189,18 @@ def test_translation_images_compose():
     assert mat_mul(la, lb) == lab
 
 
+@pytest.mark.parametrize("kind", ["gBu", "gBl"])
+def test_translation_images_read_four_integer_parameters(kind):
+    # three parameters used to fail inside translation_h with a missing
+    # argument, five to fail unpacking, and a gBl True to be read as 1
+    for payload in ((1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match="expected four translation parameters"):
+            herm_to_orth(False, False, [(kind, payload)])
+    for payload in ((True, 0, 0, 0), (0, 0, 0.5, 0)):
+        with pytest.raises(TypeError, match="translation parameter: expected an integer"):
+            herm_to_orth(False, False, [(kind, payload)])
+
+
 def test_orth_word_matrix_rejects_unknown_tokens():
     with pytest.raises(ValueError, match="unknown orthogonal token 'h5'"):
         orth_word_matrix([("g1", 1), ("h5", 2)])

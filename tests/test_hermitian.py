@@ -80,6 +80,18 @@ def test_membership_levels():
         membership(I4[:3])
 
 
+@pytest.mark.parametrize(
+    "fn", [membership, decompose_hgamma1, decompose_hgamma0, f_mod2, coset_classify, embed_from_hgamma0]
+)
+@pytest.mark.parametrize("width", [3, 5])
+def test_every_row_of_a_4x4_matrix_is_checked(fn, width):
+    # four rows of three or five entries used to be answered "none" by
+    # membership and "not in the gamma1 congruence subgroup" by decompose_hgamma1
+    g = tuple((r + r)[:width] for r in I4)
+    with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+        fn(g)
+
+
 def test_g_a_rejects_non_unit_determinant():
     with pytest.raises(ValueError, match="unit determinant"):
         g_a(m2e(((2, 0), (0, 1))))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessk3.correspond import herm_to_orth
 from hessk3.cubic import classify, elem_sym_values, hessian_equations, hessian_line_check
 from hessk3.domain import Q0, act, dm_membership, psi
 from hessk3.errors import InputTypeError, integer, rational
@@ -122,6 +123,8 @@ def _spread(fn):
 _ENTRY_POINTS = {
     "translation_h": (_spread(translation_h), ({4}, _INT)),
     "g_upper": (g_upper, ({4}, _INT)),
+    "herm_to_orth gBu": (lambda m: herm_to_orth(False, False, [("gBu", m)]), ({4}, _INT)),
+    "herm_to_orth gBl": (lambda m: herm_to_orth(False, False, [("gBl", m)]), ({4}, _INT)),
     "m2e": (m2e, ({2}, ({2}, _INT))),
     "orthogonal_complement": (orthogonal_complement, ({6}, _INT)),
     "classify": (classify, ({5}, _RAT)),
