@@ -13,8 +13,8 @@ All tests are exact; nothing here touches floats.
 
 from __future__ import annotations
 
-from .errors import integer, require
-from .lattice import mat_det2, mat_vec, qpair
+from .errors import require
+from .lattice import _is_6x6, mat_det2, mat_vec, qpair
 from .tower import (
     C_OMEGA,
     C_OMEGA2,
@@ -89,8 +89,7 @@ def dm_membership(z: Point) -> str:
 def act(g, z: Point) -> Point:
     """Projective action of a 6x6 integer matrix on a chart point (z must
     pass chart_point), renormalized to z1 = 1."""
-    g = tuple(tuple(integer(x, "matrix entry") for x in row) for row in g)
-    if len(g) != 6 or any(len(row) != 6 for row in g):
+    if not _is_6x6(g):
         raise ValueError("g: expected a 6x6 integer matrix")
     w = mat_vec(g, chart_point(z))
     if w[0].is_zero():

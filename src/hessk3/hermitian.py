@@ -25,7 +25,7 @@ lowers the positive integer P = N(row one) N(row four / 2) of column one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from itertools import product
 
 from .domain import h2_contains
 from .eisenstein import (
@@ -417,48 +417,54 @@ def f_mod2(g):
     return m2e_mod2(a)
 
 
-def _section_generators():
-    gens = []
-    for x in (ONE, OMEGA, OMEGA2):
-        gens.append(m2e(((1, x), (0, 1))))
-        gens.append(m2e(((1, 0), (x, 1))))
-    for u in (OMEGA, OMEGA2):
-        gens.append(m2e(((u, 0), (0, 1))))
-        gens.append(m2e(((1, 0), (0, u))))
-    return gens
+# Each pair (x, y) lifts to x + y w, so a nonzero class lifts to one of the
+# units 1, w and 1 + w.
+_F4_LIFT = {x: Eisenstein(*x) for x in F4_ELEMS}
 
 
-@cache
-def _section_table() -> dict:
-    """One fixed integral unit-determinant lift per element of GL2(F4).
+def _f4_lift(fm):
+    """The entrywise lift of a 2x2 matrix over F4; ValueError on anything else."""
+    try:
+        (a, b), (c, d) = ((_F4_LIFT[x] for x in r) for r in fm)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("matrix is not invertible over F4") from None
+    return (a, b), (c, d)
 
-    Breadth-first closure from the identity over exactly liftable
-    generators; deterministic, built once.
-    """
-    gens = _section_generators()
-    table = {m2e_mod2(_I2): _I2}
-    queue = [_I2]
-    while queue:
-        cur = queue.pop(0)
-        for gen in gens:
-            nxt = mat_mul(gen, cur)
-            key = m2e_mod2(nxt)
-            if key not in table:
-                table[key] = nxt
-                queue.append(nxt)
-    require(len(table) == 180, "section table does not cover GL2(F4)")
-    return table
+
+def _odd_det(lift) -> bool:
+    return mat_det2(lift).mod2() != (0, 0)
 
 
 def gl2f4_group() -> list:
-    return sorted(_section_table().keys())
+    """The 180 matrices over F4 whose determinant, taken on lifts, is odd; sorted."""
+    mats = (((a, b), (c, d)) for a, b, c, d in product(sorted(F4_ELEMS), repeat=4))
+    return [fm for fm in mats if _odd_det(_f4_lift(fm))]
+
+
+def _lower_triangular(lift):
+    """The lift of ((1, 0), (x, 1)) ((a, b), (0, f)) for the entrywise lift of
+    an invertible fm with a nonzero: x lifts c conj(a) = c / a and f lifts
+    d - x b, so the product has determinant a f, a unit, and reduces to fm."""
+    (a, b), (c, d) = lift
+    x = _F4_LIFT[(c * a.conj()).mod2()]
+    f = _F4_LIFT[(d - x * b).mod2()]
+    return (a, b), (x * a, x * b + f)
 
 
 def section_lift(fm):
-    table = _section_table()
-    if fm not in table:
+    """One integral unit-determinant lift of an invertible matrix over F4.
+
+    With a == 0 the entrywise lift has determinant -b c, a unit; otherwise
+    fm factors as a lower unitriangular times an upper triangular matrix,
+    each lifted entrywise.  The answer is certified before it is returned.
+    """
+    entrywise = _f4_lift(fm)
+    if not _odd_det(entrywise):
         raise ValueError("matrix is not invertible over F4")
-    return table[fm]
+    lift = entrywise if entrywise[0][0] == ZERO else _lower_triangular(entrywise)
+    require(mat_det2(lift).is_unit(), "section lift does not have unit determinant")
+    require(m2e_mod2(lift) == m2e_mod2(entrywise), "section lift does not reduce to its matrix")
+    return lift
 
 
 def decompose_hgamma0(g):
@@ -487,8 +493,7 @@ def p1_f4_points():
 def p1_action(fm, pt):
     """fm applied to a point of P1(F4), on lifts to Z[w] reduced mod 2.  A
     y nonzero mod 2 is scaled to 1 by conj(y), as y conj(y) = N(y) is odd."""
-    lift = tuple(tuple(Eisenstein(*c) for c in r) for r in fm)
-    x, y = mat_vec(lift, [Eisenstein(*c) for c in pt])
+    x, y = mat_vec(_f4_lift(fm), [Eisenstein(*c) for c in pt])
     if y.mod2() != (0, 0):
         return ((x * y.conj()).mod2(), (1, 0))
     require(x.mod2() != (0, 0), "projective image vanished")

@@ -271,12 +271,24 @@ _GRAM_INV12 = (
 )
 
 
+def _is_6x6(g) -> bool:
+    """Whether g has 6 rows of 6 entries.  Each entry must be an int: any
+    other is an InputTypeError, so a rational, float or bool matrix is
+    refused rather than answered.  The one input step of the isometry
+    entry points, all of which test t(g) Q g = Q behind it."""
+    for r in g:
+        for x in r:
+            if type(x) is not int:
+                integer(x, "matrix entry")
+    return len(g) == N and all(len(r) == N for r in g)
+
+
 def isometry_inverse(g):
     """g^-1 = Q^-1 t(g) Q for an isometry g; any other matrix is a ValueError.
 
     t(g) Q g = Q is tested on the way, so the division by 12 is exact.
     """
-    if len(g) != N:
+    if not _is_6x6(g):
         raise ValueError("inverse of a non-isometry")
     gtq = mat_mul(mat_transpose(g), GRAM)
     if mat_mul(gtq, g) != GRAM:
@@ -300,7 +312,8 @@ def qpair(x, y):
 
 
 def is_orthogonal(g) -> bool:
-    return mat_mul(mat_transpose(g), mat_mul(GRAM, g)) == GRAM
+    """Whether g is an isometry of M; a matrix of another shape is not."""
+    return _is_6x6(g) and mat_mul(mat_transpose(g), mat_mul(GRAM, g)) == GRAM
 
 
 # -- named isometries ------------------------------------------------------

@@ -44,6 +44,7 @@ from .hermitian import (
     moebius,
     p1_action,
     p1_f4_points,
+    section_lift,
     token_matrix,
     word_matrix,
 )
@@ -201,12 +202,18 @@ def _w_prime_law(z) -> bool:
     return psi(act(G0I42, z)) == mat_transpose(moebius(flip, involution_W(psi(z))))
 
 
-def _descriptions_agree(z) -> bool:
-    try:
-        heegner.perp_equivalence(z)
-    except AssertionError:
-        return False
-    return True
+def _certified(certify):
+    """A claim that holds when certify returns and fails when it raises
+    AssertionError, as its InvariantViolation certificate does."""
+
+    def claim(x) -> bool:
+        try:
+            certify(x)
+        except AssertionError:
+            return False
+        return True
+
+    return claim
 
 
 def _returns(entry_point):
@@ -368,7 +375,10 @@ def suite_group_iso(seed: int, sizes: dict):
     # mod-2 image: all of GL2(F4), acting by even permutations on the five
     # projective points, with the three scalar classes acting trivially
     gl = hermitian.gl2f4_group()
-    run.add("mod2-image-order-180", len(gl) == 180, f"got {len(gl)}")
+    # each section lift is a gamma0 element gA(lift), so these reductions
+    # are images of reduction mod 2
+    images = {m2e_mod2(section_lift(fm)) for fm in gl}
+    run.add("mod2-image-order-180", len(images) == 180, f"got {len(images)}")
     pts = p1_f4_points()
     perms = set()
     all_even = True
@@ -494,19 +504,17 @@ def suite_heegner(seed: int, sizes: dict):
             lambda z, name=name: getattr(heegner.perp_equivalence(z), name),
         )
     run.every(
-        "three-descriptions-agree-generic", sampling.sample_chart_point, _descriptions_agree
+        "three-descriptions-agree-generic",
+        sampling.sample_chart_point,
+        _certified(heegner.perp_equivalence),
     )
+    gram_holds = _certified(heegner.complement_gram_verify)
     for name in LOCI:
-        ok = True
-        try:
-            heegner.complement_gram_verify(name)
-        except AssertionError:
-            ok = False
-        run.add(f"complement-gram-{name}", ok)
+        run.add(f"complement-gram-{name}", gram_holds(name))
     run.every(
         "half-shift-orbit-relations",
         sampling.sample_ns_point,
-        lambda z: heegner.orbit_relation_check(psi(z)),
+        _certified(lambda z: heegner.orbit_relation_check(psi(z))),
     )
     # coset classification spot checks; g_upper((0,0,0,1)) is the integral
     # avatar of the third half shift

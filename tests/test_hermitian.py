@@ -326,8 +326,14 @@ def test_section_table_and_group():
         lift = section_lift(fm)
         assert m2e_mod2(lift) == fm
         assert membership(g_a(lift)) in ("gamma0", "gamma1")
-    with pytest.raises(ValueError, match="not invertible over F4"):
-        section_lift((((0, 0), (0, 0)), ((0, 0), (0, 0))))
+    # singular, an entry outside F4, and a third column
+    for fm in (
+        (((0, 0), (0, 0)), ((0, 0), (0, 0))),
+        (((2, 0), (0, 0)), ((0, 0), (1, 0))),
+        (((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0))),
+    ):
+        with pytest.raises(ValueError, match="not invertible over F4"):
+            section_lift(fm)
 
 
 def test_p1_f4():

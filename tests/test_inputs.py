@@ -1,10 +1,11 @@
 """Caller input at the library's entry points.
 
 Each rule for an exact input lives in one place: the scalar guards in
-errors, the coefficient count in cubic, lattice vectors in lattice and
-chart points in domain.  The regression tests below are inputs that used
-to be answered; the property checks that the entry points answer only
-well-formed input and otherwise raise TypeError or ValueError.
+errors, the coefficient count in cubic, lattice vectors and 6x6 integer
+matrices in lattice, and chart points in domain.  The regression tests
+below are inputs that used to be answered; the property checks that the
+entry points answer only well-formed input and otherwise raise TypeError
+or ValueError.
 """
 
 from fractions import Fraction
@@ -14,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessk3.correspond import herm_to_orth
+from hessk3 import lattice
+from hessk3.correspond import decompose_so0, herm_to_orth, is_so0, orth_to_herm
 from hessk3.cubic import classify, elem_sym_values, hessian_equations, hessian_line_check
 from hessk3.domain import Q0, act, dm_membership, psi
 from hessk3.errors import InputTypeError, integer, rational
 from hessk3.heegner import chart_flags, perp_equivalence, perp_flags
 from hessk3.hermitian import g_upper, m2e
-from hessk3.lattice import G1, orthogonal_complement, translation_h
+from hessk3.lattice import G1, GRAM, orthogonal_complement, translation_h
 from hessk3.poly import elem_sym_polys
 from hessk3.tower import C_ZERO, Cyclo12
 
@@ -100,6 +102,58 @@ def test_a_bool_is_not_a_rational():
         Cyclo12(True)
 
 
+# The reflection in v = (1, 3, 0, 0, 0, 0), x -> x - b(x, v) v / 3 with
+# b(v, v) = 6: a rational isometry, its own inverse, with entries -1/3 and -3.
+_V = (1, 3, 0, 0, 0, 0)
+_QV = lattice.mat_vec(GRAM, _V)
+_REFLECTION = tuple(tuple(int(i == j) - Fraction(_V[i] * _QV[j], 3) for j in range(6)) for i in range(6))
+_ISOMETRY_ENTRY_POINTS = {
+    "is_orthogonal": lattice.is_orthogonal,
+    "isometry_inverse": lattice.isometry_inverse,
+    "orientation": lattice.orientation,
+    "block_parity": lattice.block_parity,
+    "disc_action": lattice.disc_action,
+    "to_s5": lattice.to_s5,
+    "is_in_k3": lattice.is_in_k3,
+    "is_in_enr": lattice.is_in_enr,
+    "is_so0": is_so0,
+    "decompose_so0": decompose_so0,
+    "orth_to_herm": orth_to_herm,
+}
+_PREDICATES = {"is_orthogonal", "is_so0"}
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _REFLECTION,
+        tuple(tuple(float(i == j) for j in range(6)) for i in range(6)),
+        tuple(tuple(i == j for j in range(6)) for i in range(6)),
+    ],
+    ids=["rational-reflection", "float-identity", "bool-identity"],
+)
+@pytest.mark.parametrize("name", sorted(_ISOMETRY_ENTRY_POINTS))
+def test_isometry_entry_points_refuse_a_matrix_that_is_not_over_the_integers(name, g):
+    # each used to answer or fail inside the arithmetic: isometry_inverse
+    # floored the reflection's -1/3, disc_action returned Fractions, to_s5
+    # of the float identity and decompose_so0 of the bool one answered
+    assert lattice.mat_mul(g, g) == lattice.mat_id()
+    with pytest.raises(InputTypeError, match="matrix entry: expected an integer"):
+        _ISOMETRY_ENTRY_POINTS[name](g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [G1[:5], G1 + (G1[0],), tuple(r + (0,) for r in G1), lattice.mat_id(5)],
+    ids=["five-rows", "seven-rows", "seven-columns", "5x5"],
+)
+def test_an_integer_matrix_of_another_shape_is_no_isometry(g):
+    # all but seven-columns used to fail inside a product with "mismatched shapes"
+    assert not lattice.is_orthogonal(g) and not is_so0(g)
+    with pytest.raises(ValueError, match="orientation of a non-isometry"):
+        lattice.orientation(g)
+
+
 def test_m2e_rejects_a_float_entry():
     with pytest.raises(TypeError, match="matrix entry: expected an integer, got float"):
         m2e(((0.5, 0), (0, 2)))
@@ -136,6 +190,12 @@ _ENTRY_POINTS = {
     "act matrix": (lambda g: act(g, Q0), ({6}, ({6}, _INT))),
     "Cyclo12": (_spread(Cyclo12), (set(range(5)), _RAT)),
     "Poly5.eval": (elem_sym_polys()[1].eval, ({5}, _RAT)),
+    # the two predicates answer False for an integer matrix of another
+    # shape, since it is no isometry of M; the others raise on it
+    **{
+        name: (fn, (set(range(8)), (set(range(8)), _INT)) if name in _PREDICATES else ({6}, ({6}, _INT)))
+        for name, fn in _ISOMETRY_ENTRY_POINTS.items()
+    },
 }
 
 _EXACT = {

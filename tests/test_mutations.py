@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from hessk3 import cli, correspond, eisenstein, hermitian, lattice, sampling, verify
+from hessk3 import cli, correspond, eisenstein, heegner, hermitian, lattice, sampling, verify
 from hessk3.eisenstein import OMEGA, UNITS, ZERO, Eisenstein
 from hessk3.errors import InvariantViolation
 from hessk3.hermitian import m2e
@@ -193,6 +193,28 @@ def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["verify", "--suite", "group-iso"]) == 1
     assert json.loads(capsys.readouterr().out)["diagnostics"][0].startswith("group-iso: ")
+
+
+def test_an_entrywise_section_lift_is_caught(monkeypatch):
+    # the lower-triangular correction skipped: the entrywise lift of an
+    # invertible matrix over F4 need not have unit determinant, and the
+    # section lift certifies its own answer
+    monkeypatch.setattr(hermitian, "_lower_triangular", lambda lift: lift)
+    with pytest.raises(InvariantViolation, match="^section lift does not have unit determinant"):
+        verify.run_suite("group-iso", 0)
+    # A = ((1, 1), (1, 2 + w)) has determinant 1 + w, but its entrywise
+    # lift mod 2, ((1, 1), (1, w)), has determinant w - 1 of norm 3
+    g = hermitian.g_a(m2e(((1, 1), (1, Eisenstein(2, 1)))))
+    with pytest.raises(InvariantViolation, match="^section lift does not have unit determinant"):
+        hermitian.decompose_hgamma0(g)
+
+
+def test_swapped_half_shifts_fail_only_the_orbit_relations(monkeypatch):
+    # B3 and B4 exchanged: the third shift misses the km locus; the check
+    # reports it instead of the suite raising
+    b = heegner.B_SHIFTS
+    monkeypatch.setattr(heegner, "B_SHIFTS", (b[0], b[1], b[3], b[2]))
+    assert failed("heegner") == {"half-shift-orbit-relations"}
 
 
 # -- stalls: each descent checks its decrease after every step ----------------

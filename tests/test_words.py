@@ -96,16 +96,18 @@ def test_words_match_the_golden_file(name):
 PRODUCT_CEILINGS = {
     "orth_to_herm": (6, 1283),
     "decompose_so0": (6, 2023),
-    "decompose_hgamma0": (4, 361),
+    "decompose_hgamma0": (4, 360),
 }
 
 # At most this many n x n products in one verify suite at seed 0 with the
 # default sizes, as {n: total}.  The suites rest on the entry points'
 # certificates, so a check that proves an answer a second time fails the
-# bound.
+# bound.  No table is cached across calls, so the counts do not depend on
+# what ran before in the process.
 SUITE_PRODUCT_CEILINGS = {
-    "decompose-fuzz": {6: 3219, 4: 1678},
+    "decompose-fuzz": {6: 3219, 4: 1677, 2: 661},
     "enr-iso": {6: 419},
+    "group-iso": {2: 2216},
 }
 
 
