@@ -33,7 +33,7 @@ from .eisenstein import (
     pair_steps,
 )
 from .errors import integer, require
-from .hermitian import _square, _translation, m2e, token_power
+from .hermitian import _translation, _unit_det, m2e, token_power
 from .lattice import (
     G0,
     G1,
@@ -54,7 +54,6 @@ from .lattice import (
     det_int,
     is_orthogonal,
     isometry_inverse,
-    mat_det2,
     mat_id,
     mat_mul,
     mat_neg,
@@ -90,8 +89,7 @@ def psi_hom(a):
     two tail rows w-coefficients.  Forming a B(m) a* instead costs about
     four times as much per call.
     """
-    if not mat_det2(_square(a, 2)).is_unit():
-        raise ValueError("matrix must have unit determinant")
+    _unit_det(a, "matrix must have unit determinant")
     a1, a2 = a[0][0], a[0][1]
     a3, a4 = a[1][0], a[1][1]
     r = (

@@ -40,8 +40,9 @@ from .eisenstein import (
     g2_column_reduce,
     pair_steps,
 )
-from .errors import integer, require
+from .errors import InputTypeError, integer, require
 from .lattice import (
+    _over_zw,
     mat_add,
     mat_conj_transpose,
     mat_det2,
@@ -117,16 +118,27 @@ _I4 = mat_id(4, ONE, ZERO)
 _Z2 = ((ZERO, ZERO), (ZERO, ZERO))
 
 
+def _unit_det(a, message: str) -> Eisenstein:
+    """The determinant of a 2x2 matrix over Z[w], when it is a unit: an
+    entry other than an Eisenstein with int coordinates is an
+    InputTypeError, any other determinant a ValueError with message.  The
+    one input step of every gA block."""
+    if not _over_zw(_square(a, 2)):
+        raise InputTypeError("matrix entry: expected an Eisenstein integer")
+    d = mat_det2(a)
+    if not d.is_unit():
+        raise ValueError(message)
+    return d
+
+
 def m2e_inv(a):
     """Inverse of a matrix with unit determinant (d^(-1) = conj(d))."""
-    d = mat_det2(_square(a, 2))
-    if not d.is_unit():
-        raise ValueError("determinant is not a unit")
-    return mat_inv2(a, d.conj())
+    return mat_inv2(a, _unit_det(a, "determinant is not a unit").conj())
 
 
 def m2e_pow(a, k: int):
-    return power(a, k, _I2, mat_mul, m2e_inv)
+    d = _unit_det(a, "determinant is not a unit")
+    return power(a, k, _I2, mat_mul, lambda x: mat_inv2(x, d.conj()))
 
 
 def m2e_mod2(a):
@@ -188,9 +200,7 @@ def g_lower(m):
 
 
 def g_a(a):
-    d = mat_det2(_square(a, 2))
-    if not d.is_unit():
-        raise ValueError("gA block must have unit determinant")
+    d = _unit_det(a, "gA block must have unit determinant")
     # det A* = conj(d), whose inverse is d for a unit d
     return from_blocks(a, _Z2, _Z2, mat_inv2(mat_conj_transpose(a), d))
 
@@ -343,17 +353,31 @@ def _descend_hgamma1(g):
     # translations.  Full Eisenstein quotients give the usual geometric
     # Euclid; a row-four quotient is taken only when its remainder is
     # strictly smaller, since a nonzero quotient can leave the norm as it
-    # was.  Both quotients round to zero only in the band
-    # 4 N(half) <= 3 N(alpha) <= 9 N(half), where a single best-unit step
-    # is strict on one side or the other.  A gBl step moves only rows three
-    # and four, a gBu step only rows one and two, so each step moves one
-    # factor of P = N(alpha) N(half).  alpha stays odd, so P is a positive
-    # integer while half is nonzero; it is checked to fall on every step,
-    # so the loop ends within P steps or fails on the step that stalled.
-    def gbl_mult(w: Eisenstein):
-        # work[3][0] / 2 gains w * work[0][0]
-        lmul(("gBl", (0, 0, w.a - w.b, -w.b)))
-
+    # was.  When neither moves, one best-unit gBu step does, and that
+    # fallback is reached only at x = half / alpha = +-(2 + w)/3.  Proof:
+    # eis_divmod rounds each coordinate, halves toward zero, so rounding
+    # is odd, sends exactly the closed square of coordinates in
+    # [-1/2, 1/2] to 0, and leaves a remainder in that square, where
+    # N <= 3/4.  Write x = (a + b) + a w, so 1 / (2x) = (b - a w) / (2n)
+    # with n = N(x) = a^2 + ab + b^2.
+    # - The row-one quotient round(1 / (2x)) is 0, so |a|, |b| <= n.
+    # - The row-four quotient q = round(x) is 0 (x in the square), or its
+    #   remainder x - q is no smaller than x; either way n <= 3/4.
+    # - If ab <= 0 then n <= max(a^2, b^2) <= n^2, so n >= 1: impossible.
+    #   Up to x -> -x, then, a, b > 0; with M >= m their max and min,
+    #   M <= n <= M (M + 2m) gives M + 2m >= 1, equal only if m = M.
+    # - So a + b >= 2/3 and a, b <= 3/4: q is 1, or 1 + w when a > 1/2.
+    #   N(x - q) >= N(x) reads 2 Re(q conj x) <= N(q), which is
+    #   2a + b <= 1 for q = 1 + w, false as a > 1/2, and a + 2b <= 1
+    #   for q = 1.  With M + 2m >= 1 that forces a = b = 1/3.
+    # There N(x) = 1/3 and the best unit e has 2 Re(e x) = 1, so the step
+    # sends alpha to alpha (1 - 2 e x), of norm N(alpha) / 3; a gBl unit
+    # step could not help, as 2 Re(e conj x) <= 1 leaves N(x - e) >= N(x).
+    # A gBl step moves only rows three and four, a gBu step only rows one
+    # and two, so each step moves one factor of P = N(alpha) N(half).
+    # alpha stays odd, so P is a positive integer while half is nonzero;
+    # it is checked to fall on every step, so the loop ends within P steps
+    # or fails on the step that stalled.
     def gbu_mult(u: Eisenstein):
         # work[0][0] gains u * work[3][0]
         lmul(("gBu", (0, 0, u.a, u.b)))
@@ -363,15 +387,12 @@ def _descend_hgamma1(g):
         half = _div_int(work[3][0], 2)
         q, r = eis_divmod(half, alpha)
         if not q.is_zero() and r.norm() < half.norm():
-            gbl_mult(-q)
+            # work[3][0] / 2 gains -q * work[0][0]
+            lmul(("gBl", (0, 0, q.b - q.a, q.b)))
         elif not (q := eis_divmod(alpha, work[3][0])[0]).is_zero():
             gbu_mult(-q)
         else:
-            eps = best_unit(lambda e: (e * half.conj() * alpha).two_re())
-            if (eps * half.conj() * alpha).two_re() > alpha.norm():
-                gbl_mult(-eps)
-            else:
-                gbu_mult(-best_unit(lambda e: (e * alpha.conj() * half).two_re()))
+            gbu_mult(-best_unit(lambda e: (e * alpha.conj() * half).two_re()))
         require(
             work[0][0].norm() * _div_int(work[3][0], 2).norm() < alpha.norm() * half.norm(),
             "antidiagonal descent failed to decrease N(row one) N(row four / 2)",
@@ -422,23 +443,30 @@ def f_mod2(g):
 _F4_LIFT = {x: Eisenstein(*x) for x in F4_ELEMS}
 
 
-def _f4_lift(fm):
-    """The entrywise lift of a 2x2 matrix over F4; ValueError on anything else."""
-    try:
-        (a, b), (c, d) = ((_F4_LIFT[x] for x in r) for r in fm)
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("matrix is not invertible over F4") from None
-    return (a, b), (c, d)
-
-
 def _odd_det(lift) -> bool:
     return mat_det2(lift).mod2() != (0, 0)
 
 
+def _f4_lift(fm):
+    """The entrywise lift of an invertible 2x2 matrix over F4; ValueError on anything else."""
+    try:
+        (a, b), (c, d) = ((_F4_LIFT[x] for x in r) for r in fm)
+    except (KeyError, TypeError, ValueError):
+        invertible = False
+    else:
+        invertible = _odd_det(((a, b), (c, d)))
+    if not invertible:
+        raise ValueError("matrix is not invertible over F4")
+    return (a, b), (c, d)
+
+
 def gl2f4_group() -> list:
     """The 180 matrices over F4 whose determinant, taken on lifts, is odd; sorted."""
-    mats = (((a, b), (c, d)) for a, b, c, d in product(sorted(F4_ELEMS), repeat=4))
-    return [fm for fm in mats if _odd_det(_f4_lift(fm))]
+    return [
+        ((a, b), (c, d))
+        for a, b, c, d in product(sorted(F4_ELEMS), repeat=4)
+        if _odd_det(((_F4_LIFT[a], _F4_LIFT[b]), (_F4_LIFT[c], _F4_LIFT[d])))
+    ]
 
 
 def _lower_triangular(lift):
@@ -459,8 +487,6 @@ def section_lift(fm):
     each lifted entrywise.  The answer is certified before it is returned.
     """
     entrywise = _f4_lift(fm)
-    if not _odd_det(entrywise):
-        raise ValueError("matrix is not invertible over F4")
     lift = entrywise if entrywise[0][0] == ZERO else _lower_triangular(entrywise)
     require(mat_det2(lift).is_unit(), "section lift does not have unit determinant")
     require(m2e_mod2(lift) == m2e_mod2(entrywise), "section lift does not reduce to its matrix")
@@ -491,9 +517,13 @@ def p1_f4_points():
 
 
 def p1_action(fm, pt):
-    """fm applied to a point of P1(F4), on lifts to Z[w] reduced mod 2.  A
-    y nonzero mod 2 is scaled to 1 by conj(y), as y conj(y) = N(y) is odd."""
-    x, y = mat_vec(_f4_lift(fm), [Eisenstein(*c) for c in pt])
+    """An invertible fm applied to a point of p1_f4_points(), on lifts to
+    Z[w] reduced mod 2; any other fm or pt is a ValueError.  A y nonzero
+    mod 2 is scaled to 1 by conj(y), as y conj(y) = N(y) is odd."""
+    lift = _f4_lift(fm)
+    if pt not in p1_f4_points():
+        raise ValueError("point is not in P1(F4)")
+    x, y = mat_vec(lift, [Eisenstein(*c) for c in pt])
     if y.mod2() != (0, 0):
         return ((x * y.conj()).mod2(), (1, 0))
     require(x.mod2() != (0, 0), "projective image vanished")

@@ -153,10 +153,13 @@ def mat_mul(a, b):
 
 
 def _over_zw(m) -> bool:
-    """Every entry an Eisenstein with int coordinates."""
-    return all(
-        type(x) is Eisenstein and type(x.a) is int and type(x.b) is int for r in m for x in r
-    )
+    """Every entry an Eisenstein with int coordinates.  Plain loops, as it
+    runs twice per product: a generator under all() costs half as much again."""
+    for r in m:
+        for x in r:
+            if type(x) is not Eisenstein or type(x.a) is not int or type(x.b) is not int:
+                return False
+    return True
 
 
 def _zw_mul(a, bt):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hessk3 import sampling
+from hessk3 import correspond, sampling
 from hessk3.correspond import (
     DICTIONARY_PAIRS,
     ORTH_TOKEN_MATS,
@@ -19,7 +19,7 @@ from hessk3.correspond import (
     psi_hom,
 )
 from hessk3.domain import act, psi
-from hessk3.eisenstein import UNITS, ZERO, Eisenstein
+from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein, exact_div
 from hessk3.hermitian import (
     equal_mod_units,
     herm_b,
@@ -34,6 +34,7 @@ from hessk3.lattice import (
     U1,
     W0,
     mat_conj_transpose,
+    mat_det2,
     mat_id,
     mat_mul,
     mat_neg,
@@ -208,3 +209,78 @@ def test_orth_word_matrix_rejects_unknown_tokens():
     for p in (True, 1.5, "2", Fraction(1)):
         with pytest.raises(TypeError, match="token power: expected an integer"):
             orth_word_matrix([("g1", p)])
+
+
+# -- the transport as the exterior square --------------------------------------
+# U(2, 2) acts on the wedge square of C^4 and preserves a real form of
+# signature (2, 4); on tokens that action is the transport.  The
+# intertwiner P sends an orthogonal vector x to the wedge vector with
+# coordinates y12 = -x2 / 2, y13 = -x5 - w x6, y14 = x3, y23 = -x4,
+# y24 = x5 + w^2 x6, y34 = x1 on e_i ^ e_j, and every token t satisfies
+# herm_token_to_orth(t) = s_t P^-1 wedge(token_matrix(t)) P, with the twist
+# s_t = det(A)^-1 on gA and 1 on translations.  The test builds no
+# rational: column two uses -2 P e2 = e12 and halves its image at the end.
+# Tying the hand-written images to this map stays on the test side, since
+# computing it per token costs several times the direct formulas.
+
+_WEDGE = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_P_COLUMNS = (
+    (0, 0, 0, 0, 0, 1),
+    (1, 0, 0, 0, 0, 0),
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, -1, 0, 0),
+    (0, -1, 0, 0, 1, 0),
+    (0, -OMEGA, 0, 0, OMEGA2, 0),
+)
+
+
+def _p_inverse(y):
+    """P^-1 y; exact_div certifies the division by w^2 - w, of norm 3."""
+    y12, y13, y14, y23, y24, y34 = y
+    x6 = exact_div(y13 + y24, OMEGA2 - OMEGA)
+    return (y34, -2 * y12, y14, -y23, y24 - OMEGA2 * x6, x6)
+
+
+def exterior_image(tok):
+    """s_t P^-1 wedge(token_matrix(tok)) P, as a 6x6 integer matrix."""
+    g = token_matrix(tok)
+    twist = mat_det2(tok[1]).conj() if tok[0] == "gA" else ONE
+    wedge = [[g[i][k] * g[j][l] - g[i][l] * g[j][k] for k, l in _WEDGE] for i, j in _WEDGE]
+    columns = []
+    for n, p in enumerate(_P_COLUMNS):
+        x = _p_inverse([sum((e * c for e, c in zip(row, p)), ZERO) for row in wedge])
+        if n == 1:
+            x = [exact_div(v, Eisenstein(-2, 0)) for v in x]
+        columns.append([twist * v for v in x])
+    assert all(v.b == 0 for col in columns for v in col), tok
+    return tuple(tuple(col[i].a for col in columns) for i in range(6))
+
+
+def _exterior_tokens():
+    units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    rng = sampling.make_rng(41)
+    sampled = [tok for _ in range(50) for tok in sampling.sample_hgamma0_word(rng, 4)]
+    return (
+        [tok for _, _, tok in DICTIONARY_PAIRS if tok[0] == "gA"]
+        + [(kind, m) for kind in ("gBu", "gBl") for m in units]
+        + sampled
+    )
+
+
+def test_every_token_image_is_the_twisted_exterior_square():
+    tokens = _exterior_tokens()
+    assert len(tokens) == 214
+    for tok in tokens:
+        assert herm_token_to_orth(tok) == exterior_image(tok), tok
+
+
+def test_the_exterior_square_sees_an_order_two_collapse(monkeypatch):
+    # psi_hom sending each order-two image to the identity, as in the
+    # mutation tests, breaks the tie on diag(1, -1)
+    exact = correspond.psi_hom
+    ident = mat_id(6)
+    monkeypatch.setattr(
+        correspond, "psi_hom", lambda a: ident if mat_mul(exact(a), exact(a)) == ident else exact(a)
+    )
+    tok = ("gA", m2e(((1, 0), (0, -1))))
+    assert herm_token_to_orth(tok) != exterior_image(tok)

@@ -1,11 +1,12 @@
 """Degree-two Hermitian modular group: words, descents, mod-2 structure."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from hessk3 import sampling
-from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein
+from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein, eis_divmod
 from hessk3.hermitian import (
     B_COSETS,
     F4_ELEMS,
@@ -242,6 +243,30 @@ def test_row_four_step_only_takes_shrinking_quotients():
     assert membership(ROW_FOUR_STALL) == "gamma1"
     word = decompose_hgamma1(ROW_FOUR_STALL)
     assert word_matrix(word) == ROW_FOUR_STALL
+
+
+def test_the_antidiagonal_fallback_is_reached_only_at_two_points():
+    # Both quotients of the antidiagonal loop depend only on x = half / alpha.
+    # The exact grid x = (s + t w) / 60 with |s|, |t| <= 120 holds every
+    # x of norm at most 3/4, which the fallback needs; run the loop's two
+    # tests on it as the loop makes them.
+    alpha = Eisenstein(60, 0)
+    reached = set()
+    for s, t in product(range(-120, 121), repeat=2):
+        half = Eisenstein(s, t)
+        if half.is_zero():
+            continue
+        q, r = eis_divmod(half, alpha)
+        if q.is_zero() or r.norm() >= half.norm():
+            if eis_divmod(alpha, 2 * half)[0].is_zero():
+                reached.add(half)
+    # x = +-(2 + w)/3, where the best gBl unit score 2 Re(e conj x) is
+    # exactly 1, so a gBl unit step cannot lower N(half); the gBu step
+    # scores 1 as well and divides N(alpha) by 3
+    assert reached == {Eisenstein(40, 20), Eisenstein(-40, -20)}
+    for half in reached:
+        assert max((e * half.conj() * alpha).two_re() for e in UNITS) == alpha.norm()
+        assert max((e * alpha.conj() * half).two_re() for e in UNITS) == alpha.norm()
 
 
 def test_decompose_rejections():

@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessk3 import lattice
-from hessk3.correspond import decompose_so0, herm_to_orth, is_so0, orth_to_herm
+from hessk3.correspond import decompose_so0, herm_to_orth, is_so0, orth_to_herm, psi_hom
 from hessk3.cubic import classify, elem_sym_values, hessian_equations, hessian_line_check
 from hessk3.domain import Q0, act, dm_membership, psi
+from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.errors import InputTypeError, integer, rational
 from hessk3.heegner import chart_flags, perp_equivalence, perp_flags
-from hessk3.hermitian import g_upper, m2e
+from hessk3.hermitian import F4_ID, g_a, g_upper, m2e, m2e_inv, m2e_pow, p1_action, token_matrix, token_power
 from hessk3.lattice import G1, GRAM, orthogonal_complement, translation_h
 from hessk3.poly import elem_sym_polys
 from hessk3.tower import C_ZERO, Cyclo12
@@ -159,9 +160,61 @@ def test_m2e_rejects_a_float_entry():
         m2e(((0.5, 0), (0, 2)))
 
 
+_GA_ENTRY_POINTS = {
+    "psi_hom": psi_hom,
+    "g_a": g_a,
+    "m2e_inv": m2e_inv,
+    "m2e_pow": lambda a: m2e_pow(a, 2),
+    "token_matrix": lambda a: token_matrix(("gA", a)),
+    "token_power": lambda a: token_power(("gA", a), 0),
+}
+
+
+@pytest.mark.parametrize(
+    "a",
+    [((Eisenstein(1.0, 0), ZERO), (ZERO, ONE)), ((1, 0), (0, 1)), ((ONE, ZERO), (ZERO, True))],
+    ids=["float-coordinate", "plain-ints", "bool"],
+)
+@pytest.mark.parametrize("name", sorted(_GA_ENTRY_POINTS))
+def test_gA_blocks_are_matrices_of_eisenstein_integers(name, a):
+    # the float coordinate used to be answered by all six, the plain ints
+    # raised AttributeError inside the determinant (m2e_pow answered an int
+    # matrix, token_power the identity), the bool one was answered
+    with pytest.raises(InputTypeError, match="matrix entry: expected an Eisenstein integer"):
+        _GA_ENTRY_POINTS[name](a)
+
+
+@pytest.mark.parametrize("name", sorted(_GA_ENTRY_POINTS))
+def test_gA_blocks_have_unit_determinant(name):
+    # a power used to skip the test: m2e_pow answered diag(4, 1) and
+    # token_power the identity token
+    with pytest.raises(ValueError, match="unit"):
+        _GA_ENTRY_POINTS[name](m2e(((2, 0), (0, 1))))
+
+
+@pytest.mark.parametrize(
+    "fm, pt, message",
+    [
+        (F4_ID, ((5, 0), (3, 0)), "point is not in P1"),
+        (F4_ID, ((0, 0), (0, 0)), "point is not in P1"),
+        (F4_ID, ((1, 0),), "point is not in P1"),
+        ((((0, 0), (0, 0)), ((0, 0), (0, 0))), ((1, 0), (0, 0)), "matrix is not invertible over F4"),
+        ((((1, 0), (1, 0)), ((1, 0), (1, 0))), ((1, 0), (0, 0)), "matrix is not invertible over F4"),
+        ((((1, 0), (0, 0)), ((0, 0), (2, 0))), ((1, 0), (0, 0)), "matrix is not invertible over F4"),
+    ],
+    ids=["point-off-f4", "zero-point", "short-point", "zero-matrix", "singular", "entry-off-f4"],
+)
+def test_p1_action_checks_both_arguments(fm, pt, message):
+    # the first answered ((1, 0), (1, 0)), the zero matrix raised
+    # InvariantViolation("projective image vanished")
+    with pytest.raises(ValueError, match=message):
+        p1_action(fm, pt)
+
+
 # -- the contract as a property ------------------------------------------------
 
-_INT, _RAT = "int", "rational"
+_INT, _RAT, _EIS = "int", "rational", "Eisenstein integer"
+_GA = ({2}, ({2}, _EIS))
 _POINT = ({6}, _RAT)
 # a chart point has the shape _POINT but is drawn with z1 = 1 most of the time
 _CHART = "chart point"
@@ -190,6 +243,7 @@ _ENTRY_POINTS = {
     "act matrix": (lambda g: act(g, Q0), ({6}, ({6}, _INT))),
     "Cyclo12": (_spread(Cyclo12), (set(range(5)), _RAT)),
     "Poly5.eval": (elem_sym_polys()[1].eval, ({5}, _RAT)),
+    **{f"{name} gA": (fn, _GA) for name, fn in _GA_ENTRY_POINTS.items()},
     # the two predicates answer False for an integer matrix of another
     # shape, since it is no isometry of M; the others raise on it
     **{
@@ -201,6 +255,7 @@ _ENTRY_POINTS = {
 _EXACT = {
     _INT: st.integers(-2, 2),
     _RAT: st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3),
+    _EIS: st.builds(Eisenstein, st.integers(-1, 1), st.integers(-1, 1)),
 }
 _JUNK = (
     st.booleans()
@@ -218,6 +273,8 @@ def _fits(value, shape) -> bool:
         return type(value) is int
     if shape == _RAT:
         return type(value) in (int, Fraction)
+    if shape == _EIS:
+        return type(value) is Eisenstein and type(value.a) is int and type(value.b) is int
     lengths, entry = shape
     return type(value) is tuple and len(value) in lengths and all(_fits(x, entry) for x in value)
 
@@ -235,7 +292,13 @@ def _values(shape):
         # normalized, and five, six and seven coordinates are drawn alike,
         # so most draws reach the length and type guards behind that check
         return st.tuples(_values(({5, 6, 7}, _RAT)), st.integers(0, 4)).map(_normalized)
-    if isinstance(shape, str):
+    if shape == _EIS:
+        # coordinates in -1..1 make unit determinants common; an Eisenstein
+        # entry is most easily mistaken for a plain int or an Eisenstein
+        # with a float coordinate, so two entries in three are those
+        floats = st.integers(-1, 1).map(float)
+        exact = _EXACT[_EIS] | st.integers(-1, 1) | st.builds(Eisenstein, floats, st.integers(-1, 1))
+    elif isinstance(shape, str):
         exact = _EXACT[shape]
     else:
         lengths, entry = shape

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from hessk3 import cli, correspond, eisenstein, heegner, hermitian, lattice, sampling, verify
+from hessk3 import cli, correspond, cubic, eisenstein, heegner, hermitian, lattice, sampling, verify
 from hessk3.eisenstein import OMEGA, UNITS, ZERO, Eisenstein
 from hessk3.errors import InvariantViolation
 from hessk3.hermitian import m2e
@@ -217,6 +217,50 @@ def test_swapped_half_shifts_fail_only_the_orbit_relations(monkeypatch):
     assert failed("heegner") == {"half-shift-orbit-relations"}
 
 
+def delta_sing_failures(monkeypatch, name, replacement) -> set:
+    """The failed delta-sing ids with cubic.name replaced.  The two
+    polynomials the suite compares are cached per process, so each cache is
+    cleared before the fault, to build under it, and after, to leak nothing."""
+    caches = (cubic.delta_sing_poly, cubic.delta_sing_invariant_poly)
+    for c in caches:
+        c.cache_clear()
+    monkeypatch.setattr(cubic, name, replacement)
+    try:
+        return failed("delta-sing")
+    finally:
+        monkeypatch.undo()
+        for c in caches:
+            c.cache_clear()
+
+
+def test_a_wrong_coefficient_in_the_discriminant_formula_is_caught(monkeypatch):
+    # 2047 I8 I24 for 2048 I8 I24
+    def off(inv):
+        core = inv.i8 * inv.i8 - 64 * inv.i16
+        return core * core - 16384 * inv.i32 - 2047 * inv.i8 * inv.i24
+
+    assert delta_sing_failures(monkeypatch, "_delta_sing_of", off) == {
+        "product-form-equals-invariant-form",
+        "value-at-ones",
+        "value-at-quadruple-point",
+    }
+
+
+def test_a_wrong_coefficient_in_i8_is_caught(monkeypatch):
+    # I8 = s4^2 - 3 s3 s5 for s4^2 - 4 s3 s5
+    exact = cubic._invariants
+
+    def off(s, diff):
+        return exact(s, diff)._replace(i8=s[3] * s[3] - 3 * s[2] * s[4])
+
+    assert delta_sing_failures(monkeypatch, "_invariants", off) == {
+        "product-form-equals-invariant-form",
+        "value-at-ones",
+        "value-at-quadruple-point",
+        "invariants-at-ones",
+    }
+
+
 # -- stalls: each descent checks its decrease after every step ----------------
 
 
@@ -249,12 +293,18 @@ def test_a_zero_tail_quotient_stalls_on_its_first_step(monkeypatch):
     assert len(calls) == 1
 
 
-def test_the_worst_unit_in_the_band_stalls_on_its_first_step(monkeypatch):
-    # this word's antidiagonal descent reaches the band, where both unit
-    # choices go to best_unit; the worst unit raises N(row one)
+def test_the_worst_unit_in_the_fallback_step_stalls_on_its_first_step(monkeypatch):
+    # this word's antidiagonal descent reaches the fallback step, where
+    # neither quotient moves and best_unit picks the gBu unit; the worst
+    # unit raises N(row one)
     word = [("gBu", (1, 0, 1, -1)), ("gBu", (-2, 0, 0, -1)), ("gBl", (0, 0, 1, 1)), ("gBu", (2, -2, 0, -1))]
     g = hermitian.word_matrix(word)
+    divisions = counted(monkeypatch, hermitian, "eis_divmod", eisenstein.eis_divmod)
     calls = counted(monkeypatch, hermitian, "best_unit", lambda f: min(UNITS, key=f))
     with pytest.raises(InvariantViolation, match=r"antidiagonal descent failed to decrease N\(row one\)"):
         hermitian.decompose_hgamma1(g)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    # the last division is the row-one quotient alpha / row four, taken
+    # at x = half / alpha = +-(2 + w)/3, the only point the fallback reaches
+    alpha, row_four = divisions[-1]
+    assert 3 * row_four in (2 * (2 + OMEGA) * alpha, -2 * (2 + OMEGA) * alpha)
