@@ -84,41 +84,32 @@ def psi_hom(a):
 
     The first hyperbolic plane is fixed.  On coordinates 3..6, read as the
     parameters m of herm_b (m1 = X11, m2 = X22, m3 + w m4 = X12), it is the
-    congruence B(m) -> a B(m) a*.  The entries are that map written out,
-    quadratic in a: the real rows are norms and doubled real parts, the
-    two tail rows w-coefficients.  Forming a B(m) a* instead costs about
-    four times as much per call.
+    congruence B(m) -> a B(m) a*.
     """
     _unit_det(a, "matrix must have unit determinant")
-    a1, a2 = a[0][0], a[0][1]
-    a3, a4 = a[1][0], a[1][1]
-    r = (
-        (
-            a1.norm(),
-            a2.norm(),
-            (a1 * a2.conj()).two_re(),
-            (OMEGA * a1 * a2.conj()).two_re(),
-        ),
-        (
-            a3.norm(),
-            a4.norm(),
-            (a3 * a4.conj()).two_re(),
-            (OMEGA * a3 * a4.conj()).two_re(),
-        ),
-        (
-            (OMEGA * a3 * a1.conj()).b,
-            (OMEGA * a4 * a2.conj()).b,
-            (OMEGA * (a4 * a1.conj() + a3 * a2.conj())).b,
-            (a4 * a1.conj() - OMEGA * a2 * a3.conj()).b,
-        ),
-        (
-            (a1 * a3.conj()).b,
-            (a2 * a4.conj()).b,
-            (a1 * a4.conj() + a2 * a3.conj()).b,
-            (OMEGA * (a1 * a4.conj() - a3 * a2.conj())).b,
-        ),
+    return _psi_hom(a)
+
+
+def _psi_hom(a):
+    """psi_hom without its guard, for any 2x2 matrix over Z[w].
+
+    Column j of the tail is a B(e_j) a*.  With c1, c2 the columns of a,
+    B(e1) and B(e2) go to c1 c1* and c2 c2*, B(e3) to c1 c2* + c2 c1* and
+    B(e4) to w c1 c2* + w^2 c2 c1*.  Only +, - and * on the coordinates of
+    the entries, so every tail entry is a polynomial of degree two in them.
+    """
+    (a1, a2), (a3, a4) = a
+    # the diagonal of c1 c2*, and the top right entries of c1 c2* and c2 c1*
+    p, q = a1 * a2.conj(), a3 * a4.conj()
+    r, s = a1 * a4.conj(), a2 * a3.conj()
+    # each column as (X11, X22, X12) of its image X
+    cols = (
+        (a1.norm(), a3.norm(), a1 * a3.conj()),
+        (a2.norm(), a4.norm(), a2 * a4.conj()),
+        (p.two_re(), q.two_re(), r + s),
+        ((OMEGA * p).two_re(), (OMEGA * q).two_re(), OMEGA * r + OMEGA2 * s),
     )
-    return _embed_tail(r)
+    return _embed_tail(tuple(zip(*((x11, x22, x12.a, x12.b) for x11, x22, x12 in cols))))
 
 
 def is_so0(g) -> bool:

@@ -17,7 +17,6 @@ claims symbolically.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, permutations
 from math import prod
 from typing import NamedTuple
@@ -139,7 +138,6 @@ def classical_invariants(lam) -> InvariantSet:
 # -- certificate polynomials ---------------------------------------------------
 
 
-@cache
 def delta_sing_poly() -> Poly5:
     """Degree-32 polynomial in lam cutting out the singular cubics.
 
@@ -171,7 +169,6 @@ def delta_sing_poly() -> Poly5:
     return reciprocal_clear(halve_exponents(prod), 8)
 
 
-@cache
 def delta_sing_invariant_poly() -> Poly5:
     """The runtime formula _delta_sing_of, built over Poly5 in lam."""
     return _delta_sing_of(_invariants(elem_sym_polys(), _vandermonde(_VARS)))
@@ -181,7 +178,6 @@ def delta_sing(lam) -> Fraction:
     return _delta_sing_of(classical_invariants(lam))
 
 
-@cache
 def delta_km_mu_poly() -> Poly5:
     """sum mu_i^3 - sum_{i != j} mu_i^2 mu_j + 2 sum_{i<j<k} mu_i mu_j mu_k."""
     zero = Poly5()
@@ -191,7 +187,6 @@ def delta_km_mu_poly() -> Poly5:
     return cubes - mixed + 2 * triples
 
 
-@cache
 def delta_km_bridge_poly() -> Poly5:
     """The runtime bridge _km_bridge, built over Poly5 in lam."""
     return _km_bridge(elem_sym_polys())

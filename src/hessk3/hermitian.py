@@ -103,7 +103,7 @@ def m2e(rows):
         tuple(x if isinstance(x, Eisenstein) else Eisenstein(integer(x, "matrix entry"), 0) for x in r)
         for r in rows
     )
-    return _square(out, 2)
+    return _zw_block(out)
 
 
 def _square(a, n: int):
@@ -118,14 +118,20 @@ _I4 = mat_id(4, ONE, ZERO)
 _Z2 = ((ZERO, ZERO), (ZERO, ZERO))
 
 
-def _unit_det(a, message: str) -> Eisenstein:
-    """The determinant of a 2x2 matrix over Z[w], when it is a unit: an
-    entry other than an Eisenstein with int coordinates is an
-    InputTypeError, any other determinant a ValueError with message.  The
-    one input step of every gA block."""
+def _zw_block(a):
+    """a, when it is a 2x2 matrix over Z[w]: an entry other than an
+    Eisenstein with int coordinates is an InputTypeError.  The one entry
+    rule of m2e and of every gA block."""
     if not _over_zw(_square(a, 2)):
         raise InputTypeError("matrix entry: expected an Eisenstein integer")
-    d = mat_det2(a)
+    return a
+
+
+def _unit_det(a, message: str) -> Eisenstein:
+    """The determinant of a 2x2 matrix over Z[w], when it is a unit: any
+    other determinant is a ValueError with message.  The one input step of
+    every gA block."""
+    d = mat_det2(_zw_block(a))
     if not d.is_unit():
         raise ValueError(message)
     return d

@@ -427,15 +427,10 @@ def suite_enr_iso(seed: int, sizes: dict):
 
 def suite_delta_sing(seed: int, sizes: dict):
     run = _Run(seed, sizes)
-    run.add(
-        "product-form-equals-invariant-form",
-        cubic.delta_sing_poly() == cubic.delta_sing_invariant_poly(),
-    )
+    product_form = cubic.delta_sing_poly()
+    run.add("product-form-equals-invariant-form", product_form == cubic.delta_sing_invariant_poly())
     ones = (1, 1, 1, 1, 1)
-    run.add(
-        "value-at-ones",
-        cubic.delta_sing(ones) == -1215 and cubic.delta_sing_poly().eval(ones) == -1215,
-    )
+    run.add("value-at-ones", cubic.delta_sing(ones) == -1215 and product_form.eval(ones) == -1215)
     run.add("value-at-quadruple-point", cubic.delta_sing((1, 1, 1, 1, Fraction(1, 16))) == 0)
     inv = cubic.classical_invariants(ones)
     run.add(

@@ -1,11 +1,12 @@
 """Transport between the 6x6 isometries and the Hermitian modular side."""
 
-import random
 from fractions import Fraction
+from itertools import combinations
+from operator import add
 
 import pytest
 
-from hessk3 import correspond, sampling
+from hessk3 import correspond, sampling, verify
 from hessk3.correspond import (
     DICTIONARY_PAIRS,
     ORTH_TOKEN_MATS,
@@ -17,9 +18,11 @@ from hessk3.correspond import (
     orth_to_herm,
     orth_word_matrix,
     psi_hom,
+    _psi_hom,
 )
 from hessk3.domain import act, psi
 from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein, exact_div
+from hessk3.errors import InvariantViolation
 from hessk3.hermitian import (
     equal_mod_units,
     herm_b,
@@ -67,20 +70,62 @@ def test_word_images_need_two_by_two_gA_blocks():
             entry(eye3)
 
 
-def test_psi_hom_is_congruence_by_a_on_hermitian_matrices():
-    # on coordinates 3..6, read as the parameters m of herm_b, psi_hom(a)
-    # sends B(m) to a B(m) a*; both sides are linear in m, so the four unit
-    # vectors pin all sixteen entries
-    rng = random.Random(1)
-    samples = [sampling.sample_gl2_matrix(rng, 5) for _ in range(100)]
-    for a in samples + [m2e(((u, 0), (0, u))) for u in UNITS]:
-        image = psi_hom(a)
+def _degree_two_points(n: int):
+    """0, e_i, 2 e_i and e_i + e_j in Z^n: 1 + 2n + n(n - 1)/2 points."""
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return (
+        [(0,) * n]
+        + unit
+        + [tuple(2 * x for x in e) for e in unit]
+        + [tuple(map(add, e, f)) for e, f in combinations(unit, 2)]
+    )
+
+
+def _congruence_failures() -> list:
+    """The points a of _degree_two_points(8) where the tail of _psi_hom(a)
+    is not the congruence B(m) -> a B(m) a*."""
+    failures = []
+    for x in _degree_two_points(8):
+        e = [Eisenstein(x[k], x[k + 1]) for k in range(0, 8, 2)]
+        a = ((e[0], e[1]), (e[2], e[3]))
+        image = _psi_hom(a)
         assert image[:2] == mat_id(6)[:2] and all(row[:2] == (0, 0) for row in image[2:])
         for j in range(4):
             m = tuple(int(k == j) for k in range(4))
-            x = mat_mul(a, mat_mul(herm_b(m), mat_conj_transpose(a)))
-            assert x[1][0] == x[0][1].conj() and x[0][0].b == 0 and x[1][1].b == 0
-            assert tuple(row[2 + j] for row in image[2:]) == (x[0][0].a, x[1][1].a, x[0][1].a, x[0][1].b)
+            y = mat_mul(a, mat_mul(herm_b(m), mat_conj_transpose(a)))
+            assert y[1][0] == y[0][1].conj() and y[0][0].b == 0 and y[1][1].b == 0
+            if tuple(row[2 + j] for row in image[2:]) != (y[0][0].a, y[1][1].a, y[0][1].a, y[0][1].b):
+                failures.append((a, j))
+    return failures
+
+
+def test_psi_hom_is_congruence_by_a_on_hermitian_matrices():
+    # on coordinates 3..6, read as the parameters m of herm_b, psi_hom(a)
+    # sends B(m) to a B(m) a*, for every 2x2 matrix a over Z[w].  Both sides
+    # are linear in m, so the four unit vectors pin all sixteen entries.  In
+    # the eight integer coordinates of a, both are polynomials of degree at
+    # most two: _psi_hom takes +, - and * of at most two entries of a, and
+    # a B a* is bilinear in a and conj(a).  Such a polynomial f is fixed by
+    # its 45 values at 0, e_i, 2 e_i and e_i + e_j: f(0) is its constant,
+    # f(e_i) and f(2 e_i) give the coefficients of x_i and x_i^2, and
+    # f(e_i + e_j) that of x_i x_j.  So the two sides, equal at these 45
+    # points, are equal at every integer matrix.
+    assert len(_degree_two_points(8)) == 45
+    assert _congruence_failures() == []
+
+
+def test_w_for_w_squared_in_psi_hom_is_caught(monkeypatch):
+    # the B(e4) column as w c1 c2* + w c2 c1*: only a with an off-diagonal
+    # product a2 conj(a3) sees it, so of the frozen images only u0u1 does
+    monkeypatch.setattr(correspond, "OMEGA2", OMEGA)
+    assert _congruence_failures() != []
+    assert {c["check_id"] for c in verify.run_suite("group-iso", 0)["checks"] if not c["passed"]} == {
+        "image-u0u1",
+        "psi-multiplicative",
+    }
+    for suite in ("enr-iso", "decompose-fuzz"):
+        with pytest.raises(InvariantViolation, match="word image left the even orthogonal subgroup"):
+            verify.run_suite(suite, 0)
 
 
 def test_psi_hom_is_multiplicative():
@@ -220,7 +265,7 @@ def test_orth_word_matrix_rejects_unknown_tokens():
 # herm_token_to_orth(t) = s_t P^-1 wedge(token_matrix(t)) P, with the twist
 # s_t = det(A)^-1 on gA and 1 on translations.  The test builds no
 # rational: column two uses -2 P e2 = e12 and halves its image at the end.
-# Tying the hand-written images to this map stays on the test side, since
+# Tying the token images to this map stays on the test side, since
 # computing it per token costs several times the direct formulas.
 
 _WEDGE = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))

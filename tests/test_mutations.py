@@ -10,6 +10,7 @@ on one fixed input.  pytest's monkeypatch undoes each fault afterwards.
 """
 
 import json
+from math import prod
 
 import pytest
 
@@ -43,6 +44,21 @@ def test_wrong_u2_image_breaks_the_dictionary(monkeypatch):
         verify.run_suite("decompose-fuzz", 0)
 
 
+def test_a_frobenius_after_the_p1_action_is_caught(monkeypatch):
+    # x -> x^2 on the affine coordinate, (a, b) -> (a xor b, b) on x = a + b w,
+    # swaps w and w^2 and fixes 0, 1 and infinity: every permutation changes
+    # sign, and no element acts trivially any more.  verify imports
+    # p1_action by name, so the fault is planted there
+    exact = verify.p1_action
+
+    def frobenius(fm, pt):
+        x, y = exact(fm, pt)
+        return ((x[0] ^ x[1], x[1]), y) if y == (1, 0) else (x, y)
+
+    monkeypatch.setattr(verify, "p1_action", frobenius)
+    assert failed("group-iso") == {"p1-action-all-even", "p1-kernel-order-3"}
+
+
 def test_general_gA_tokens_leave_the_enriques_kernel(monkeypatch):
     # gamma1 words that also draw gA tokens off the congruence kernel
     monkeypatch.setattr(sampling, "sample_hgamma1_word", sampling.sample_hgamma0_word)
@@ -71,6 +87,17 @@ def test_relabelled_two_torsion_classes_move_the_g1_permutation(monkeypatch):
     # a relabelled map is still a homomorphism, so this check cannot see
     # the fault; it stays for the faults it can see
     assert checks["five-class-map-multiplicative"] is True
+
+
+@pytest.mark.parametrize(
+    "name, check_id",
+    [("_in_k3", "k3-subgroup-is-trivial-action"), ("_in_enr", "enr-subgroup-fixes-two-torsion")],
+)
+def test_kernel_congruences_read_on_rows_are_caught(monkeypatch, name, check_id):
+    # each kernel test reads its congruences on the columns of g
+    exact = getattr(lattice, name)
+    monkeypatch.setattr(lattice, name, lambda g: exact(lattice.mat_transpose(g)))
+    assert failed("quotient-group") == {check_id}
 
 
 def test_order_two_images_sent_to_the_identity_are_caught(monkeypatch):
@@ -218,19 +245,9 @@ def test_swapped_half_shifts_fail_only_the_orbit_relations(monkeypatch):
 
 
 def delta_sing_failures(monkeypatch, name, replacement) -> set:
-    """The failed delta-sing ids with cubic.name replaced.  The two
-    polynomials the suite compares are cached per process, so each cache is
-    cleared before the fault, to build under it, and after, to leak nothing."""
-    caches = (cubic.delta_sing_poly, cubic.delta_sing_invariant_poly)
-    for c in caches:
-        c.cache_clear()
+    """The failed delta-sing ids with cubic.name replaced."""
     monkeypatch.setattr(cubic, name, replacement)
-    try:
-        return failed("delta-sing")
-    finally:
-        monkeypatch.undo()
-        for c in caches:
-            c.cache_clear()
+    return failed("delta-sing")
 
 
 def test_a_wrong_coefficient_in_the_discriminant_formula_is_caught(monkeypatch):
@@ -259,6 +276,43 @@ def test_a_wrong_coefficient_in_i8_is_caught(monkeypatch):
         "value-at-quadruple-point",
         "invariants-at-ones",
     }
+
+
+def test_a_moved_node_of_the_hessian_quartic_is_caught(monkeypatch):
+    # the first of the ten nodes at (1, 1, 0, 0, 0) instead of (1, -1, 0, 0, 0),
+    # off the hyperplane
+    exact = cubic.hessian_singular_points
+
+    def moved():
+        nodes = exact()
+        return ((nodes[0][0], -nodes[0][1]) + nodes[0][2:],) + nodes[1:]
+
+    monkeypatch.setattr(cubic, "hessian_singular_points", moved)
+    assert failed("delta-km") == {"ten-points-on-the-quartic"}
+
+
+def test_a_line_check_on_the_union_of_two_hyperplanes_is_caught(monkeypatch):
+    # X_i = 0 or X_j = 0 for X_i = X_j = 0: the quartic's term without X_i
+    # survives on X_i = 0
+    def union(lam, pair):
+        i, j = pair
+        _, quartic = cubic.hessian_equations(lam)
+        return not any(e[i] == 0 or e[j] == 0 for e in quartic.terms)
+
+    monkeypatch.setattr(cubic, "hessian_line_check", union)
+    assert failed("delta-km") == {"ten-points-on-the-quartic"}
+
+
+def test_a_partner_coordinate_without_its_lambda_is_caught(monkeypatch):
+    # lam_0 dropped from the first scaled coordinate: it changes only the
+    # coefficients of the quartic, each of whose terms vanishes at the nodes
+    # and on the lines, so only the swap sees it
+    def partners(lam, xs):
+        scaled = [xs[0]] + [x * c for x, c in zip(xs[1:], lam[1:])]
+        return tuple(prod(scaled[:i] + scaled[i + 1 :]) for i in range(len(xs)))
+
+    monkeypatch.setattr(cubic, "_partners", partners)
+    assert failed("delta-km") == {"partner-coordinate-swap"}
 
 
 # -- stalls: each descent checks its decrease after every step ----------------
