@@ -35,7 +35,6 @@ from .eisenstein import (
 from .errors import integer, require
 from .hermitian import _translation, _unit_det, m2e, token_power
 from .lattice import (
-    G0,
     G1,
     G2,
     H_GENS,
@@ -51,6 +50,7 @@ from .lattice import (
     _block_parity,
     _embed_tail,
     _orientation,
+    _swap_conj,
     det_int,
     is_orthogonal,
     isometry_inverse,
@@ -60,7 +60,6 @@ from .lattice import (
     mat_pow,
     mat_prod,
     mat_scale,
-    power,
     residual_m,
     translation_h,
 )
@@ -147,18 +146,39 @@ _TOKENS = {
 ORTH_TOKEN_MATS = {name: mat for name, (mat, _) in _TOKENS.items()}
 _I6 = mat_id(6)
 
-# Each token's inverse, derived once: a negative power raises the inverse.
-_ORTH_TOKEN_INVS = {name: isometry_inverse(mat) for name, mat in ORTH_TOKEN_MATS.items()}
+# The powers 0 .. n - 1 of each token of finite order n.
+_CYCLES = {
+    name: tuple(mat_pow(ORTH_TOKEN_MATS[name], k) for k in range(n))
+    for name, n in (("u0u1", 2), ("u2", 3), ("i42", 2), ("mi42", 2))
+}
 
 
 def _token_power(name: str, p: int):
-    """The isometry of the orthogonal token name to the power p."""
+    """The isometry of the orthogonal token name to the power p.
+
+    Closed forms, with no product: the translations add, h(a) h(b) =
+    h(a + b), and h1p..h4p are their G0 conjugates (coordinates one and two
+    swapped); g1 and g2 span the commuting family residual_m, and u0g1u0 is
+    the U0 conjugate of g1 (coordinates three and four swapped).  A token of
+    finite order n is looked up at p mod n.
+    """
     integer(p, "token power")
-    try:
-        mat = ORTH_TOKEN_MATS[name] if p >= 0 else _ORTH_TOKEN_INVS[name]
-    except KeyError:
-        raise ValueError(f"unknown orthogonal token {name!r}") from None
-    return power(mat, abs(p), _I6, mat_mul)
+    if name not in ORTH_TOKEN_MATS:
+        raise ValueError(f"unknown orthogonal token {name!r}")
+    if name in _CYCLES:
+        cycle = _CYCLES[name]
+        return cycle[p % len(cycle)]
+    if name == "g1":
+        return residual_m(p, 0)
+    if name == "g2":
+        return residual_m(0, p)
+    if name == "u0g1u0":
+        return _swap_conj(residual_m(p, 0), 2, 3)
+    # name is h1..h4 or h1p..h4p
+    m = [0, 0, 0, 0]
+    m[int(name[1]) - 1] = p
+    h = translation_h(*m)
+    return _swap_conj(h, 0, 1) if name.endswith("p") else h
 
 
 def orth_word_matrix(word):
@@ -173,8 +193,7 @@ def herm_token_to_orth(tok):
         return translation_h(*_translation(tok[1]))
     if kind == "gBl":
         n1, n2, n3, n4 = _translation(tok[1])
-        inner = translation_h(-n2, -n1, n3, n4)
-        return mat_mul(G0, mat_mul(inner, G0))
+        return _swap_conj(translation_h(-n2, -n1, n3, n4), 0, 1)
     raise ValueError(f"unknown token kind {kind!r}")
 
 

@@ -103,9 +103,11 @@ QPRIME = tuple(row[2:] for row in GRAM[2:])
 # is not the integer 1 passes its own one and zero.  Each entry of a product
 # is sum(p, next(p)) over the termwise products p: sum adds ints in C and
 # falls back to the ring's own + for any other entry type.  mat_mul is the
-# one product; when both factors are Z[w] matrices with int coordinates, its
-# inner loop sums each entry's two integer coordinates and builds one
-# Eisenstein per entry, instead of one per termwise product and partial sum.
+# one product; when both factors are Z[w] matrices with int coordinates, one
+# pass over each factor checks its entries and reads their coordinates, and
+# its inner loop skips the zero entries, sums each entry's two integer
+# coordinates and builds one Eisenstein per entry, instead of one per
+# termwise product and partial sum.
 # Every row of every operand is checked, so a mismatched or ragged shape is
 # a ValueError, never a zip truncation.
 
@@ -145,39 +147,56 @@ def mat_mul(a, b):
         bt = tuple(zip(*b, strict=True))
     except ValueError:
         raise ValueError("matrix product of mismatched shapes") from None
-    if _over_zw(a) and _over_zw(bt):
-        return _zw_mul(a, bt)
+    za = _zw_rows(a)
+    if za is not None:
+        zb = _zw_rows(b)
+        if zb is not None:
+            return _zw_mul(za, zb, len(bt))
     return tuple(
         tuple(sum(p, next(p)) for cb in bt for p in (map(mul, ra, cb),)) for ra in a
     )
 
 
-def _over_zw(m) -> bool:
-    """Every entry an Eisenstein with int coordinates.  Plain loops, as it
-    runs twice per product: a generator under all() costs half as much again."""
+def _zw_rows(m):
+    """The nonzero entries of each row of m as (column, a, b) for a + b w,
+    when every entry is an Eisenstein with int coordinates; None otherwise.
+    One pass both checks the entries and reads their coordinates."""
+    rows = []
     for r in m:
-        for x in r:
-            if type(x) is not Eisenstein or type(x.a) is not int or type(x.b) is not int:
-                return False
-    return True
-
-
-def _zw_mul(a, bt):
-    """Product of the Z[w] rows a with the Z[w] columns bt, on coordinates:
-    (a1 + b1 w)(a2 + b2 w) = a1 a2 - b1 b2 + (a1 b2 + a2 b1 - b1 b2) w."""
-    rows = [[(x.a, x.b) for x in r] for r in a]
-    cols = [[(x.a, x.b) for x in c] for c in bt]
-    out = []
-    for r in rows:
         row = []
-        for c in cols:
-            sa = sb = 0
-            for (a1, b1), (a2, b2) in zip(r, c):
+        for j, x in enumerate(r):
+            if type(x) is not Eisenstein:
+                return None
+            a, b = x.a, x.b
+            if type(a) is not int or type(b) is not int:
+                return None
+            if a or b:
+                row.append((j, a, b))
+        rows.append(row)
+    return rows
+
+
+def _over_zw(m) -> bool:
+    """Every entry an Eisenstein with int coordinates."""
+    return _zw_rows(m) is not None
+
+
+def _zw_mul(ra, rb, cols: int):
+    """Product of two Z[w] matrices given as their _zw_rows, the right one
+    with cols columns: row i of the product is the sum of a_ij times row j
+    of the right factor, over the nonzero a_ij and the nonzero entries of
+    that row, on coordinates:
+    (a1 + b1 w)(a2 + b2 w) = a1 a2 - b1 b2 + (a1 b2 + a2 b1 - b1 b2) w."""
+    out = []
+    for r in ra:
+        sa = [0] * cols
+        sb = [0] * cols
+        for j, a1, b1 in r:
+            for k, a2, b2 in rb[j]:
                 bb = b1 * b2
-                sa += a1 * a2 - bb
-                sb += a1 * b2 + a2 * b1 - bb
-            row.append(Eisenstein(sa, sb))
-        out.append(tuple(row))
+                sa[k] += a1 * a2 - bb
+                sb[k] += a1 * b2 + a2 * b1 - bb
+        out.append(tuple(map(Eisenstein, sa, sb)))
     return tuple(out)
 
 
@@ -332,6 +351,14 @@ def _embed_tail(rows4):
     return tuple(tuple(r) for r in out)
 
 
+def _swap_conj(m, i: int, j: int):
+    """P m P for the permutation matrix P that swaps coordinates i and j:
+    rows i and j trade places, then columns i and j, with no product."""
+    perm = list(range(len(m)))
+    perm[i], perm[j] = j, i
+    return tuple(tuple(m[r][c] for c in perm) for r in perm)
+
+
 def _diag(*entries):
     return tuple(tuple(entries[i] if i == j else 0 for j in range(6)) for i in range(6))
 
@@ -394,9 +421,10 @@ H_GENS = (
     translation_h(0, 0, 1, 0),
     translation_h(0, 0, 0, 1),
 )
-HP_GENS = tuple(mat_mul(G0, mat_mul(h, G0)) for h in H_GENS)
+# G0 swaps coordinates one and two, U0 coordinates three and four
+HP_GENS = tuple(_swap_conj(h, 0, 1) for h in H_GENS)
 
-U0G1U0 = mat_mul(U0, mat_mul(G1, U0))
+U0G1U0 = _swap_conj(G1, 2, 3)
 U0U1 = mat_mul(U0, U1)
 W0 = mat_mul(G0, mat_mul(U0, I42))
 W0_INV = mat_mul(I42, mat_mul(U0, G0))

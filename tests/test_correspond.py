@@ -1,5 +1,6 @@
 """Transport between the 6x6 isometries and the Hermitian modular side."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -34,13 +35,21 @@ from hessk3.hermitian import (
     word_matrix,
 )
 from hessk3.lattice import (
+    G0,
+    G1,
+    H_GENS,
+    HP_GENS,
+    U0,
+    U0G1U0,
     U1,
     W0,
+    isometry_inverse,
     mat_conj_transpose,
     mat_det2,
     mat_id,
     mat_mul,
     mat_neg,
+    power,
     translation_h,
 )
 
@@ -154,6 +163,27 @@ def test_token_table_is_consistent():
         assert herm_token_to_orth(tok) == orth, name
     with pytest.raises(ValueError, match="unknown token kind"):
         herm_token_to_orth(("gZ", None))
+
+
+def test_token_powers_match_square_and_multiply():
+    # the closed forms of _token_power against the reference powers
+    for name, mat in ORTH_TOKEN_MATS.items():
+        for p in range(-40, 41):
+            want = power(mat, p, mat_id(6), mat_mul, isometry_inverse)
+            assert correspond._token_power(name, p) == want, (name, p)
+
+
+def test_g0_and_u0_conjugates_are_swaps():
+    # the lower translation images and the conjugated generators, read off
+    # by swapping coordinates, against the products they stand for
+    rng = random.Random(23)
+    for _ in range(40):
+        m = tuple(rng.randint(-9, 9) for _ in range(4))
+        n1, n2, n3, n4 = m
+        want = mat_mul(G0, mat_mul(translation_h(-n2, -n1, n3, n4), G0))
+        assert herm_token_to_orth(("gBl", m)) == want, m
+    assert HP_GENS == tuple(mat_mul(G0, mat_mul(h, G0)) for h in H_GENS)
+    assert U0G1U0 == mat_mul(U0, mat_mul(G1, U0))
 
 
 def test_dictionary_equivariance():

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hessk3 import lattice
@@ -322,7 +322,12 @@ def _values(shape):
 
 
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
-@settings(max_examples=10, derandomize=True, deadline=None)
+# no shrink phase: a fault in an entry guard fails several rows, and
+# shrinking those failures took minutes; the first failure is reported as
+# drawn
+@settings(
+    max_examples=10, derandomize=True, deadline=None, phases=[p for p in Phase if p is not Phase.shrink]
+)
 @given(data=st.data())
 def test_entry_points_answer_only_well_formed_input(name, data):
     fn, shape = _ENTRY_POINTS[name]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from hessk3 import lattice, sampling, verify
+from hessk3 import hermitian, lattice, sampling, verify
 from hessk3.domain import Q0, act, dm_membership
 from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.errors import InvariantViolation
@@ -272,18 +272,47 @@ def _zw_matrix(rng, rows, cols):
     return tuple(tuple(Eisenstein(coordinate(), coordinate()) for _ in range(cols)) for _ in range(rows))
 
 
+def _sparse(rng, m):
+    """m with about half its entries zero, and one of its rows all zero."""
+    zero_row = rng.randrange(len(m))
+    return tuple(
+        tuple(ZERO if i == zero_row or rng.random() < 0.5 else x for x in r) for i, r in enumerate(m)
+    )
+
+
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (2, 4, 2), (4, 4, 4)], ids=["1x1", "2x2", "2x4.4x2", "4x4"])
 def test_zw_products_match_the_generic_loop(shape, monkeypatch):
     n, k, m = shape
     rng = random.Random(16)
     calls = []
     exact = lattice._zw_mul
-    monkeypatch.setattr(lattice, "_zw_mul", lambda a, bt: calls.append(1) or exact(a, bt))
+    monkeypatch.setattr(lattice, "_zw_mul", lambda *args: calls.append(1) or exact(*args))
     for _ in range(20):
         a, b = _zw_matrix(rng, n, k), _zw_matrix(rng, k, m)
-        # repr compares the coordinates' types too, not only their values
-        assert repr(mat_mul(a, b)) == repr(_generic_mul(a, b))
-    assert len(calls) == 20
+        # the zero terms the Z[w] loop skips: zero entries and a zero row on
+        # either side
+        for x, y in ((a, b), (_sparse(rng, a), b), (a, _sparse(rng, b)), (_sparse(rng, a), _sparse(rng, b))):
+            # repr compares the coordinates' types too, not only their values
+            assert repr(mat_mul(x, y)) == repr(_generic_mul(x, y))
+    assert len(calls) == 80
+
+
+def test_zw_products_of_token_matrices_match_the_generic_loop(monkeypatch):
+    # token matrices are about half zeros
+    rng = random.Random(23)
+    toks = [
+        ("gA", sampling.sample_gl2_matrix(rng, 8)),
+        ("gBu", (3, -1, 2, 5)),
+        ("gBl", (-2, 4, 1, -3)),
+    ]
+    mats = [hermitian.token_matrix(t) for t in toks] + [_zw_matrix(rng, 4, 4)]
+    calls = []
+    exact = lattice._zw_mul
+    monkeypatch.setattr(lattice, "_zw_mul", lambda *args: calls.append(1) or exact(*args))
+    for x in mats:
+        for y in mats:
+            assert repr(mat_mul(x, y)) == repr(_generic_mul(x, y))
+    assert len(calls) == 16
 
 
 @pytest.mark.parametrize(

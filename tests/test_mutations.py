@@ -161,6 +161,25 @@ def test_a_descent_that_drops_its_last_token_is_caught(monkeypatch, module, desc
         verify.run_suite("decompose-fuzz", 0)
 
 
+@pytest.mark.parametrize(
+    "name, fault, message",
+    [
+        # u0g1u0 read as g1, without the U0 swap of coordinates three and four
+        ("u0g1u0", lambda p: lattice.residual_m(p, 0), "tail norm of column four failed to decrease"),
+        # h1p read as h1, without the G0 swap of coordinates one and two
+        ("h1p", lambda p: lattice.translation_h(p, 0, 0, 0), "row three of column two did not vanish"),
+    ],
+    ids=["u0g1u0", "h1p"],
+)
+def test_a_token_power_without_its_swap_is_caught(monkeypatch, name, fault, message):
+    # a closed-form power that lost its conjugation: the descent's own
+    # stage checks see the token act on the wrong coordinates
+    exact = correspond._token_power
+    monkeypatch.setattr(correspond, "_token_power", lambda n, p: fault(p) if n == name else exact(n, p))
+    with pytest.raises(InvariantViolation, match=message):
+        verify.run_suite("decompose-fuzz", 0)
+
+
 def test_a_wrong_sum_in_the_discriminant_group_is_caught(monkeypatch):
     # D1 + D3 read as D1 + D2 + D3: the addition table of the enumeration
     # is built from disc_add, so its homomorphism test must see the fault
@@ -188,20 +207,17 @@ def test_a_lost_generator_no_longer_generates_the_disc_orthogonal_group(monkeypa
 def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch, capsys):
     # the Z[w] inner loop of mat_mul with the - b1 b2 dropped from each
     # termwise w-coefficient
-    def dropped_bb(a, bt):
-        rows = [[(x.a, x.b) for x in r] for r in a]
-        cols = [[(x.a, x.b) for x in c] for c in bt]
+    def dropped_bb(ra, rb, cols):
         out = []
-        for r in rows:
-            row = []
-            for c in cols:
-                sa = sb = 0
-                for (a1, b1), (a2, b2) in zip(r, c):
+        for r in ra:
+            sa = [0] * cols
+            sb = [0] * cols
+            for j, a1, b1 in r:
+                for k, a2, b2 in rb[j]:
                     bb = b1 * b2
-                    sa += a1 * a2 - bb
-                    sb += a1 * b2 + a2 * b1
-                row.append(Eisenstein(sa, sb))
-            out.append(tuple(row))
+                    sa[k] += a1 * a2 - bb
+                    sb[k] += a1 * b2 + a2 * b1
+            out.append(tuple(map(Eisenstein, sa, sb)))
         return tuple(out)
 
     monkeypatch.setattr(lattice, "_zw_mul", dropped_bb)
