@@ -103,11 +103,15 @@ QPRIME = tuple(row[2:] for row in GRAM[2:])
 # is not the integer 1 passes its own one and zero.  Each entry of a product
 # is sum(p, next(p)) over the termwise products p: sum adds ints in C and
 # falls back to the ring's own + for any other entry type.  mat_mul is the
-# one product; when both factors are Z[w] matrices with int coordinates, one
-# pass over each factor checks its entries and reads their coordinates, and
-# its inner loop skips the zero entries, sums each entry's two integer
-# coordinates and builds one Eisenstein per entry, instead of one per
-# termwise product and partial sum.
+# one product.  One reader, _sparse_rows, passes once over each factor: it
+# checks that every entry is an int, or every entry an Eisenstein with int
+# coordinates, and keeps the nonzero entries of each row.  When both factors
+# read as the same ring, that ring's kernel sums row i of the product over
+# the nonzero a_ij and the nonzero entries of row j of the right factor (on
+# Z[w], on the two integer coordinates, building one Eisenstein per entry);
+# a left row whose one nonzero entry is a 1 is a copy of a right row, with
+# no arithmetic.  Any other entry (a bool, a Fraction, a Cyclo12, a mix of
+# the two rings) takes the generic loop.
 # Every row of every operand is checked, so a mismatched or ragged shape is
 # a ValueError, never a zip truncation.
 
@@ -140,6 +144,11 @@ def mat_id(n: int = N, one=1, zero=0):
 
 
 def mat_mul(a, b):
+    sa = _sparse_rows(a, len(b))
+    if sa is not None:
+        sb = _sparse_rows(b, len(b[0]))
+        if sb is not None and sb[0] is sa[0]:
+            return sa[0](sa[1], sb[1], b)
     k = len(b)
     if any(len(r) != k for r in a):
         raise ValueError("matrix product of mismatched shapes")
@@ -147,48 +156,87 @@ def mat_mul(a, b):
         bt = tuple(zip(*b, strict=True))
     except ValueError:
         raise ValueError("matrix product of mismatched shapes") from None
-    za = _zw_rows(a)
-    if za is not None:
-        zb = _zw_rows(b)
-        if zb is not None:
-            return _zw_mul(za, zb, len(bt))
     return tuple(
         tuple(sum(p, next(p)) for cb in bt for p in (map(mul, ra, cb),)) for ra in a
     )
 
 
-def _zw_rows(m):
-    """The nonzero entries of each row of m as (column, a, b) for a + b w,
-    when every entry is an Eisenstein with int coordinates; None otherwise.
-    One pass both checks the entries and reads their coordinates."""
+def _sparse_rows(m, width: int):
+    """One pass over m for the fast products: the kernel for its ring and
+    the nonzero entries of each row, as (column, x) when every entry is an
+    int and as (column, a, b) for a + b w when every entry is an Eisenstein
+    with int coordinates.  None for any other entry (a bool, a Fraction, an
+    int subclass, a mix of the two rings) or for no entries at all; a row
+    that is not width long is a ValueError."""
+    ring = type(m[0][0]) if m and m[0] else None
     rows = []
-    for r in m:
-        row = []
-        for j, x in enumerate(r):
-            if type(x) is not Eisenstein:
-                return None
-            a, b = x.a, x.b
-            if type(a) is not int or type(b) is not int:
-                return None
-            if a or b:
-                row.append((j, a, b))
-        rows.append(row)
-    return rows
+    if ring is int:
+        for r in m:
+            if len(r) != width:
+                raise ValueError("matrix product of mismatched shapes")
+            row = []
+            for j, x in enumerate(r):
+                if type(x) is not int:
+                    return None
+                if x:
+                    row.append((j, x))
+            rows.append(row)
+        return _int_mul, rows
+    if ring is Eisenstein:
+        for r in m:
+            if len(r) != width:
+                raise ValueError("matrix product of mismatched shapes")
+            row = []
+            for j, x in enumerate(r):
+                if type(x) is not Eisenstein:
+                    return None
+                a, b = x.a, x.b
+                if type(a) is not int or type(b) is not int:
+                    return None
+                if a or b:
+                    row.append((j, a, b))
+            rows.append(row)
+        return _zw_mul, rows
+    return None
 
 
 def _over_zw(m) -> bool:
-    """Every entry an Eisenstein with int coordinates."""
-    return _zw_rows(m) is not None
+    """Every entry an Eisenstein with int coordinates, m a matrix with
+    rows of one length."""
+    s = _sparse_rows(m, len(m[0]))
+    return s is not None and s[0] is _zw_mul
 
 
-def _zw_mul(ra, rb, cols: int):
-    """Product of two Z[w] matrices given as their _zw_rows, the right one
-    with cols columns: row i of the product is the sum of a_ij times row j
-    of the right factor, over the nonzero a_ij and the nonzero entries of
-    that row, on coordinates:
-    (a1 + b1 w)(a2 + b2 w) = a1 a2 - b1 b2 + (a1 b2 + a2 b1 - b1 b2) w."""
+def _int_mul(ra, rb, b):
+    """Product of int matrices a and b given as their _sparse_rows: row i
+    is the sum of a_ij times row j of b, over the nonzero a_ij and the
+    nonzero entries of that row; a row of a whose one nonzero entry is a 1
+    at column j is row j of b."""
+    cols = len(b[0])
     out = []
     for r in ra:
+        if len(r) == 1 and r[0][1] == 1:
+            out.append(tuple(b[r[0][0]]))
+            continue
+        s = [0] * cols
+        for j, x in r:
+            for k, y in rb[j]:
+                s[k] += x * y
+        out.append(tuple(s))
+    return tuple(out)
+
+
+def _zw_mul(ra, rb, b):
+    """Product of Z[w] matrices a and b given as their _sparse_rows, as
+    _int_mul is on coordinates:
+    (a1 + b1 w)(a2 + b2 w) = a1 a2 - b1 b2 + (a1 b2 + a2 b1 - b1 b2) w;
+    a row of a whose one nonzero entry is a 1 at column j is row j of b."""
+    cols = len(b[0])
+    out = []
+    for r in ra:
+        if len(r) == 1 and r[0][1] == 1 and not r[0][2]:
+            out.append(tuple(b[r[0][0]]))
+            continue
         sa = [0] * cols
         sb = [0] * cols
         for j, a1, b1 in r:

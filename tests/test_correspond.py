@@ -153,8 +153,16 @@ def test_psi_hom_kernel_is_the_six_scalars():
     rng = sampling.make_rng(32)
     for _ in range(60):
         a = sampling.sample_gl2_matrix(rng, 4)
-        if psi_hom(a) == ident:
+        (a1, a2), (a3, a4) = a
+        image = psi_hom(a)
+        # rows one and two of the tail begin (N(a1), N(a2)) and (N(a3), N(a4))
+        assert image[2][2:4] == (a1.norm(), a2.norm()) and image[3][2:4] == (a3.norm(), a4.norm())
+        if image == ident:
             assert a[0][1].is_zero() and a[1][0].is_zero() and a[0][0] == a[1][1]
+    # so an image I has N(a2) = N(a3) = 0 and N(a1) = N(a4) = 1: a is
+    # diag(u, v) for units u and v, and of those 36 only the 6 scalars map to I
+    diagonals = [(u, v) for u in UNITS for v in UNITS]
+    assert [(u, v) for u, v in diagonals if psi_hom(((u, ZERO), (ZERO, v))) == ident] == [(u, u) for u in UNITS]
 
 
 def test_token_table_is_consistent():

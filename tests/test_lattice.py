@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from hessk3 import hermitian, lattice, sampling, verify
+from hessk3 import correspond, hermitian, lattice, sampling, verify
 from hessk3.domain import Q0, act, dm_membership
 from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.errors import InvariantViolation
@@ -118,9 +118,18 @@ def test_mat_vec_rejects_mismatched_shapes():
     [
         (mat_mul, ((1, 2), (3,)), ((1,), (1,))),
         (mat_mul, ((1, 1), (1, 1)), ((1, 2), (3,))),
+        # unit rows on the left copy rows of the right factor, unread
+        (mat_mul, ((1, 0), (0, 1)), ((1, 0), (0,))),
+        (mat_mul, ((ONE, ZERO), (ZERO, ONE)), ((ONE, ZERO), (ZERO,))),
         (lattice.mat_vec, ((1, 2), (3,)), (1, 1)),
     ],
-    ids=["ragged-left", "ragged-right", "ragged-matrix-times-vector"],
+    ids=[
+        "ragged-left",
+        "ragged-right",
+        "ragged-right-under-unit-rows",
+        "ragged-zw-right-under-unit-rows",
+        "ragged-matrix-times-vector",
+    ],
 )
 def test_products_reject_ragged_factors(op, a, b):
     # each used to answer, with the ragged rows cut to their shortest
@@ -254,11 +263,11 @@ def test_products_match_the_triple_loop(ring, shape, data):
     assert lattice.mat_vec(a, v) == tuple(r[0] for r in _triple_loop(a, b))
 
 
-# -- the Z[w] inner loop of mat_mul against the generic loop -------------------
+# -- the int and Z[w] kernels of mat_mul against the generic loop -------------
 
 
 def _generic_mul(a, b):
-    """The ring-generic loop of mat_mul, without its Z[w] path."""
+    """The ring-generic loop of mat_mul, without its int and Z[w] paths."""
     bt = tuple(zip(*b))
     return tuple(tuple(sum(p, next(p)) for cb in bt for p in (map(mul, ra, cb),)) for ra in a)
 
@@ -272,12 +281,104 @@ def _zw_matrix(rng, rows, cols):
     return tuple(tuple(Eisenstein(coordinate(), coordinate()) for _ in range(cols)) for _ in range(rows))
 
 
-def _sparse(rng, m):
+def _sparse(rng, m, zero=ZERO):
     """m with about half its entries zero, and one of its rows all zero."""
     zero_row = rng.randrange(len(m))
     return tuple(
-        tuple(ZERO if i == zero_row or rng.random() < 0.5 else x for x in r) for i, r in enumerate(m)
+        tuple(zero if i == zero_row or rng.random() < 0.5 else x for x in r) for i, r in enumerate(m)
     )
+
+
+def _int_matrix(rng, rows, cols):
+    """Int entries, each small or past 2**64 alike."""
+
+    def entry():
+        return rng.randint(-5, 5) if rng.random() < 0.5 else rng.choice((-1, 1)) * 2**70 + rng.randint(-5, 5)
+
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+def _one_entry_rows(rng, m, x):
+    """m with about half its rows, and at least one, x at one column and 0
+    elsewhere."""
+    cols = len(m[0])
+    replace = [rng.random() < 0.5 for _ in m]
+    replace[rng.randrange(len(m))] = True
+    rows = []
+    for r, new in zip(m, replace):
+        j = rng.randrange(cols)
+        rows.append(tuple(x if c == j else 0 for c in range(cols)) if new else r)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (2, 3, 4), (4, 2, 3), (6, 6, 6)], ids=["1x1", "2x3.3x4", "4x2.2x3", "6x6"]
+)
+def test_int_products_match_the_generic_loop(shape, monkeypatch):
+    n, k, m = shape
+    rng = random.Random(24)
+    calls = []
+    exact = lattice._int_mul
+    monkeypatch.setattr(lattice, "_int_mul", lambda *args: calls.append(1) or exact(*args))
+    for _ in range(20):
+        a, b = _int_matrix(rng, n, k), _int_matrix(rng, k, m)
+        # the zero terms the int kernel skips, a zero row on either side, and
+        # rows of the left factor with one nonzero entry: only a 1 is a copy
+        pairs = [(a, b), (_sparse(rng, a, 0), b), (a, _sparse(rng, b, 0)), (_sparse(rng, a, 0), _sparse(rng, b, 0))]
+        pairs += [(_one_entry_rows(rng, a, x), b) for x in (1, -1, 2)]
+        for x, y in pairs:
+            # repr tells 2**70 from a wrapped machine word, and 0 from False
+            assert repr(mat_mul(x, y)) == repr(_generic_mul(x, y))
+    assert len(calls) == 140
+
+
+def test_int_products_of_token_powers_match_the_generic_loop(monkeypatch):
+    # a token power is the identity outside a few rows
+    rng = random.Random(24)
+    names = sorted(correspond.ORTH_TOKEN_MATS)
+    mats = [correspond.ORTH_TOKEN_MATS[n] for n in names]
+    mats += [correspond._token_power(rng.choice(names), rng.randint(-40, 40)) for _ in range(15)]
+    mats.append(_int_matrix(rng, 6, 6))
+    calls = []
+    exact = lattice._int_mul
+    monkeypatch.setattr(lattice, "_int_mul", lambda *args: calls.append(1) or exact(*args))
+    for x in mats:
+        for y in mats:
+            assert repr(mat_mul(x, y)) == repr(_generic_mul(x, y))
+    assert len(calls) == len(mats) ** 2
+
+
+@pytest.mark.parametrize("x", [True, Fraction(1, 2), ONE], ids=["bool", "Fraction", "Eisenstein"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_other_int_entries_take_the_generic_loop(x, side, monkeypatch):
+    a = ((2**70, -3), (1, 0))
+    b = ((1, 0), (x, 2**64 + 1))
+    if side == "left":
+        a, b = b, a
+    monkeypatch.setattr(lattice, "_int_mul", None)  # a call would be a TypeError
+    monkeypatch.setattr(lattice, "_zw_mul", None)
+    assert repr(mat_mul(a, b)) == repr(_generic_mul(a, b))
+
+
+def test_an_int_factor_times_a_zw_factor_takes_the_generic_loop(monkeypatch):
+    # each factor has a kernel of its own, and neither kernel mixes rings
+    a = ((1, 0), (-2, 3))
+    b = ((Eisenstein(1, 2), ZERO), (ONE, Eisenstein(-3, 2**70)))
+    # two kernels that are not the same object, and a call to either is a TypeError
+    monkeypatch.setattr(lattice, "_int_mul", object())
+    monkeypatch.setattr(lattice, "_zw_mul", object())
+    for x, y in ((a, b), (b, a)):
+        assert repr(mat_mul(x, y)) == repr(_generic_mul(x, y))
+
+
+def test_list_rows_come_back_as_tuples():
+    # row one of each left factor is a unit row, copied from the right factor
+    for one, zero, two in ((1, 0, 2), (ONE, ZERO, Eisenstein(2, 0))):
+        a = [[one, zero], [two, one]]
+        b = [[two, zero], [one, two]]
+        got = mat_mul(a, b)
+        assert type(got) is tuple and all(type(r) is tuple for r in got)
+        assert repr(got) == repr(_generic_mul(a, b))
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (2, 4, 2), (4, 4, 4)], ids=["1x1", "2x2", "2x4.4x2", "4x4"])

@@ -207,9 +207,13 @@ def test_a_lost_generator_no_longer_generates_the_disc_orthogonal_group(monkeypa
 def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch, capsys):
     # the Z[w] inner loop of mat_mul with the - b1 b2 dropped from each
     # termwise w-coefficient
-    def dropped_bb(ra, rb, cols):
+    def dropped_bb(ra, rb, b):
+        cols = len(b[0])
         out = []
         for r in ra:
+            if len(r) == 1 and r[0][1] == 1 and not r[0][2]:
+                out.append(tuple(b[r[0][0]]))
+                continue
             sa = [0] * cols
             sb = [0] * cols
             for j, a1, b1 in r:
@@ -236,6 +240,29 @@ def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["verify", "--suite", "group-iso"]) == 1
     assert json.loads(capsys.readouterr().out)["diagnostics"][0].startswith("group-iso: ")
+
+
+def test_a_copied_row_of_any_coefficient_is_caught(monkeypatch):
+    # the integer inner loop of mat_mul copying every row of the left
+    # factor with one nonzero entry, so that a -1 row is copied as a +1 row
+    def any_coefficient(ra, rb, b):
+        cols = len(b[0])
+        out = []
+        for r in ra:
+            if len(r) == 1:
+                out.append(tuple(b[r[0][0]]))
+                continue
+            s = [0] * cols
+            for j, x in r:
+                for k, y in rb[j]:
+                    s[k] += x * y
+            out.append(tuple(s))
+        return tuple(out)
+
+    monkeypatch.setattr(lattice, "_int_mul", any_coefficient)
+    assert failed("group-iso") == {"psi-multiplicative"}
+    with pytest.raises(InvariantViolation, match="^quotient-group: permutation action of a non-isometry"):
+        verify.run_suite("quotient-group", 0)
 
 
 def test_an_entrywise_section_lift_is_caught(monkeypatch):
