@@ -119,8 +119,11 @@ def h2_contains(tau: Mat2C) -> bool:
     """Exact test for the rank-two upper half-space.
 
     Y = (tau - tau*) / 2i must be positive definite: Y11 > 0 and det Y > 0.
-    Both are real elements of Q(sqrt3), so the signs are decidable.
+    Both are real elements of Q(sqrt3), so the signs are decidable.  A tau
+    that is not 2x2 is a ValueError.
     """
+    if len(tau) != 2 or any(len(r) != 2 for r in tau):
+        raise ValueError("tau: expected a 2x2 matrix")
     if tower_sign_real(tau[0][0].imag()) <= 0:
         return False
     # det Y with Y = Im-part matrix: Y12 = (tau12 - conj(tau21)) / 2i

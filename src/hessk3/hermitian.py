@@ -61,7 +61,6 @@ from .tower import Mat2C, from_eisenstein
 
 __all__ = [
     "m2e",
-    "m2e_inv",
     "m2e_pow",
     "m2e_mod2",
     "blocks",
@@ -78,7 +77,6 @@ __all__ = [
     "involution_W",
     "token_matrix",
     "token_power",
-    "token_inverse",
     "word_matrix",
     "decompose_hgamma1",
     "decompose_hgamma0",
@@ -118,11 +116,11 @@ _I4 = mat_id(4, ONE, ZERO)
 _Z2 = ((ZERO, ZERO), (ZERO, ZERO))
 
 
-def _zw_block(a):
-    """a, when it is a 2x2 matrix over Z[w]: an entry other than an
+def _zw_block(a, n: int = 2):
+    """a, when it is an n x n matrix over Z[w]: an entry other than an
     Eisenstein with int coordinates is an InputTypeError.  The one entry
-    rule of m2e and of every gA block."""
-    if not _over_zw(_square(a, 2)):
+    rule of m2e, of every gA block and of membership's 4x4."""
+    if not _over_zw(_square(a, n)):
         raise InputTypeError("matrix entry: expected an Eisenstein integer")
     return a
 
@@ -135,11 +133,6 @@ def _unit_det(a, message: str) -> Eisenstein:
     if not d.is_unit():
         raise ValueError(message)
     return d
-
-
-def m2e_inv(a):
-    """Inverse of a matrix with unit determinant (d^(-1) = conj(d))."""
-    return mat_inv2(a, _unit_det(a, "determinant is not a unit").conj())
 
 
 def m2e_pow(a, k: int):
@@ -212,7 +205,7 @@ def g_a(a):
 
 
 def membership(g) -> str:
-    _square(g, 4)
+    _zw_block(g, 4)
     # J g is a signed row permutation: rows three and four, then minus one and two
     jg = (g[2], g[3]) + mat_neg(g[:2])
     if mat_mul(mat_conj_transpose(g), jg) != J_MAT:
@@ -276,10 +269,6 @@ def token_power(tok, p: int):
     raise ValueError(f"unknown token kind {kind!r}")
 
 
-def token_inverse(tok):
-    return token_power(tok, -1)
-
-
 def word_matrix(word):
     return mat_prod(map(token_matrix, word), _I4)
 
@@ -331,7 +320,7 @@ def _descend_hgamma1(g):
     def lmul(tok):
         nonlocal work
         work = mat_mul(token_matrix(tok), work)
-        left_inv.append(token_inverse(tok))
+        left_inv.append(token_power(tok, -1))
 
     def clear_even_partner(odd_idx: int, even_idx: int, col: int, slot: int):
         # Shrink work[even_idx][col] to zero against the odd entry above it
@@ -414,7 +403,7 @@ def _descend_hgamma1(g):
     require(all(x.is_zero() for row in c_r for x in row), "lower-left block did not vanish")
     require(mat_det2(a_r).is_unit(), "residual A block is not invertible")
     require(m2e_mod2(a_r) == F4_ID, "residual A block left the congruence kernel")
-    h = mat_mul(m2e_inv(a_r), b_r)
+    h = mat_mul(m2e_pow(a_r, -1), b_r)
     require(
         h[0][0].b == 0 and h[1][1].b == 0 and h[1][0] == h[0][1].conj(),
         "residual translation block is not Hermitian integral",
@@ -506,7 +495,7 @@ def decompose_hgamma0(g):
     # rem = gA(lift)^(-1) g has A block == I mod 2 and C block lift* C, still
     # even, so it lies in gamma1 and the descent needs no membership test
     lift = section_lift(m2e_mod2(blocks(g)[0]))
-    rem = mat_mul(g_a(m2e_inv(lift)), g)
+    rem = mat_mul(g_a(m2e_pow(lift, -1)), g)
     word = _descend_hgamma1(rem)
     require(mat_mul(g_a(lift), word_matrix(word)) == g, "gamma0 factorization failed")
     return lift, word

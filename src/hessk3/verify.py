@@ -14,9 +14,12 @@ kernel of the 2x2 to 6x6 homomorphism, and one generator preimage), the
 suite checks the corrected statement and additionally records that the
 uncorrected literal form fails, so the discrepancy stays visible.
 
-Each answer is proved once: the decomposition checks of decompose-fuzz
-pass when their entry point returns, since each entry point certifies its
-answer (the word multiplies back, or maps back up to sign) before it does.
+A check fails in one way, by `_Run.claim`, and says where: at the first
+input where its claim is false or raises, with that input's index and the
+message as its detail.  An entry point that certifies its answer before it
+returns it (the decompositions, the Heegner certificates) has returning as
+its claim.  Any other ValueError or AssertionError escapes run_suite as an
+InvariantViolation that names the suite.
 """
 
 from __future__ import annotations
@@ -136,10 +139,25 @@ class _Run:
         count, longest = size
         return (sample(rng, rng.randint(1, longest)) for _ in range(count))
 
+    def claim(self, check_id, claim, inputs):
+        """The check fails at the first input where claim is false or raises
+        ValueError or AssertionError (InputTypeError and InvariantViolation
+        among them), which ends the inputs; its detail is "input i", with
+        the message after a colon when claim raised."""
+        for i, x in enumerate(inputs):
+            try:
+                if claim(x):
+                    continue
+                detail = f"input {i}"
+            except (ValueError, AssertionError) as exc:
+                detail = f"input {i}: {exc}"
+            self.add(check_id, False, detail)
+            return
+        self.add(check_id, True)
+
     def every(self, check_id, sample, claim):
-        """The check passes when claim holds for each sample; the first
-        failure ends the draws."""
-        self.add(check_id, all(map(claim, self.samples(check_id, sample))))
+        """claim over the check's own draws."""
+        self.claim(check_id, claim, self.samples(check_id, sample))
 
 
 def _disc_closure(gens) -> set:
@@ -200,30 +218,6 @@ def _dictionary_equivariant(z) -> bool:
 def _w_prime_law(z) -> bool:
     flip = g_a(m2e(((0, 1), (1, 0))))
     return psi(act(G0I42, z)) == mat_transpose(moebius(flip, involution_W(psi(z))))
-
-
-def _certified(certify):
-    """A claim that holds when certify returns and fails when it raises
-    AssertionError, as its InvariantViolation certificate does."""
-
-    def claim(x) -> bool:
-        try:
-            certify(x)
-        except AssertionError:
-            return False
-        return True
-
-    return claim
-
-
-def _returns(entry_point):
-    # an entry point that certifies its answer raises InvariantViolation
-    # rather than return a wrong one, so its returning is the check
-    def claim(x) -> bool:
-        entry_point(x)
-        return True
-
-    return claim
 
 
 def _matrix_of(sample_word):
@@ -498,18 +492,18 @@ def suite_heegner(seed: int, sizes: dict):
             sampler,
             lambda z, name=name: getattr(heegner.perp_equivalence(z), name),
         )
+    # the three certificates raise rather than return a wrong answer
     run.every(
         "three-descriptions-agree-generic",
         sampling.sample_chart_point,
-        _certified(heegner.perp_equivalence),
+        lambda z: heegner.perp_equivalence(z) is not None,
     )
-    gram_holds = _certified(heegner.complement_gram_verify)
     for name in LOCI:
-        run.add(f"complement-gram-{name}", gram_holds(name))
+        run.claim(f"complement-gram-{name}", heegner.complement_gram_verify, [name])
     run.every(
         "half-shift-orbit-relations",
         sampling.sample_ns_point,
-        _certified(lambda z: heegner.orbit_relation_check(psi(z))),
+        lambda z: heegner.orbit_relation_check(psi(z)),
     )
     # coset classification spot checks; g_upper((0,0,0,1)) is the integral
     # avatar of the third half shift
@@ -523,13 +517,15 @@ def suite_heegner(seed: int, sizes: dict):
 
 def suite_decompose_fuzz(seed: int, sizes: dict):
     run = _Run(seed, sizes)
+    # each entry point certifies its answer (the word multiplies back, or
+    # maps back up to sign) before it returns it
     for check_id, sample, entry_point in (
         ("gamma1-words-multiply-back", _matrix_of(sampling.sample_hgamma1_word), decompose_hgamma1),
         ("gamma0-section-factorization", _matrix_of(sampling.sample_hgamma0_word), decompose_hgamma0),
         ("even-subgroup-words-multiply-back", sampling.sample_orth_so0, correspond.decompose_so0),
         ("orthogonal-transport-mod-center", sampling.sample_orth_plus, correspond.orth_to_herm),
     ):
-        run.every(check_id, sample, _returns(entry_point))
+        run.every(check_id, sample, lambda x, returns=entry_point: returns(x) is not None)
     run.every(
         "hermitian-round-trip-mod-units", sampling.sample_hgamma0_word, _hermitian_round_trip
     )
@@ -571,8 +567,9 @@ def run_suite(name: str, seed: int = 0, sizes: dict | None = None) -> dict:
     """One suite's report; sizes overrides entries of SIZES by check id.
 
     Every input is checked before the suite runs, and the suite draws every
-    other value itself, so a ValueError raised inside it is the library's
-    own fault: it is raised again as an InvariantViolation naming the suite.
+    other value itself, so a ValueError or AssertionError that escapes it
+    is the library's own fault: it is raised again as an InvariantViolation
+    naming the suite.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
@@ -583,7 +580,7 @@ def run_suite(name: str, seed: int = 0, sizes: dict | None = None) -> dict:
     sizes = {**SIZES, **{cid: _size(cid, size) for cid, size in (sizes or {}).items()}}
     try:
         checks = SUITES[name](seed, sizes)
-    except ValueError as exc:
+    except (ValueError, AssertionError) as exc:
         raise InvariantViolation(f"{name}: {exc}") from exc
     return {
         "suite": name,

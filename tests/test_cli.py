@@ -1,6 +1,7 @@
 """Command line: envelope shape, exit codes, format round trips, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -452,6 +453,32 @@ def test_verify_reports_are_byte_deterministic_across_processes():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+# sha256 of the stdout of `hessk3 verify --suite all --seed N`, N = 0..9: a
+# change to any report byte (a check id, its order, a detail or a count)
+# shows here, and a change that means to make one rewrites these digests
+# and says why
+VERIFY_ALL_SHA256 = (
+    "69a96665e0a955256b233e35ab22af66d179ae1cbcb75dd2c5693e01f6c37498",
+    "4c9efa59041bdde40d3f23ba9cbdfc9dd2e4fe70341468326de9ced5ac1fe62d",
+    "c4cb1c606ae77a9dc39dc1b29e9a0906e250f8cc9c24306fee23c2e2d58f12f7",
+    "bb9124556a65b661b50813c3f3e69a9580759161a0fdfeaeb51fd3904aeca7ed",
+    "0e5506791ef4bc3b2ecca9ceae06286b127da213475d0128531c3be0e743a660",
+    "cead7c03d4ac299416d3be3d32daa7a74f07d0a61233de2aca0bcca9c3087330",
+    "658244a6d1f4ef50770d32e43c53a541254dac5e901d6517e6d6e8af85bfa40c",
+    "ec6ac3e94d89ed6304c5ab54901ebf32a0ae4b07ed6f69689f2e19c94274d9a6",
+    "02e944f88447533615576a8ab020d4c911ce392e58b49904e59e8e1c8802c72c",
+    "386b0cf30a81c097d6d318ca5cbce9a98e66be8b3ed703c8bf0013f8695508cf",
+)
+
+
+@pytest.mark.parametrize("seed", range(len(VERIFY_ALL_SHA256)))
+def test_verify_all_stdout_is_pinned(seed, capsys):
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SHA256[seed]
 
 
 # -- the envelope contract under fuzzing ------------------------------------------

@@ -23,7 +23,6 @@ from hessk3.correspond import (
 )
 from hessk3.domain import act, psi
 from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein, exact_div
-from hessk3.errors import InvariantViolation
 from hessk3.hermitian import (
     equal_mod_units,
     herm_b,
@@ -132,9 +131,19 @@ def test_w_for_w_squared_in_psi_hom_is_caught(monkeypatch):
         "image-u0u1",
         "psi-multiplicative",
     }
-    for suite in ("enr-iso", "decompose-fuzz"):
-        with pytest.raises(InvariantViolation, match="word image left the even orthogonal subgroup"):
-            verify.run_suite(suite, 0)
+    left = "word image left the even orthogonal subgroup"
+    for suite, want in (
+        ("enr-iso", {"gamma1-words-land-in-enr": f"input 4: {left}"}),
+        (
+            "decompose-fuzz",
+            {
+                "orthogonal-transport-mod-center": f"input 7: {left}",
+                "hermitian-round-trip-mod-units": f"input 2: {left}",
+            },
+        ),
+    ):
+        report = verify.run_suite(suite, 0)
+        assert {c["check_id"]: c["detail"] for c in report["checks"] if not c["passed"]} == want
 
 
 def test_psi_hom_is_multiplicative():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hessk3 import sampling
+from hessk3 import heegner, hermitian, sampling
 from hessk3.domain import (
     Q0,
     act,
@@ -82,6 +82,32 @@ def test_h2_membership():
     assert not h2_contains(((I_UNIT, big), (big, I_UNIT)))
     with pytest.raises(ValueError, match="not in the upper half-space"):
         psi_inv(((-two_i, C_ZERO), (C_ZERO, two_i)))
+
+
+_TAU = ((Cyclo12(0, 0, 2, 0), C_ZERO), (C_ZERO, Cyclo12(0, 0, 2, 0)))
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        tuple(r + (C_ZERO,) for r in _TAU) + ((C_ZERO, C_ZERO, I_UNIT),),
+        _TAU + ((C_ZERO, C_ZERO),),
+        (_TAU[0] + (C_ZERO,), _TAU[1]),
+        (_TAU[0], _TAU[1][:1]),
+        _TAU[:1],
+    ],
+    ids=["3x3", "three-rows", "long-row", "short-row", "one-row"],
+)
+@pytest.mark.parametrize(
+    "fn",
+    [h2_contains, psi_inv, heegner.heegner_membership, hermitian.involution_T, hermitian.involution_W],
+    ids=["h2_contains", "psi_inv", "heegner_membership", "involution_T", "involution_W"],
+)
+def test_tau_must_be_two_by_two(fn, tau):
+    # the 3x3, the extra row and the long row used to be answered from
+    # their upper-left corner, the short and missing rows raised IndexError
+    with pytest.raises(ValueError, match="tau: expected a 2x2 matrix"):
+        fn(tau)
 
 
 def test_action_is_projective_and_compatible():

@@ -7,6 +7,7 @@ import pytest
 
 from hessk3 import sampling
 from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein, eis_divmod
+from hessk3.errors import InputTypeError
 from hessk3.hermitian import (
     B_COSETS,
     F4_ELEMS,
@@ -29,14 +30,13 @@ from hessk3.hermitian import (
     involution_T,
     involution_W,
     m2e,
-    m2e_inv,
     m2e_mod2,
+    m2e_pow,
     membership,
     moebius,
     p1_action,
     p1_f4_points,
     section_lift,
-    token_inverse,
     token_matrix,
     token_power,
     word_matrix,
@@ -93,11 +93,37 @@ def test_every_row_of_a_4x4_matrix_is_checked(fn, width):
         fn(g)
 
 
+def _coordinates(kind):
+    """I4 with each coordinate of each entry read through kind."""
+    return tuple(tuple(Eisenstein(kind(x.a), kind(x.b)) for x in r) for r in I4)
+
+
+@pytest.mark.parametrize(
+    "fn", [membership, decompose_hgamma1, decompose_hgamma0, f_mod2, coset_classify, embed_from_hgamma0]
+)
+@pytest.mark.parametrize(
+    "g",
+    [
+        _coordinates(bool),
+        ((Eisenstein(Fraction(1, 2), 0),) + I4[0][1:],) + I4[1:],
+        _coordinates(float),
+        tuple(tuple(x.a for x in r) for r in I4),
+    ],
+    ids=["bool", "fraction", "float", "int-entries"],
+)
+def test_every_entry_of_a_4x4_matrix_is_an_eisenstein_integer(fn, g):
+    # membership called the bool identity "gamma1", so f_mod2, coset_classify
+    # and embed_from_hgamma0 answered it, and the Fraction corner "none";
+    # int entries raised AttributeError and float coordinates TypeError
+    with pytest.raises(InputTypeError, match="matrix entry: expected an Eisenstein integer"):
+        fn(g)
+
+
 def test_g_a_rejects_non_unit_determinant():
     with pytest.raises(ValueError, match="unit determinant"):
         g_a(m2e(((2, 0), (0, 1))))
     with pytest.raises(ValueError, match="determinant is not a unit"):
-        m2e_inv(m2e(((1, 0), (0, 2))))
+        m2e_pow(m2e(((1, 0), (0, 2))), -1)
 
 
 def test_herm_b_is_hermitian_and_additive():
@@ -113,7 +139,9 @@ def test_herm_b_is_hermitian_and_additive():
 _I3 = tuple(tuple(ONE if i == j else ZERO for j in range(3)) for i in range(3))
 
 
-@pytest.mark.parametrize("entry", [g_a, m2e_inv, lambda a: token_matrix(("gA", a))], ids=["g_a", "m2e_inv", "token"])
+@pytest.mark.parametrize(
+    "entry", [g_a, lambda a: m2e_pow(a, -1), lambda a: token_matrix(("gA", a))], ids=["g_a", "m2e_pow", "token"]
+)
 def test_gA_blocks_must_be_two_by_two(entry):
     # a 3x3 identity has a unit top-left determinant; g_a used to build
     # rows of lengths 5, 5, 4 and 4 from it
@@ -188,7 +216,7 @@ def test_word_round_trip_gamma1():
         assert word_matrix(redone) == g
     # inverse tokens really invert
     for tok in (("gA", m2e(((1, 2), (0, 1)))), ("gBu", (1, -2, 0, 3)), ("gBl", (0, 1, 1, 1))):
-        assert mat_mul(token_matrix(tok), token_matrix(token_inverse(tok))) == I4
+        assert mat_mul(token_matrix(tok), token_matrix(token_power(tok, -1))) == I4
 
 
 POWER_TOKENS = (

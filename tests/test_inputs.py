@@ -22,7 +22,7 @@ from hessk3.domain import Q0, act, dm_membership, psi
 from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.errors import InputTypeError, integer, rational
 from hessk3.heegner import chart_flags, perp_equivalence, perp_flags
-from hessk3.hermitian import F4_ID, g_a, g_upper, m2e, m2e_inv, m2e_pow, p1_action, token_matrix, token_power
+from hessk3.hermitian import F4_ID, g_a, g_upper, m2e, m2e_pow, membership, p1_action, token_matrix, token_power
 from hessk3.lattice import G1, GRAM, orthogonal_complement, translation_h
 from hessk3.poly import elem_sym_polys
 from hessk3.tower import C_ZERO, Cyclo12
@@ -170,7 +170,6 @@ def test_m2e_rejects_an_eisenstein_entry_without_int_coordinates(x):
 _GA_ENTRY_POINTS = {
     "psi_hom": psi_hom,
     "g_a": g_a,
-    "m2e_inv": m2e_inv,
     "m2e_pow": lambda a: m2e_pow(a, 2),
     "token_matrix": lambda a: token_matrix(("gA", a)),
     "token_power": lambda a: token_power(("gA", a), 0),
@@ -242,6 +241,7 @@ _ENTRY_POINTS = {
     "herm_to_orth gBu": (lambda m: herm_to_orth(False, False, [("gBu", m)]), ({4}, _INT)),
     "herm_to_orth gBl": (lambda m: herm_to_orth(False, False, [("gBl", m)]), ({4}, _INT)),
     "m2e": (m2e, ({2}, ({2}, _ZW))),
+    "membership": (membership, ({4}, ({4}, _EIS))),
     "orthogonal_complement": (orthogonal_complement, ({6}, _INT)),
     "classify": (classify, ({5}, _RAT)),
     "elem_sym_values": (elem_sym_values, ({5}, _RAT)),

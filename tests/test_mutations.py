@@ -5,8 +5,11 @@ A check that no fault can flip certifies nothing (DeMillo, Lipton and
 Sayward, *Hints on test data selection*, 1978).  Every test here patches
 one table, sampler, formula or descent, runs the suite that holds the
 check at seed 0 with the interactive sizes of `verify.SIZES`, and asserts
-the named outcome; a planted stall in a descent instead runs the descent
-on one fixed input.  pytest's monkeypatch undoes each fault afterwards.
+the named outcome: the failing checks, with the first failing input of
+each where a check draws inputs, or, for a fault that trips outside every
+claim, the error that names its suite.  A planted stall in a descent
+instead runs the descent on one fixed input.  pytest's monkeypatch undoes
+each fault afterwards.
 """
 
 import json
@@ -25,8 +28,14 @@ def outcome(suite: str) -> dict:
     return {c["check_id"]: c["passed"] for c in verify.run_suite(suite, 0)["checks"]}
 
 
+def failures(suite: str) -> dict:
+    """check id -> detail of each failed check, for one suite at seed 0 and
+    the default sizes."""
+    return {c["check_id"]: c["detail"] for c in verify.run_suite(suite, 0)["checks"] if not c["passed"]}
+
+
 def failed(suite: str) -> set:
-    return {cid for cid, passed in outcome(suite).items() if not passed}
+    return set(failures(suite))
 
 
 def test_wrong_u2_image_breaks_the_dictionary(monkeypatch):
@@ -37,11 +46,14 @@ def test_wrong_u2_image_breaks_the_dictionary(monkeypatch):
         "DICTIONARY_PAIRS",
         tuple((n, mat, herm) for n, (mat, herm) in correspond._TOKENS.items() if n != "mi42"),
     )
-    checks = outcome("group-iso")
-    assert checks["image-u2-corrected"] is False
-    assert checks["dictionary-equivariance-on-chart-points"] is False
-    with pytest.raises(InvariantViolation, match="transport does not recover the input"):
-        verify.run_suite("decompose-fuzz", 0)
+    assert failures("group-iso") == {
+        "image-u2-corrected": "",
+        "dictionary-equivariance-on-chart-points": "input 0",
+    }
+    assert failures("decompose-fuzz") == {
+        "orthogonal-transport-mod-center": "input 2: transport does not recover the input",
+        "hermitian-round-trip-mod-units": "input 0: transport does not recover the input",
+    }
 
 
 def test_a_frobenius_after_the_p1_action_is_caught(monkeypatch):
@@ -114,7 +126,8 @@ def test_order_two_images_sent_to_the_identity_are_caught(monkeypatch):
 
 def test_images_outside_the_even_subgroup_are_caught(monkeypatch):
     # rows five and six of every psi_hom image swapped: the image leaves SO0,
-    # which herm_to_orth tests once per word
+    # which herm_to_orth tests once per word, so the transport checks fail
+    # at their first word
     exact = correspond.psi_hom
 
     def swapped(a):
@@ -125,9 +138,12 @@ def test_images_outside_the_even_subgroup_are_caught(monkeypatch):
     images = {f"image-{n}" for n in ("g1", "g2", "u0g1u0", "u0u1", "i42", "u2-corrected")}
     psi = {"psi-multiplicative", "psi-kernel-scalars", "psi-mod2-kernel-is-scalar-class"}
     assert failed("group-iso") == images | psi
-    for suite in ("enr-iso", "decompose-fuzz"):
-        with pytest.raises(InvariantViolation, match="word image left the even orthogonal subgroup"):
-            verify.run_suite(suite, 0)
+    left = "input 0: word image left the even orthogonal subgroup"
+    assert failures("enr-iso") == {"gamma1-words-land-in-enr": left}
+    assert failures("decompose-fuzz") == {
+        "orthogonal-transport-mod-center": left,
+        "hermitian-round-trip-mod-units": "input 0: transport does not recover the input",
+    }
 
 
 def test_images_conjugated_inside_the_even_subgroup_are_caught(monkeypatch):
@@ -141,43 +157,64 @@ def test_images_conjugated_inside_the_even_subgroup_are_caught(monkeypatch):
     monkeypatch.setattr(correspond, "psi_hom", conjugated)
     # u0u1, i42 and u2 commute with I42, so their image checks cannot see it
     assert failed("group-iso") == {"image-g1", "image-g2", "image-u0g1u0"}
-    with pytest.raises(InvariantViolation, match="transport does not recover the input"):
-        verify.run_suite("decompose-fuzz", 0)
+    assert failures("decompose-fuzz") == {
+        "orthogonal-transport-mod-center": "input 0: transport does not recover the input",
+        "hermitian-round-trip-mod-units": "input 0: transport does not recover the input",
+    }
+
+
+_NOT_RECOVERED = "input 0: transport does not recover the input"
 
 
 @pytest.mark.parametrize(
-    "module, descent, message",
+    "module, descent, want",
     [
-        (hermitian, "_descend_hgamma1", "decomposition does not multiply back"),
-        (correspond, "_descend_so0", "word does not multiply back"),
+        (
+            hermitian,
+            "_descend_hgamma1",
+            {
+                "gamma1-words-multiply-back": "input 0: decomposition does not multiply back",
+                "gamma0-section-factorization": "input 0: gamma0 factorization failed",
+            },
+        ),
+        (
+            correspond,
+            "_descend_so0",
+            {
+                "even-subgroup-words-multiply-back": "input 0: word does not multiply back",
+                "orthogonal-transport-mod-center": _NOT_RECOVERED,
+                "hermitian-round-trip-mod-units": _NOT_RECOVERED,
+            },
+        ),
     ],
+    ids=["_descend_hgamma1", "_descend_so0"],
 )
-def test_a_descent_that_drops_its_last_token_is_caught(monkeypatch, module, descent, message):
+def test_a_descent_that_drops_its_last_token_is_caught(monkeypatch, module, descent, want):
     # decompose-fuzz checks that the entry point returns, so the entry
     # point's own certificate must see the wrong word
     exact = getattr(module, descent)
     monkeypatch.setattr(module, descent, lambda g: exact(g)[:-1])
-    with pytest.raises(InvariantViolation, match=message):
-        verify.run_suite("decompose-fuzz", 0)
+    assert failures("decompose-fuzz") == want
 
 
 @pytest.mark.parametrize(
-    "name, fault, message",
+    "name, fault, message, inputs",
     [
         # u0g1u0 read as g1, without the U0 swap of coordinates three and four
-        ("u0g1u0", lambda p: lattice.residual_m(p, 0), "tail norm of column four failed to decrease"),
+        ("u0g1u0", lambda p: lattice.residual_m(p, 0), "tail norm of column four failed to decrease", (4, 26, 0)),
         # h1p read as h1, without the G0 swap of coordinates one and two
-        ("h1p", lambda p: lattice.translation_h(p, 0, 0, 0), "row three of column two did not vanish"),
+        ("h1p", lambda p: lattice.translation_h(p, 0, 0, 0), "row three of column two did not vanish", (11, 1, 1)),
     ],
     ids=["u0g1u0", "h1p"],
 )
-def test_a_token_power_without_its_swap_is_caught(monkeypatch, name, fault, message):
+def test_a_token_power_without_its_swap_is_caught(monkeypatch, name, fault, message, inputs):
     # a closed-form power that lost its conjugation: the descent's own
-    # stage checks see the token act on the wrong coordinates
+    # stage checks see the token act on the wrong coordinates, in each of
+    # the three checks that reach the orthogonal descent
     exact = correspond._token_power
     monkeypatch.setattr(correspond, "_token_power", lambda n, p: fault(p) if n == name else exact(n, p))
-    with pytest.raises(InvariantViolation, match=message):
-        verify.run_suite("decompose-fuzz", 0)
+    checks = ("even-subgroup-words-multiply-back", "orthogonal-transport-mod-center", "hermitian-round-trip-mod-units")
+    assert failures("decompose-fuzz") == {cid: f"input {i}: {message}" for cid, i in zip(checks, inputs)}
 
 
 def test_a_wrong_sum_in_the_discriminant_group_is_caught(monkeypatch):
@@ -226,17 +263,20 @@ def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch, capsys):
 
     monkeypatch.setattr(lattice, "_zw_mul", dropped_bb)
     # an entry point's input check raises on a product the kernel got
-    # wrong; verify drew that input itself, so the suite reports the fault
-    # as its own, and the command line exits 1, not 2
-    with pytest.raises(InvariantViolation, match="^decompose-fuzz: matrix is not in the gamma1 congruence subgroup"):
+    # wrong: inside a claim the check fails at that input
+    assert failures("decompose-fuzz") == {
+        "gamma1-words-multiply-back": "input 0: matrix is not in the gamma1 congruence subgroup",
+        "gamma0-section-factorization": "input 0: matrix is not in the gamma0 congruence subgroup",
+        "orthogonal-transport-mod-center": "input 3: transport does not recover the input",
+        "hermitian-round-trip-mod-units": "input 0: transport does not recover the input",
+    }
+    assert failures("enr-iso") == {"gamma1-words-land-in-enr": "input 4: matrix must have unit determinant"}
+    # in a frozen check verify drew that input itself, so the suite reports
+    # the fault as its own, and the command line exits 1, not 2
+    with pytest.raises(InvariantViolation, match="^group-iso: matrix must have unit determinant"):
         verify.run_all(0)
-    for suite, message in (
-        ("enr-iso", "unit determinant"),
-        ("group-iso", "unit determinant"),
-        ("heegner", "needs a gamma0 element"),
-    ):
-        with pytest.raises(InvariantViolation, match=f"^{suite}: .*{message}"):
-            verify.run_suite(suite, 0)
+    with pytest.raises(InvariantViolation, match="^heegner: embedding needs a gamma0 element"):
+        verify.run_suite("heegner", 0)
     capsys.readouterr()
     assert cli.main(["verify", "--suite", "group-iso"]) == 1
     assert json.loads(capsys.readouterr().out)["diagnostics"][0].startswith("group-iso: ")
@@ -260,7 +300,8 @@ def test_a_copied_row_of_any_coefficient_is_caught(monkeypatch):
         return tuple(out)
 
     monkeypatch.setattr(lattice, "_int_mul", any_coefficient)
-    assert failed("group-iso") == {"psi-multiplicative"}
+    assert failures("group-iso") == {"psi-multiplicative": "input 39"}
+    assert failures("enr-iso") == {"gamma1-words-land-in-enr": "input 0: word image left the even orthogonal subgroup"}
     with pytest.raises(InvariantViolation, match="^quotient-group: permutation action of a non-isometry"):
         verify.run_suite("quotient-group", 0)
 
@@ -268,9 +309,10 @@ def test_a_copied_row_of_any_coefficient_is_caught(monkeypatch):
 def test_an_entrywise_section_lift_is_caught(monkeypatch):
     # the lower-triangular correction skipped: the entrywise lift of an
     # invertible matrix over F4 need not have unit determinant, and the
-    # section lift certifies its own answer
+    # section lift certifies its own answer; group-iso lifts all of GL2(F4)
+    # outside any claim, so the suite reports the fault as its own
     monkeypatch.setattr(hermitian, "_lower_triangular", lambda lift: lift)
-    with pytest.raises(InvariantViolation, match="^section lift does not have unit determinant"):
+    with pytest.raises(InvariantViolation, match="^group-iso: section lift does not have unit determinant"):
         verify.run_suite("group-iso", 0)
     # A = ((1, 1), (1, 2 + w)) has determinant 1 + w, but its entrywise
     # lift mod 2, ((1, 1), (1, w)), has determinant w - 1 of norm 3
@@ -279,12 +321,25 @@ def test_an_entrywise_section_lift_is_caught(monkeypatch):
         hermitian.decompose_hgamma0(g)
 
 
+def test_a_require_in_a_frozen_check_names_its_suite(monkeypatch, capsys):
+    # the fourth half-shift coset read as the third: the third shift's
+    # frozen coset check matches two cosets, and that require trips outside
+    # every claim
+    b = hermitian.B_COSETS
+    monkeypatch.setattr(hermitian, "B_COSETS", (b[0], b[1], b[2], b[2]))
+    with pytest.raises(InvariantViolation, match="^heegner: two half-shift cosets matched at once$"):
+        verify.run_suite("heegner", 0)
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "heegner"]) == 1
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == ["heegner: two half-shift cosets matched at once"]
+
+
 def test_swapped_half_shifts_fail_only_the_orbit_relations(monkeypatch):
     # B3 and B4 exchanged: the third shift misses the km locus; the check
     # reports it instead of the suite raising
     b = heegner.B_SHIFTS
     monkeypatch.setattr(heegner, "B_SHIFTS", (b[0], b[1], b[3], b[2]))
-    assert failed("heegner") == {"half-shift-orbit-relations"}
+    assert failures("heegner") == {"half-shift-orbit-relations": "input 0: the third half-shift missed the km locus"}
 
 
 def delta_sing_failures(monkeypatch, name, replacement) -> set:
