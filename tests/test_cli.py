@@ -400,10 +400,18 @@ def test_unknown_suite_is_a_usage_error(capsys):
     assert "invalid choice: 'nonsense'" in doc["diagnostics"][0]
 
 
-def test_suite_sizes_must_name_sized_checks():
+@pytest.mark.parametrize(
+    "suite, check_id",
+    [
+        ("group-iso", "psi-multiplicative-typo"),
+        # another suite's check: its size used to be ignored, with a passing report
+        ("delta-km", "psi-multiplicative"),
+    ],
+)
+def test_suite_sizes_must_name_sized_checks(suite, check_id):
     # a misspelt id would otherwise run the check at its default size
-    with pytest.raises(ValueError, match="no sized check 'psi-multiplicative-typo'"):
-        verify.run_suite("group-iso", 0, {"psi-multiplicative-typo": 1})
+    with pytest.raises(ValueError, match=f"^no sized check '{check_id}' in {suite}$"):
+        verify.run_suite(suite, 0, {check_id: 1})
 
 
 @pytest.mark.parametrize("seed", [None, "abc", 1.5, True])

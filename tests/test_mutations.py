@@ -3,13 +3,15 @@ meant to catch it reports it.
 
 A check that no fault can flip certifies nothing (DeMillo, Lipton and
 Sayward, *Hints on test data selection*, 1978).  Every test here patches
-one table, sampler, formula or descent, runs the suite that holds the
-check at seed 0 with the interactive sizes of `verify.SIZES`, and asserts
-the named outcome: the failing checks, with the first failing input of
-each where a check draws inputs, or, for a fault that trips outside every
-claim, the error that names its suite.  A planted stall in a descent
-instead runs the descent on one fixed input.  pytest's monkeypatch undoes
-each fault afterwards.
+one table, sampler, formula or descent, runs the suites that hold the
+checks at seed 0 with the interactive sizes of `verify.SIZES`, and asserts
+the failing checks as a map from check id to detail: the first failing
+input, with the message where the claim raised, or the value a frozen
+check got.  Each row of a suite is one claim decided by `verify.decide`,
+so a fault inside a claim fails that check and every suite still reports;
+only a fault in a suite's set-up escapes, as the error that names the
+suite.  A planted stall in a descent instead runs the descent on one fixed
+input.  pytest's monkeypatch undoes each fault afterwards.
 """
 
 import json
@@ -23,19 +25,20 @@ from hessk3.errors import InvariantViolation
 from hessk3.hermitian import m2e
 
 
-def outcome(suite: str) -> dict:
-    """check id -> passed, for one suite at seed 0 and the default sizes."""
-    return {c["check_id"]: c["passed"] for c in verify.run_suite(suite, 0)["checks"]}
-
-
 def failures(suite: str) -> dict:
     """check id -> detail of each failed check, for one suite at seed 0 and
     the default sizes."""
     return {c["check_id"]: c["detail"] for c in verify.run_suite(suite, 0)["checks"] if not c["passed"]}
 
 
-def failed(suite: str) -> set:
-    return set(failures(suite))
+def all_failures() -> dict:
+    """suite -> failures(suite) over the whole run_all at seed 0, for the
+    suites with a failed check."""
+    return {
+        r["suite"]: {c["check_id"]: c["detail"] for c in r["checks"] if not c["passed"]}
+        for r in verify.run_all(0)["suites"]
+        if not r["passed"]
+    }
 
 
 def test_wrong_u2_image_breaks_the_dictionary(monkeypatch):
@@ -47,7 +50,7 @@ def test_wrong_u2_image_breaks_the_dictionary(monkeypatch):
         tuple((n, mat, herm) for n, (mat, herm) in correspond._TOKENS.items() if n != "mi42"),
     )
     assert failures("group-iso") == {
-        "image-u2-corrected": "",
+        "image-u2-corrected": "input 0",
         "dictionary-equivariance-on-chart-points": "input 0",
     }
     assert failures("decompose-fuzz") == {
@@ -68,13 +71,13 @@ def test_a_frobenius_after_the_p1_action_is_caught(monkeypatch):
         return ((x[0] ^ x[1], x[1]), y) if y == (1, 0) else (x, y)
 
     monkeypatch.setattr(verify, "p1_action", frobenius)
-    assert failed("group-iso") == {"p1-action-all-even", "p1-kernel-order-3"}
+    assert failures("group-iso") == {"p1-action-all-even": "input 0", "p1-kernel-order-3": "got 0"}
 
 
 def test_general_gA_tokens_leave_the_enriques_kernel(monkeypatch):
     # gamma1 words that also draw gA tokens off the congruence kernel
     monkeypatch.setattr(sampling, "sample_hgamma1_word", sampling.sample_hgamma0_word)
-    assert outcome("enr-iso")["gamma1-words-land-in-enr"] is False
+    assert failures("enr-iso") == {"gamma1-words-land-in-enr": "input 0"}
 
 
 def test_translation_corner_off_by_one_breaks_additivity(monkeypatch):
@@ -87,18 +90,76 @@ def test_translation_corner_off_by_one_breaks_additivity(monkeypatch):
 
     monkeypatch.setattr(lattice, "translation_h", corner_off)
     monkeypatch.setattr(verify, "translation_h", corner_off)
-    assert outcome("quotient-group")["translations-additive"] is False
+    assert failures("quotient-group") == {"translations-additive": "input 0"}
 
 
 def test_relabelled_two_torsion_classes_move_the_g1_permutation(monkeypatch):
     v = list(lattice.V_CLASSES)
     v[0], v[1] = v[1], v[0]
     monkeypatch.setattr(lattice, "V_CLASSES", tuple(v))
-    checks = outcome("quotient-group")
-    assert checks["g1-perm"] is False
-    # a relabelled map is still a homomorphism, so this check cannot see
-    # the fault; it stays for the faults it can see
-    assert checks["five-class-map-multiplicative"] is True
+    # a relabelled map is still a homomorphism, so five-class-map-multiplicative
+    # cannot see the fault; it stays for the faults it can see
+    assert failures("quotient-group") == {"g1-perm": "got (0, 3, 4, 1, 2)", "g2-perm": "got (0, 4, 3, 2, 1)"}
+
+
+def test_relabelled_middle_classes_move_five_permutations(monkeypatch):
+    # V_CLASSES[1] and V_CLASSES[2] exchanged: each generator that moves
+    # either class reports another permutation; G0 and -1 fix every class
+    v = list(lattice.V_CLASSES)
+    v[1], v[2] = v[2], v[1]
+    monkeypatch.setattr(lattice, "V_CLASSES", tuple(v))
+    assert failures("quotient-group") == {
+        "g1-perm": "got (3, 4, 2, 0, 1)",
+        "g2-perm": "got (4, 3, 2, 1, 0)",
+        "u0-perm": "got (2, 1, 0, 3, 4)",
+        "u1-perm": "got (0, 4, 2, 3, 1)",
+        "u2-perm": "got (0, 3, 2, 4, 1)",
+    }
+
+
+def test_the_hyperbolic_swap_on_the_wrong_plane_moves_g0(monkeypatch):
+    # G0 read as U0, the swap of coordinates three and four instead of one
+    # and two: it exchanges D1 and D2, so it no longer fixes M*/M
+    monkeypatch.setattr(lattice, "G0", lattice.U0)
+    assert failures("quotient-group") == {"g0-identity": "got (1, 0, 2, 3, 4)"}
+
+
+def test_a_sign_in_minus_one_is_caught(monkeypatch):
+    # -1 with +1 as its last entry is no isometry; every diagonal isometry
+    # fixes the five classes, which are 2-torsion, so only a fault that
+    # leaves the isometries can flip minus-identity
+    monkeypatch.setattr(lattice, "MINUS_I6", lattice._diag(-1, -1, -1, -1, -1, 1))
+    assert failures("quotient-group") == {"minus-identity": "input 0: permutation action of a non-isometry"}
+    left = "input 0: discriminant permutation: an element left the 48 classes"
+    assert failures("disc-group") == {"named-generators-generate-disc-orthogonal": left}
+
+
+def test_a_wrong_torsion_form_value_is_caught(monkeypatch):
+    # q read 1 too high on the classes with an odd fifth coordinate: q(D3)
+    # becomes 2/3, and no candidate keeps q on all 48 classes
+    exact = lattice._q72
+    monkeypatch.setattr(lattice, "_q72", lambda x: (exact(x) + 36 * (x[4] % 2)) % 72)
+    assert failures("disc-group") == {
+        "q-d3": "got 2/3",
+        "disc-orthogonal-order-240": "got 0",
+        "five-class-image-order-120": "got 0",
+        "five-class-kernel-order-2": "got 0",
+        "named-generators-generate-disc-orthogonal": "got 240",
+    }
+
+
+def test_a_wrong_torsion_pairing_value_is_caught(monkeypatch):
+    # b read 1/2 too high when the third coordinate of x and the fourth of
+    # y are odd: b(D1, D2) becomes 0, and the candidates filtered by b keep
+    # 48 maps, which move the five classes by 24 permutations
+    exact = lattice._b36
+    monkeypatch.setattr(lattice, "_b36", lambda x, y: (exact(x, y) + 18 * (x[2] % 2) * (y[3] % 2)) % 36)
+    assert failures("disc-group") == {
+        "b-d1-d2": "input 0",
+        "disc-orthogonal-order-240": "got 48",
+        "five-class-image-order-120": "got 24",
+        "named-generators-generate-disc-orthogonal": "got 240",
+    }
 
 
 @pytest.mark.parametrize(
@@ -109,7 +170,7 @@ def test_kernel_congruences_read_on_rows_are_caught(monkeypatch, name, check_id)
     # each kernel test reads its congruences on the columns of g
     exact = getattr(lattice, name)
     monkeypatch.setattr(lattice, name, lambda g: exact(lattice.mat_transpose(g)))
-    assert failed("quotient-group") == {check_id}
+    assert failures("quotient-group") == {check_id: "input 8"}
 
 
 def test_order_two_images_sent_to_the_identity_are_caught(monkeypatch):
@@ -121,7 +182,14 @@ def test_order_two_images_sent_to_the_identity_are_caught(monkeypatch):
         return ident if lattice.mat_mul(image, image) == ident else image
 
     monkeypatch.setattr(correspond, "psi_hom", collapsed)
-    assert outcome("group-iso")["identity-preimages-are-unit-scalars"] is False
+    # identity-preimages-are-unit-scalars cannot see it: none of its draws
+    # at seed 0 has an image of order two
+    assert failures("group-iso") == {
+        "image-u0u1": "input 0",
+        "image-i42": "input 0",
+        "psi-multiplicative": "input 2",
+        "psi-mod2-kernel-is-scalar-class": "input 61",
+    }
 
 
 def test_images_outside_the_even_subgroup_are_caught(monkeypatch):
@@ -135,14 +203,14 @@ def test_images_outside_the_even_subgroup_are_caught(monkeypatch):
         return image[:4] + (image[5], image[4])
 
     monkeypatch.setattr(correspond, "psi_hom", swapped)
-    images = {f"image-{n}" for n in ("g1", "g2", "u0g1u0", "u0u1", "i42", "u2-corrected")}
-    psi = {"psi-multiplicative", "psi-kernel-scalars", "psi-mod2-kernel-is-scalar-class"}
-    assert failed("group-iso") == images | psi
+    images = [f"image-{n}" for n in ("g1", "g2", "u0g1u0", "u0u1", "i42", "u2-corrected")]
+    psi = ["psi-multiplicative", "psi-kernel-scalars", "psi-mod2-kernel-is-scalar-class"]
+    assert failures("group-iso") == dict.fromkeys(images + psi, "input 0")
     left = "input 0: word image left the even orthogonal subgroup"
     assert failures("enr-iso") == {"gamma1-words-land-in-enr": left}
     assert failures("decompose-fuzz") == {
         "orthogonal-transport-mod-center": left,
-        "hermitian-round-trip-mod-units": "input 0: transport does not recover the input",
+        "hermitian-round-trip-mod-units": left,
     }
 
 
@@ -156,7 +224,7 @@ def test_images_conjugated_inside_the_even_subgroup_are_caught(monkeypatch):
 
     monkeypatch.setattr(correspond, "psi_hom", conjugated)
     # u0u1, i42 and u2 commute with I42, so their image checks cannot see it
-    assert failed("group-iso") == {"image-g1", "image-g2", "image-u0g1u0"}
+    assert failures("group-iso") == dict.fromkeys(("image-g1", "image-g2", "image-u0g1u0"), "input 0")
     assert failures("decompose-fuzz") == {
         "orthogonal-transport-mod-center": "input 0: transport does not recover the input",
         "hermitian-round-trip-mod-units": "input 0: transport does not recover the input",
@@ -201,9 +269,9 @@ def test_a_descent_that_drops_its_last_token_is_caught(monkeypatch, module, desc
     "name, fault, message, inputs",
     [
         # u0g1u0 read as g1, without the U0 swap of coordinates three and four
-        ("u0g1u0", lambda p: lattice.residual_m(p, 0), "tail norm of column four failed to decrease", (4, 26, 0)),
+        ("u0g1u0", lambda p: lattice.residual_m(p, 0), "tail norm of column four failed to decrease", (4, 2, 0)),
         # h1p read as h1, without the G0 swap of coordinates one and two
-        ("h1p", lambda p: lattice.translation_h(p, 0, 0, 0), "row three of column two did not vanish", (11, 1, 1)),
+        ("h1p", lambda p: lattice.translation_h(p, 0, 0, 0), "row three of column two did not vanish", (11, 6, 3)),
     ],
     ids=["u0g1u0", "h1p"],
 )
@@ -227,21 +295,21 @@ def test_a_wrong_sum_in_the_discriminant_group_is_caught(monkeypatch):
         return exact(s, lattice.D2) if {x, y} == {lattice.D1, lattice.D3} else s
 
     monkeypatch.setattr(lattice, "disc_add", skewed)
-    assert failed("disc-group") == {
-        "disc-orthogonal-order-240",
-        "five-class-image-order-120",
-        "five-class-kernel-order-2",
-        "named-generators-generate-disc-orthogonal",
+    assert failures("disc-group") == {
+        "disc-orthogonal-order-240": "got 2",
+        "five-class-image-order-120": "got 2",
+        "five-class-kernel-order-2": "got 1",
+        "named-generators-generate-disc-orthogonal": "got 240",
     }
 
 
 def test_a_lost_generator_no_longer_generates_the_disc_orthogonal_group(monkeypatch):
     # U0 read as G0: the named generators then reach a subgroup of order 48
     monkeypatch.setattr(lattice, "U0", lattice.G0)
-    assert failed("disc-group") == {"named-generators-generate-disc-orthogonal"}
+    assert failures("disc-group") == {"named-generators-generate-disc-orthogonal": "got 48"}
 
 
-def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch, capsys):
+def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch):
     # the Z[w] inner loop of mat_mul with the - b1 b2 dropped from each
     # termwise w-coefficient
     def dropped_bb(ra, rb, b):
@@ -263,23 +331,28 @@ def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch, capsys):
 
     monkeypatch.setattr(lattice, "_zw_mul", dropped_bb)
     # an entry point's input check raises on a product the kernel got
-    # wrong: inside a claim the check fails at that input
-    assert failures("decompose-fuzz") == {
-        "gamma1-words-multiply-back": "input 0: matrix is not in the gamma1 congruence subgroup",
-        "gamma0-section-factorization": "input 0: matrix is not in the gamma0 congruence subgroup",
-        "orthogonal-transport-mod-center": "input 3: transport does not recover the input",
-        "hermitian-round-trip-mod-units": "input 0: transport does not recover the input",
+    # wrong: inside a claim, frozen or drawn, the check fails at that input
+    unit_det = "matrix must have unit determinant"
+    not_gamma0 = "embedding needs a gamma0 element"
+    assert all_failures() == {
+        "decompose-fuzz": {
+            "gamma1-words-multiply-back": "input 0: matrix is not in the gamma1 congruence subgroup",
+            "gamma0-section-factorization": "input 0: matrix is not in the gamma0 congruence subgroup",
+            "orthogonal-transport-mod-center": "input 2: transport does not recover the input",
+            "hermitian-round-trip-mod-units": f"input 0: {unit_det}",
+        },
+        "enr-iso": {"gamma1-words-land-in-enr": f"input 4: {unit_det}"},
+        "group-iso": {
+            "psi-multiplicative": f"input 0: {unit_det}",
+            "psi-mod2-kernel-is-scalar-class": f"input 6: {unit_det}",
+            "identity-preimages-are-unit-scalars": f"input 0: {unit_det}",
+            "gamma0-words-mod2-in-gl2f4": "input 1: mod-2 reduction needs a gamma0 element",
+        },
+        "heegner": {
+            "gamma0-classifies-uncovered": f"input 0: {not_gamma0}",
+            "shifted-gamma0-classifies-2": f"input 0: {not_gamma0}",
+        },
     }
-    assert failures("enr-iso") == {"gamma1-words-land-in-enr": "input 4: matrix must have unit determinant"}
-    # in a frozen check verify drew that input itself, so the suite reports
-    # the fault as its own, and the command line exits 1, not 2
-    with pytest.raises(InvariantViolation, match="^group-iso: matrix must have unit determinant"):
-        verify.run_all(0)
-    with pytest.raises(InvariantViolation, match="^heegner: embedding needs a gamma0 element"):
-        verify.run_suite("heegner", 0)
-    capsys.readouterr()
-    assert cli.main(["verify", "--suite", "group-iso"]) == 1
-    assert json.loads(capsys.readouterr().out)["diagnostics"][0].startswith("group-iso: ")
 
 
 def test_a_copied_row_of_any_coefficient_is_caught(monkeypatch):
@@ -300,20 +373,36 @@ def test_a_copied_row_of_any_coefficient_is_caught(monkeypatch):
         return tuple(out)
 
     monkeypatch.setattr(lattice, "_int_mul", any_coefficient)
-    assert failures("group-iso") == {"psi-multiplicative": "input 39"}
-    assert failures("enr-iso") == {"gamma1-words-land-in-enr": "input 0: word image left the even orthogonal subgroup"}
-    with pytest.raises(InvariantViolation, match="^quotient-group: permutation action of a non-isometry"):
-        verify.run_suite("quotient-group", 0)
+    left = "input 0: word image left the even orthogonal subgroup"
+    non_isometry = "input 0: permutation action of a non-isometry"
+    not_preserved = "input 0: matrix does not preserve the form"
+    s5_ids = ("g1-perm", "g2-perm", "u0-perm", "u1-perm", "u2-perm", "g0-identity", "minus-identity")
+    assert all_failures() == {
+        "decompose-fuzz": {
+            "even-subgroup-words-multiply-back": not_preserved,
+            "orthogonal-transport-mod-center": not_preserved,
+            "hermitian-round-trip-mod-units": left,
+        },
+        "enr-iso": {"gamma1-words-land-in-enr": left},
+        "group-iso": {"psi-multiplicative": "input 39"},
+        "quotient-group": {
+            **dict.fromkeys(s5_ids, non_isometry),
+            "five-class-map-multiplicative": non_isometry,
+            "k3-subgroup-is-trivial-action": "input 0: not an isometry",
+            "enr-subgroup-fixes-two-torsion": "input 0: not an isometry",
+        },
+    }
 
 
 def test_an_entrywise_section_lift_is_caught(monkeypatch):
     # the lower-triangular correction skipped: the entrywise lift of an
     # invertible matrix over F4 need not have unit determinant, and the
     # section lift certifies its own answer; group-iso lifts all of GL2(F4)
-    # outside any claim, so the suite reports the fault as its own
+    # in one frozen check
     monkeypatch.setattr(hermitian, "_lower_triangular", lambda lift: lift)
-    with pytest.raises(InvariantViolation, match="^group-iso: section lift does not have unit determinant"):
-        verify.run_suite("group-iso", 0)
+    assert all_failures() == {
+        "group-iso": {"mod2-image-order-180": "input 0: section lift does not have unit determinant"}
+    }
     # A = ((1, 1), (1, 2 + w)) has determinant 1 + w, but its entrywise
     # lift mod 2, ((1, 1), (1, w)), has determinant w - 1 of norm 3
     g = hermitian.g_a(m2e(((1, 1), (1, Eisenstein(2, 1)))))
@@ -321,17 +410,28 @@ def test_an_entrywise_section_lift_is_caught(monkeypatch):
         hermitian.decompose_hgamma0(g)
 
 
-def test_a_require_in_a_frozen_check_names_its_suite(monkeypatch, capsys):
+def test_a_require_in_a_frozen_check_fails_that_check(monkeypatch):
     # the fourth half-shift coset read as the third: the third shift's
-    # frozen coset check matches two cosets, and that require trips outside
-    # every claim
+    # frozen coset check matches two cosets, and that require trips inside
+    # its claim
     b = hermitian.B_COSETS
     monkeypatch.setattr(hermitian, "B_COSETS", (b[0], b[1], b[2], b[2]))
-    with pytest.raises(InvariantViolation, match="^heegner: two half-shift cosets matched at once$"):
-        verify.run_suite("heegner", 0)
+    matched = "input 0: two half-shift cosets matched at once"
+    assert all_failures() == {"heegner": {"coset-of-third-shift": matched}}
+
+
+def test_a_fault_in_set_up_names_its_suite(monkeypatch, capsys):
+    # sums of classes of M*/M without their reduction mod 6: the addition
+    # table of the enumeration of O(q), disc-group's set-up, leaves the 48
+    # classes outside every claim, so the suite reports the fault as its
+    # own and the command line exits 1, not 2
+    monkeypatch.setattr(lattice, "disc_add", lambda x, y: tuple(a + b for a, b in zip(x, y)))
+    message = "disc-group: addition table: an element left the 48 classes"
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        verify.run_suite("disc-group", 0)
     capsys.readouterr()
-    assert cli.main(["verify", "--suite", "heegner"]) == 1
-    assert json.loads(capsys.readouterr().out)["diagnostics"] == ["heegner: two half-shift cosets matched at once"]
+    assert cli.main(["verify", "--suite", "disc-group"]) == 1
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == [message]
 
 
 def test_swapped_half_shifts_fail_only_the_orbit_relations(monkeypatch):
@@ -342,10 +442,10 @@ def test_swapped_half_shifts_fail_only_the_orbit_relations(monkeypatch):
     assert failures("heegner") == {"half-shift-orbit-relations": "input 0: the third half-shift missed the km locus"}
 
 
-def delta_sing_failures(monkeypatch, name, replacement) -> set:
-    """The failed delta-sing ids with cubic.name replaced."""
+def delta_sing_failures(monkeypatch, name, replacement) -> dict:
+    """failures("delta-sing") with cubic.name replaced."""
     monkeypatch.setattr(cubic, name, replacement)
-    return failed("delta-sing")
+    return failures("delta-sing")
 
 
 def test_a_wrong_coefficient_in_the_discriminant_formula_is_caught(monkeypatch):
@@ -354,11 +454,9 @@ def test_a_wrong_coefficient_in_the_discriminant_formula_is_caught(monkeypatch):
         core = inv.i8 * inv.i8 - 64 * inv.i16
         return core * core - 16384 * inv.i32 - 2047 * inv.i8 * inv.i24
 
-    assert delta_sing_failures(monkeypatch, "_delta_sing_of", off) == {
-        "product-form-equals-invariant-form",
-        "value-at-ones",
-        "value-at-quadruple-point",
-    }
+    assert delta_sing_failures(monkeypatch, "_delta_sing_of", off) == dict.fromkeys(
+        ("product-form-equals-invariant-form", "value-at-ones", "value-at-quadruple-point"), "input 0"
+    )
 
 
 def test_a_wrong_coefficient_in_i8_is_caught(monkeypatch):
@@ -368,12 +466,10 @@ def test_a_wrong_coefficient_in_i8_is_caught(monkeypatch):
     def off(s, diff):
         return exact(s, diff)._replace(i8=s[3] * s[3] - 3 * s[2] * s[4])
 
-    assert delta_sing_failures(monkeypatch, "_invariants", off) == {
-        "product-form-equals-invariant-form",
-        "value-at-ones",
-        "value-at-quadruple-point",
-        "invariants-at-ones",
-    }
+    assert delta_sing_failures(monkeypatch, "_invariants", off) == dict.fromkeys(
+        ("product-form-equals-invariant-form", "value-at-ones", "value-at-quadruple-point", "invariants-at-ones"),
+        "input 0",
+    )
 
 
 def test_a_moved_node_of_the_hessian_quartic_is_caught(monkeypatch):
@@ -386,7 +482,7 @@ def test_a_moved_node_of_the_hessian_quartic_is_caught(monkeypatch):
         return ((nodes[0][0], -nodes[0][1]) + nodes[0][2:],) + nodes[1:]
 
     monkeypatch.setattr(cubic, "hessian_singular_points", moved)
-    assert failed("delta-km") == {"ten-points-on-the-quartic"}
+    assert failures("delta-km") == {"ten-points-on-the-quartic": "input 0"}
 
 
 def test_a_line_check_on_the_union_of_two_hyperplanes_is_caught(monkeypatch):
@@ -398,7 +494,7 @@ def test_a_line_check_on_the_union_of_two_hyperplanes_is_caught(monkeypatch):
         return not any(e[i] == 0 or e[j] == 0 for e in quartic.terms)
 
     monkeypatch.setattr(cubic, "hessian_line_check", union)
-    assert failed("delta-km") == {"ten-points-on-the-quartic"}
+    assert failures("delta-km") == {"ten-points-on-the-quartic": "input 0"}
 
 
 def test_a_partner_coordinate_without_its_lambda_is_caught(monkeypatch):
@@ -410,7 +506,7 @@ def test_a_partner_coordinate_without_its_lambda_is_caught(monkeypatch):
         return tuple(prod(scaled[:i] + scaled[i + 1 :]) for i in range(len(xs)))
 
     monkeypatch.setattr(cubic, "_partners", partners)
-    assert failed("delta-km") == {"partner-coordinate-swap"}
+    assert failures("delta-km") == {"partner-coordinate-swap": "input 0"}
 
 
 # -- stalls: each descent checks its decrease after every step ----------------

@@ -101,13 +101,16 @@ PRODUCT_CEILINGS = {
 
 # At most this many n x n products in one verify suite at seed 0 with the
 # default sizes, as {n: total}.  The suites rest on the entry points'
-# certificates, so a check that proves an answer a second time fails the
+# certificates, and a value a check shows, or one that rows share, is
+# computed once, so a check that proves an answer a second time fails the
 # bound.  No table is cached across calls, so the counts do not depend on
 # what ran before in the process.
 SUITE_PRODUCT_CEILINGS = {
     "decompose-fuzz": {6: 2251, 4: 1677, 2: 661},
-    "enr-iso": {6: 251},
-    "group-iso": {2: 2216},
+    "enr-iso": {6: 251, 2: 152},
+    "group-iso": {6: 200, 4: 38, 2: 2216},
+    "heegner": {4: 9, 2: 14},
+    "quotient-group": {6: 888},
 }
 
 
