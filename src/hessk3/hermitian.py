@@ -42,7 +42,6 @@ from .eisenstein import (
 )
 from .errors import InputTypeError, integer, require
 from .lattice import (
-    _over_zw,
     mat_add,
     mat_conj_transpose,
     mat_det2,
@@ -120,8 +119,10 @@ def _zw_block(a, n: int = 2):
     """a, when it is an n x n matrix over Z[w]: an entry other than an
     Eisenstein with int coordinates is an InputTypeError.  The one entry
     rule of m2e, of every gA block and of membership's 4x4."""
-    if not _over_zw(_square(a, n)):
-        raise InputTypeError("matrix entry: expected an Eisenstein integer")
+    for r in _square(a, n):
+        for x in r:
+            if type(x) is not Eisenstein or type(x.a) is not int or type(x.b) is not int:
+                raise InputTypeError("matrix entry: expected an Eisenstein integer")
     return a
 
 

@@ -24,7 +24,6 @@ from .errors import integer, require
 
 __all__ = [
     "GRAM",
-    "QPRIME",
     "power",
     "mat_id",
     "mat_mul",
@@ -91,9 +90,6 @@ GRAM = (
     (0, 0, 0, 0, -4, 2),
     (0, 0, 0, 0, 2, -4),
 )
-
-# The form on coordinates 3..6, the complement of the first hyperbolic plane.
-QPRIME = tuple(row[2:] for row in GRAM[2:])
 
 
 # -- matrices over any ring ----------------------------------------------
@@ -198,13 +194,6 @@ def _sparse_rows(m, width: int):
             rows.append(row)
         return _zw_mul, rows
     return None
-
-
-def _over_zw(m) -> bool:
-    """Every entry an Eisenstein with int coordinates, m a matrix with
-    rows of one length."""
-    s = _sparse_rows(m, len(m[0]))
-    return s is not None and s[0] is _zw_mul
 
 
 def _int_mul(ra, rb, b):

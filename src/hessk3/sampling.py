@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .domain import Point, dm_from_chart, psi
+from .domain import Point, dm_from_chart
 from .eisenstein import UNITS, Eisenstein
 from .hermitian import m2e
 from .lattice import mat_id, mat_prod, U1, W0
@@ -29,7 +29,6 @@ __all__ = [
     "sample_orth_so0",
     "sample_orth_plus",
     "sample_chart_point",
-    "sample_h2_tau",
     "sample_node_point",
     "sample_eckardt_point",
     "sample_ns_point",
@@ -154,10 +153,6 @@ def sample_chart_point(rng) -> Point:
     z5 = Cyclo12(sample_fraction(rng, 3, 3), 0, y5, 0)
     z6 = Cyclo12(sample_fraction(rng, 3, 3), 0, y6, 0)
     return dm_from_chart(z3, z4, z5, z6)
-
-
-def sample_h2_tau(rng):
-    return psi(sample_chart_point(rng))
 
 
 def sample_node_point(rng) -> Point:

@@ -30,7 +30,6 @@ __all__ = [
     "C_OMEGA",
     "C_OMEGA2",
     "from_eisenstein",
-    "sign_sqrt3",
     "tower_sign_real",
 ]
 
@@ -211,11 +210,6 @@ C_OMEGA2 = Cyclo12(Fraction(-1, 2), 0, 0, Fraction(-1, 2))
 def from_eisenstein(e: Eisenstein) -> Cyclo12:
     """Embed a + b*w with w = (-1 + sqrt3*i) / 2."""
     return _make(2 * e.a - e.b, 0, 0, e.b, 2)
-
-
-def sign_sqrt3(a: Fraction, b: Fraction) -> int:
-    """Exact sign of a + b*sqrt3 for rational a, b."""
-    return tower_sign_real(Cyclo12(a, b))
 
 
 def tower_sign_real(x: Cyclo12) -> int:

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from hessk3 import sampling
+from hessk3.domain import psi
 from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein, eis_divmod
 from hessk3.errors import InputTypeError
 from hessk3.hermitian import (
@@ -184,13 +185,13 @@ def test_moebius_is_an_action():
         J_MAT,
     ]
     for _ in range(12):
-        tau = sampling.sample_h2_tau(rng)
+        tau = psi(sampling.sample_chart_point(rng))
         assert moebius(I4, tau) == tau
         a = gens[rng.randrange(len(gens))]
         b = gens[rng.randrange(len(gens))]
         assert moebius(mat_mul(a, b), tau) == moebius(a, moebius(b, tau))
     # the upper translation is literal addition by B(m)
-    tau = sampling.sample_h2_tau(rng)
+    tau = psi(sampling.sample_chart_point(rng))
     shifted = moebius(g_upper((1, 2, 0, -1)), tau)
     bm = tuple(tuple(from_eisenstein(x) for x in r) for r in herm_b((1, 2, 0, -1)))
     assert mat_sub(shifted, tau) == bm
@@ -199,7 +200,7 @@ def test_moebius_is_an_action():
 def test_involutions():
     rng = sampling.make_rng(22)
     for _ in range(8):
-        tau = sampling.sample_h2_tau(rng)
+        tau = psi(sampling.sample_chart_point(rng))
         assert involution_T(involution_T(tau)) == tau
         assert involution_W(involution_W(tau)) == tau
         # the two involutions commute

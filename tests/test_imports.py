@@ -1,7 +1,6 @@
 """What a cold process loads: each CLI subcommand imports only the modules
-it runs, and the package namespace loads a name's home module on first use."""
+it runs."""
 
-import importlib
 import json
 import os
 import subprocess
@@ -77,20 +76,6 @@ def test_commands_load_only_the_layers_they_run(loaded):
     assert loaded["invariants"] & names("hermitian", "correspond", "domain", "tower", "heegner") == set()
     assert loaded["orth check"] & names("correspond", "hermitian", "domain", "tower", "cubic") == set()
     assert "hessk3.correspond" in loaded["orth decompose"]
-
-
-def test_exported_names_are_their_home_modules_objects():
-    for module, names in hessk3._EXPORTS.items():
-        home = importlib.import_module(f"hessk3.{module}")
-        assert all(getattr(hessk3, name) is getattr(home, name) for name in names)
-    namespace = {}
-    exec("from hessk3 import *", namespace)
-    assert all(namespace[name] is getattr(hessk3, name) for name in hessk3.__all__)
-
-
-def test_unknown_package_names_raise_attribute_error():
-    with pytest.raises(AttributeError, match="'no_such_name'"):
-        hessk3.no_such_name
 
 
 def test_cli_suite_names_are_verifys_suites():

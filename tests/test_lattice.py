@@ -21,7 +21,6 @@ from hessk3.lattice import (
     I42,
     MI42,
     MINUS_I6,
-    QPRIME,
     U0,
     U1,
     U2,
@@ -78,8 +77,10 @@ def test_gram_shape():
     assert det_int(GRAM) == 48
     assert GRAM == tuple(zip(*GRAM))
     assert all(GRAM[i][i] % 2 == 0 for i in range(6))
-    # the tail form is the lower-right 4x4 block
-    assert QPRIME == tuple(tuple(row[2:]) for row in GRAM[2:])
+    # U plus the tail form U(2) + A2(2) on coordinates 3..6
+    qprime = ((0, 2, 0, 0), (2, 0, 0, 0), (0, 0, -4, 2), (0, 0, 2, -4))
+    assert GRAM[:2] == ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))
+    assert tuple(row[2:] for row in GRAM[2:]) == qprime
 
 
 def test_matrix_helpers():

@@ -309,6 +309,34 @@ def test_a_lost_generator_no_longer_generates_the_disc_orthogonal_group(monkeypa
     assert failures("disc-group") == {"named-generators-generate-disc-orthogonal": "got 48"}
 
 
+def test_a_class_listed_twice_is_caught(monkeypatch):
+    # one of the 48 classes listed twice: every lookup of the enumeration
+    # still resolves, so only the order of the group sees the fault
+    exact = lattice.disc_group
+    monkeypatch.setattr(lattice, "disc_group", lambda: exact() + exact()[:1])
+    assert failures("disc-group") == {"disc-group-order-48": "input 0"}
+
+
+@pytest.mark.parametrize(
+    "name, wrong, want",
+    [
+        # D1 + D2 for D1: q 1 for 0, and D1 + D2 reads as D1
+        ("D1", (0, 0, 3, 3, 0, 0), {"q-d1": "got 1", "q-d1-plus-d2": "got 0"}),
+        # D3 + D4 for D4: q 1 for 5/3, and b(D3, D3 + D4) = 1/6
+        ("D4", (0, 0, 0, 0, 3, 3), {"q-d4": "got 1", "b-d3-d4": "input 0"}),
+        # D2 + D3 for D3: q and its pairing with D4 hold, b(D1, D2 + D3) = 1/2
+        ("D3", (0, 0, 0, 3, 1, 2), {"b-d1-d3": "input 0"}),
+        # 3 D3, the order-two part of D3, for D3: twice it is zero
+        ("D3", (0, 0, 0, 0, 3, 0), {"q-d3": "got 1", "q-2d3": "got 0", "b-d3-d4": "input 0"}),
+    ],
+)
+def test_a_wrong_discriminant_generator_is_caught(monkeypatch, name, wrong, want):
+    # verify binds D1..D4 by name, so the fault is planted there and the
+    # enumeration keeps lattice's own generators
+    monkeypatch.setattr(verify, name, wrong)
+    assert failures("disc-group") == want
+
+
 def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch):
     # the Z[w] inner loop of mat_mul with the - b1 b2 dropped from each
     # termwise w-coefficient
@@ -507,6 +535,36 @@ def test_a_partner_coordinate_without_its_lambda_is_caught(monkeypatch):
 
     monkeypatch.setattr(cubic, "_partners", partners)
     assert failures("delta-km") == {"partner-coordinate-swap": "input 0"}
+
+
+def test_a_wrong_coefficient_in_the_kummer_bridge_is_caught(monkeypatch):
+    # 7 s2 s5^2 for 8 s2 s5^2: still homogeneous, so only the scaling holds;
+    # classify's Kummer flag reads the invariants, not the bridge, so the
+    # two loci part at the witness
+    def off(s):
+        _, s2, s3, s4, s5 = s
+        return s4**3 - 4 * s3 * s4 * s5 + 7 * s2 * s5 * s5
+
+    monkeypatch.setattr(cubic, "_km_bridge", off)
+    assert failures("delta-km") == dict.fromkeys(
+        ("bridge-identity", "km-value-at-ones", "kummer-locus-coincidence"), "input 0"
+    )
+
+
+def test_a_bridge_term_of_the_wrong_degree_is_caught(monkeypatch):
+    # s5^2, of degree 10, added to the degree-12 bridge
+    exact = cubic._km_bridge
+    monkeypatch.setattr(cubic, "_km_bridge", lambda s: exact(s) + s[4] * s[4])
+    assert failures("delta-km") == dict.fromkeys(
+        ("bridge-identity", "km-value-at-ones", "km-scales-by-eighth", "kummer-locus-coincidence"), "input 0"
+    )
+
+
+def test_a_repeated_node_of_the_hessian_quartic_is_caught(monkeypatch):
+    # the first node in place of the second: a repeat still lies on the quartic
+    exact = cubic.hessian_singular_points
+    monkeypatch.setattr(cubic, "hessian_singular_points", lambda: exact()[:1] + exact()[:1] + exact()[2:])
+    assert failures("delta-km") == {"ten-distinct-nodes": "input 0"}
 
 
 # -- stalls: each descent checks its decrease after every step ----------------

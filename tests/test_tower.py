@@ -20,13 +20,17 @@ from hessk3.tower import (
     SQRT3,
     SQRT3_I,
     from_eisenstein,
-    sign_sqrt3,
     tower_sign_real,
 )
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
 )
+
+
+def sign_sqrt3(a: Fraction, b: Fraction) -> int:
+    """Exact sign of a + b*sqrt3 for rational a, b."""
+    return tower_sign_real(Cyclo12(a, b))
 
 
 def towers():
