@@ -8,17 +8,19 @@ polynomials; both are verified here against product-form expansions, as
 exact identities in the polynomial ring, not numerically.
 
 Each formula is written once over any ring: classify and its neighbours
-evaluate it on Fractions, and the certificate polynomials build the same
-functions on Poly5, so the certificates prove the code that runs.  The
-Hessian quartic helpers return Poly5 data so callers can check pointwise
-claims symbolically.
+evaluate it on integers, and the certificate polynomials build the same
+functions on Poly5, so the certificates prove the code that runs.  Every
+formula is homogeneous in lam of a tabulated weight, so at lam = L / D,
+over one common denominator D, it is its value at the integers L divided
+once by D to that weight.  The Hessian quartic helpers return Poly5 data
+so callers can check pointwise claims symbolically.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from .errors import integer, rational, require
@@ -51,18 +53,15 @@ def _coefficients(lam) -> tuple:
     return tuple(rational(x, f"lambda[{i}]") for i, x in enumerate(lam))
 
 
-def _sigma(lam):
-    return elem_sym(lam, Fraction(1), Fraction(0))
-
-
 def elem_sym_values(lam):
     """sigma1..sigma5 of lam, the coefficients of prod_i (1 + lam_i t)."""
-    return _sigma(_coefficients(lam))
+    return elem_sym(_coefficients(lam), Fraction(1), Fraction(0))
 
 
 class InvariantSet(NamedTuple):
-    """I8..I100; Fractions from classical_invariants, Poly5 in lam where
-    the certificates build the same formulas symbolically."""
+    """I8..I100; Fractions from classical_invariants, integers at the
+    numerators of lam on the way, Poly5 in lam where the certificates
+    build the same formulas symbolically."""
 
     i8: Fraction
     i16: Fraction
@@ -75,10 +74,11 @@ class InvariantSet(NamedTuple):
 # -- the invariant formulas, each stated once ----------------------------------
 #
 # Each takes sigma1..sigma5 (or the invariants built from them) and uses
-# only +, - and *, so it runs unchanged on Fractions and on Poly5.
-# Evaluation at lam is a ring homomorphism Poly5 -> Q, so an identity the
-# certificates prove between the Poly5 values holds for the Fraction
-# values at every lam.
+# only +, - and *, so it runs unchanged on integers and on Poly5.
+# Evaluation at the numerators L of lam = L / D is a ring homomorphism
+# Poly5 -> Z, so an identity the certificates prove between the Poly5
+# values holds for the integer values at every lam, and so, both sides
+# having one weight, for their quotients by D to that weight.
 
 
 def _vandermonde(xs):
@@ -130,9 +130,20 @@ _VARS = tuple(Poly5.var(i) for i in range(NVARS))
 _HYPERPLANE = sum(_VARS, Poly5())
 
 
+# The degree in lam of each runtime formula, each homogeneous: I8..I100,
+# then _delta_sing_of, _kummer_form and _km_bridge.  A formula's value at
+# lam = L / D is its value at the integers L over D to this weight, so
+# classify divides once and reads each flag's zero test at L.
+_WEIGHTS = {
+    **dict(zip(InvariantSet._fields, (8, 16, 24, 32, 40, 100))),
+    "delta_sing": 32,
+    "kummer": 32,
+    "bridge": 12,
+}
+
+
 def classical_invariants(lam) -> InvariantSet:
-    lam = _coefficients(lam)
-    return _invariants(_sigma(lam), _vandermonde(lam))
+    return classify(lam).invariants
 
 
 # -- certificate polynomials ---------------------------------------------------
@@ -175,7 +186,7 @@ def delta_sing_invariant_poly() -> Poly5:
 
 
 def delta_sing(lam) -> Fraction:
-    return _delta_sing_of(classical_invariants(lam))
+    return classify(lam).delta_sing
 
 
 def delta_km_mu_poly() -> Poly5:
@@ -195,10 +206,10 @@ def delta_km_bridge_poly() -> Poly5:
 def delta_km(lam) -> Fraction:
     """Kummer locus value at mu = 1/lam; zero iff the double cover picks up
     sixteen nodes."""
-    s = elem_sym_values(lam)
-    if s[4] == 0:
+    value = classify(lam).delta_km
+    if value is None:
         raise ValueError("Sylvester degenerate for mu")
-    return _km_bridge(s) / s[4] ** 3
+    return value
 
 
 # -- the Hessian quartic -------------------------------------------------------
@@ -239,7 +250,7 @@ def enriques_partner_check(lam) -> bool:
     sigma5^4 (prod X)^3, exactly."""
     lam = _coefficients(lam)
     swapped = sum(_partners(lam, _partners(lam, _VARS)), Poly5())
-    s5 = _sigma(lam)[4]
+    s5 = elem_sym_values(lam)[4]
     return swapped == _HYPERPLANE * prod(_VARS) ** 3 * s5 ** 4
 
 
@@ -254,16 +265,23 @@ class LocusReport(NamedTuple):
 
 
 def classify(lam) -> LocusReport:
+    """The invariants and loci of lam, the one evaluation of the formulas:
+    at lam = L / D over one common denominator D, each runs on the integers
+    L and its value is divided once by D to its weight.  Each flag tests an
+    integer value for zero, which that division leaves as it is."""
     lam = _coefficients(lam)
-    s = _sigma(lam)
-    diff = _vandermonde(lam)
+    den = lcm(*(x.denominator for x in lam))
+    nums = tuple(x.numerator * (den // x.denominator) for x in lam)
+    s = elem_sym(nums, 1, 0)
+    diff = _vandermonde(nums)
     inv = _invariants(s, diff)
     degenerate = s[4] == 0
     ds = _delta_sing_of(inv)
     return LocusReport(
-        invariants=inv,
-        delta_sing=ds,
-        delta_km=None if degenerate else _km_bridge(s) / s[4] ** 3,
+        invariants=InvariantSet(*(Fraction(v, den ** _WEIGHTS[f]) for f, v in zip(inv._fields, inv))),
+        delta_sing=Fraction(ds, den ** _WEIGHTS["delta_sing"]),
+        # the bridge over s5^3, of weight 15
+        delta_km=None if degenerate else Fraction(_km_bridge(s) * den ** (15 - _WEIGHTS["bridge"]), s[4] ** 3),
         sylvester_degenerate=degenerate,
         singular=ds == 0,
         eckardt=diff == 0,

@@ -106,11 +106,17 @@ def psi(z: Point) -> Mat2C:
     return ((z[2], z[4] + C_OMEGA * z[5]), (z[4] + C_OMEGA2 * z[5], z[3]))
 
 
+# the divisors of psi_inv and h2_contains, inverted once: 1 / sqrt3 i and
+# 1 / 2i = -i / 2
+_INV_SQRT3_I = SQRT3_I.inverse()
+_INV_2I = Cyclo12(0, 0, 2, 0).inverse()
+
+
 def psi_inv(tau: Mat2C) -> Point:
     """Inverse of psi on H2."""
     if not h2_contains(tau):
         raise ValueError("matrix is not in the upper half-space")
-    z6 = (tau[0][1] - tau[1][0]) / SQRT3_I
+    z6 = (tau[0][1] - tau[1][0]) * _INV_SQRT3_I
     z5 = tau[0][1] - C_OMEGA * z6
     return dm_from_chart(tau[0][0], tau[1][1], z5, z6)
 
@@ -127,9 +133,8 @@ def h2_contains(tau: Mat2C) -> bool:
     if tower_sign_real(tau[0][0].imag()) <= 0:
         return False
     # det Y with Y = Im-part matrix: Y12 = (tau12 - conj(tau21)) / 2i
-    two_i = Cyclo12(0, 0, 2, 0)
     y = tuple(
-        tuple((tau[i][j] - tau[j][i].conj()) / two_i for j in range(2)) for i in range(2)
+        tuple((tau[i][j] - tau[j][i].conj()) * _INV_2I for j in range(2)) for i in range(2)
     )
     d = mat_det2(y)
     require(d.is_real(), "det of the imaginary part is not real")

@@ -48,6 +48,9 @@ class HeegnerFlags(NamedTuple):
 
 
 _HALF = Fraction(1, 2)
+# the km locus is tau12 - w / 2 = tau21 - w^2 / 2
+_HALF_OMEGA = C_OMEGA * _HALF
+_HALF_OMEGA2 = C_OMEGA2 * _HALF
 
 # Half-shift numerators: tau + B/2 stays in the group's orbit lattice.
 # They are the half-shift cosets of the Hermitian group, read in the field.
@@ -62,8 +65,7 @@ def heegner_membership(tau: Mat2C) -> HeegnerFlags:
     node = (mat_det2(tau) * 2 + C_ONE).is_zero()
     eckardt = (tau[0][1] + tau[1][0]).is_zero()
     ns = (tau[0][1] - tau[1][0]).is_zero()
-    shifted = tau[0][1] - C_OMEGA * _HALF
-    km = (shifted - (tau[1][0] - C_OMEGA2 * _HALF)).is_zero()
+    km = (tau[0][1] - _HALF_OMEGA - (tau[1][0] - _HALF_OMEGA2)).is_zero()
     return HeegnerFlags(node=node, eckardt=eckardt, ns=ns, km=km)
 
 

@@ -360,14 +360,20 @@ def mat_pow(m, k: int):
     return power(m, k, mat_id(len(m)), mat_mul, isometry_inverse)
 
 
+# GRAM's nonzero entries on and above the diagonal, read once: (i, q_ii)
+# and (i, j, q_ij) with i < j.
+_FORM_DIAGONAL = tuple((i, GRAM[i][i]) for i in range(N) if GRAM[i][i])
+_FORM_PAIRS = tuple((i, j, GRAM[i][j]) for i in range(N) for j in range(i + 1, N) if GRAM[i][j])
+
+
 def qpair(x, y):
-    """The bilinear form t(x) Q y, for vectors over any ring."""
-    total = 0
-    for i in range(N):
-        if x[i]:
-            row = GRAM[i]
-            total += x[i] * sum(row[j] * y[j] for j in range(N) if row[j])
-    return total
+    """The bilinear form t(x) Q y, for 6-vectors over any ring, in one pass
+    over the form: the sum of q_ii x_i y_i and of q_ij (x_i y_j + x_j y_i)."""
+    if len(x) != N or len(y) != N:
+        raise ValueError(f"qpair: expected two vectors of length {N}, got {len(x)} and {len(y)}")
+    terms = [x[i] * y[i] * q for i, q in _FORM_DIAGONAL]
+    terms += [(x[i] * y[j] + x[j] * y[i]) * q for i, j, q in _FORM_PAIRS]
+    return sum(terms[1:], terms[0])
 
 
 def is_orthogonal(g) -> bool:
@@ -682,9 +688,16 @@ def _check_oplus(g) -> None:
 
 
 def _numbering():
-    """The sorted group, and the index of each element in it."""
+    """The sorted group, and the index of each element in it; anything but
+    48 distinct classes in sorted order fails the stage."""
     group = disc_group()
-    return group, {x: i for i, x in enumerate(group)}
+    index = {x: i for i, x in enumerate(group)}
+    require(
+        len(group) == len(index) == 48 and group == sorted(index),
+        f"discriminant numbering: expected 48 distinct classes in sorted order, "
+        f"got {len(group)} entries with {len(index)} distinct",
+    )
+    return group, index
 
 
 def _indices(elts, index, stage: str) -> tuple:

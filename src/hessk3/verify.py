@@ -26,10 +26,12 @@ suite checks the corrected statement and additionally records that the
 uncorrected literal form fails, so the discrepancy stays visible.
 
 Every call that a fault can trip runs inside a claim, so a fault fails the
-checks it reaches and every suite still reports.  Only set-up runs outside
-the claims (the automorphisms of q, GL2(F4), the ten nodes, the product
-form of delta_sing): a ValueError or AssertionError there escapes
-run_suite as an InvariantViolation that names the suite.
+checks it reaches and every suite still reports; a value several claims
+share (the automorphisms of q, the two-torsion) is computed once by the
+first claim that reads it.  Only set-up runs outside the claims (GL2(F4),
+the ten nodes, the product form of delta_sing): a ValueError or
+AssertionError there escapes run_suite as an InvariantViolation that names
+the suite.
 """
 
 from __future__ import annotations
@@ -279,24 +281,28 @@ def _disc_group(rng, sizes):
         ("b-d1-d3", (D1, D3), 0),
     ):
         yield Row(check_id, (pair,), lambda p, want=want: lattice.disc_b(*p) == want)
-    auts = lattice.enumerate_disc_orthogonal()
-    yield _value("disc-orthogonal-order-240", auts, len, 240)
+    # the automorphisms of q, enumerated once by the first claim that reads
+    # them, so a fault in the numbering fails the four checks that share them
+    auts = cache(lattice.enumerate_disc_orthogonal)
+    yield _value("disc-orthogonal-order-240", None, lambda _: len(auts()), 240)
     s5 = set(itertools.permutations(range(5)))
     yield Row(
         "five-class-image-order-120",
-        (auts,),
-        lambda auts: Got(len(image := set(_five_class_perms(auts))), image == s5),
+        (None,),
+        lambda _: Got(len(image := set(_five_class_perms(auts()))), image == s5),
     )
     identity = (0, 1, 2, 3, 4)
-    yield _value("five-class-kernel-order-2", auts, lambda auts: _five_class_perms(auts).count(identity), 2)
+    yield _value("five-class-kernel-order-2", None, lambda _: _five_class_perms(auts()).count(identity), 2)
     # O(M) maps onto O(q) (Nikulin, Theorem 1.14.2); the named generators
     # already reach every automorphism
     named = (lattice.G0, lattice.G1, lattice.G2, lattice.U0, lattice.U1, lattice.U2)
-    reach = {tuple(aut[d] for d in DISC_GENS) for aut in auts}
     yield Row(
         "named-generators-generate-disc-orthogonal",
         (named + (lattice.I42, lattice.MINUS_I6) + lattice.H_GENS,),
-        lambda gens: Got(len(closure := _disc_closure(gens)), closure == reach),
+        lambda gens: Got(
+            len(closure := _disc_closure(gens)),
+            closure == {tuple(aut[d] for d in DISC_GENS) for aut in auts()},
+        ),
     )
 
 

@@ -20,7 +20,7 @@ from hessk3.cubic import (
     hessian_line_check,
     hessian_singular_points,
 )
-from hessk3.poly import NVARS, Poly5, elem_sym_polys, halve_exponents, reciprocal_clear
+from hessk3.poly import NVARS, Poly5, elem_sym, elem_sym_polys, halve_exponents, reciprocal_clear
 
 ONES = (1, 1, 1, 1, 1)
 KUMMER_POINT = (1, 3, 3, -2, -2)
@@ -54,6 +54,55 @@ def test_shared_formulas_run_over_poly5():
         pt = tuple(reversed(lam))
         ys = cubic._partners(lam, xs)
         assert tuple(y.eval(pt) for y in ys) == cubic._partners(lam, pt)
+
+
+def test_each_formula_has_the_weight_the_integer_path_divides_by():
+    # the integer path divides each formula's value at L by D^weight, which
+    # is right only for a formula homogeneous of exactly that degree
+    xs = tuple(Poly5.var(i) for i in range(NVARS))
+    s = elem_sym_polys()
+    inv = cubic._invariants(s, cubic._vandermonde(xs))
+    formulas = {
+        **inv._asdict(),
+        "delta_sing": cubic._delta_sing_of(inv),
+        "kummer": cubic._kummer_form(inv),
+        "bridge": cubic._km_bridge(s),
+    }
+    assert formulas.keys() == cubic._WEIGHTS.keys()
+    assert {name: f.homogeneous_degree() for name, f in formulas.items()} == cubic._WEIGHTS
+
+
+def _on_fractions(lam):
+    """classify's values with every formula evaluated on Fractions."""
+    lam = tuple(map(Fraction, lam))
+    s = elem_sym(lam, Fraction(1), Fraction(0))
+    inv = cubic._invariants(s, cubic._vandermonde(lam))
+    km = None if s[4] == 0 else cubic._km_bridge(s) / s[4] ** 3
+    return inv, cubic._delta_sing_of(inv), km, cubic._kummer_form(inv) == 0
+
+
+def test_the_integer_path_equals_the_formulas_on_fractions():
+    rng = random.Random(45)
+    lams = [sampling.sample_lambda(rng, distinct=k % 2 == 0) for k in range(20)]
+    for _ in range(20):
+        # one zero coordinate (s5 = 0), a repeated one, and mixed denominators
+        lam = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12))) for _ in range(5)]
+        lam[rng.randrange(5)] = lam[rng.randrange(5)]
+        lams.append(tuple(lam))
+        lams.append(tuple(lam[:4]) + (0,))
+    lams += [ONES, (0,) * 5, (Fraction(1, 3), Fraction(1, 3), 2, Fraction(-5, 4), 0), KUMMER_POINT]
+    assert sum(any(x == 0 for x in lam) for lam in lams) >= 20
+    for lam in lams:
+        inv, sing, km, kummer = _on_fractions(lam)
+        rep = classify(lam)
+        assert rep.invariants == inv == classical_invariants(lam)
+        assert all(type(v) is Fraction for v in (*rep.invariants, rep.delta_sing))
+        assert rep.delta_sing == sing == delta_sing(lam)
+        assert rep.delta_km == km
+        if km is not None:
+            assert delta_km(lam) == km
+        assert rep.kummer == kummer
+        assert rep.eckardt == (len(set(lam)) < 5)
 
 
 def test_invariants_at_ones():

@@ -770,6 +770,55 @@ def test_disc_perm_names_its_stage_for_an_image_outside_the_group():
         verify._disc_closure((swap,))
 
 
+def _form_oracle(x, y):
+    """t(x) GRAM y, through the generic matrix-vector product."""
+    qy = lattice.mat_vec(GRAM, y)
+    return sum((a * b for a, b in zip(x[1:], qy[1:])), x[0] * qy[0])
+
+
+def test_qpair_reads_every_entry_of_gram():
+    # on basis vectors the form is the Gram entry itself
+    basis = mat_id(6)
+    assert tuple(tuple(qpair(x, y) for y in basis) for x in basis) == GRAM
+    assert all(qpair(x, y) == _form_oracle(x, y) for x in basis for y in basis)
+
+
+def test_qpair_matches_the_matrix_product_over_each_ring():
+    rng = random.Random(52)
+
+    def vectors(draw):
+        return [tuple(draw() for _ in range(6)) for _ in range(12)]
+
+    rings = (
+        lambda: rng.randint(-9, 9),
+        lambda: sampling.sample_fraction(rng),
+        lambda: Cyclo12(*(sampling.sample_fraction(rng) for _ in range(4))),
+    )
+    for draw in rings:
+        xs, ys = vectors(draw), vectors(draw)
+        for x, y in zip(xs, ys):
+            assert qpair(x, y) == _form_oracle(x, y) == qpair(y, x)
+    # a field vector against an integer one, as heegner pairs them
+    for x, y in zip(vectors(rings[2]), vectors(rings[0])):
+        assert qpair(x, y) == _form_oracle(x, y) == qpair(y, x)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ((1, 0, 0, 0, 0, 0, 99), (0, 1, 0, 0, 0, 0, 5)),
+        ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+        ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 5)),
+    ],
+    ids=["seven", "five", "mixed"],
+)
+def test_qpair_refuses_a_vector_not_of_length_six(x, y):
+    # a loop over six coordinates would read the first pair as 1, dropping
+    # the seventh, and index past the end of a five-vector
+    with pytest.raises(ValueError, match="qpair: expected two vectors of length 6"):
+        qpair(x, y)
+
+
 def test_orthogonal_complement_basic():
     e1 = (1, 0, 0, 0, 0, 0)
     basis, gram = orthogonal_complement(e1)

@@ -14,6 +14,7 @@ suite.  A planted stall in a descent instead runs the descent on one fixed
 input.  pytest's monkeypatch undoes each fault afterwards.
 """
 
+import itertools
 import json
 from math import prod
 
@@ -309,12 +310,53 @@ def test_a_lost_generator_no_longer_generates_the_disc_orthogonal_group(monkeypa
     assert failures("disc-group") == {"named-generators-generate-disc-orthogonal": "got 48"}
 
 
+# the disc-group checks that read the automorphisms of q, which the first
+# of them enumerates on the numbered group
+_READ_AUTS = (
+    "disc-orthogonal-order-240",
+    "five-class-image-order-120",
+    "five-class-kernel-order-2",
+    "named-generators-generate-disc-orthogonal",
+)
+
+
+def _numbering_failed(entries: int) -> str:
+    return f"input 0: discriminant numbering: expected 48 distinct classes in sorted order, got {entries} entries with 48 distinct"
+
+
 def test_a_class_listed_twice_is_caught(monkeypatch):
-    # one of the 48 classes listed twice: every lookup of the enumeration
-    # still resolves, so only the order of the group sees the fault
+    # one of the 48 classes listed twice: the order of the group sees it,
+    # and the numbering refuses the list before any lookup reads it
     exact = lattice.disc_group
     monkeypatch.setattr(lattice, "disc_group", lambda: exact() + exact()[:1])
-    assert failures("disc-group") == {"disc-group-order-48": "input 0"}
+    assert failures("disc-group") == {"disc-group-order-48": "input 0", **dict.fromkeys(_READ_AUTS, _numbering_failed(49))}
+
+
+def test_every_class_listed_three_times_fails_checks_not_the_command_line(monkeypatch, capsys):
+    # one entry per word of the generators, 144 in sorted order: unchecked,
+    # the closure of the named generators would index permutations of the
+    # 48 classes by positions up to 143, and its IndexError, which no claim
+    # catches, would escape run_suite and the command line
+    words = itertools.product(range(2), range(2), range(6), range(6))
+    listed = sorted(lattice._combine(word, lattice.DISC_GENS) for word in words)
+    monkeypatch.setattr(lattice, "disc_group", lambda: listed)
+    want = {"disc-group-order-48": "input 0", **dict.fromkeys(_READ_AUTS, _numbering_failed(144))}
+    assert failures("disc-group") == want
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "disc-group"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    envelope = json.loads(line)
+    assert envelope["status"] == "ok" and envelope["outputs"]["passed"] is False
+    assert {c["check_id"]: c["detail"] for c in envelope["outputs"]["checks"] if not c["passed"]} == want
+
+
+def test_unreduced_sums_fail_the_checks_that_read_the_automorphisms(monkeypatch):
+    # sums of classes of M*/M without their reduction mod 6: the addition
+    # table of the enumeration of O(q) leaves the 48 classes, inside the
+    # claims that read the automorphisms
+    monkeypatch.setattr(lattice, "disc_add", lambda x, y: tuple(a + b for a, b in zip(x, y)))
+    left = "input 0: addition table: an element left the 48 classes"
+    assert failures("disc-group") == dict.fromkeys(_READ_AUTS, left)
 
 
 @pytest.mark.parametrize(
@@ -449,16 +491,16 @@ def test_a_require_in_a_frozen_check_fails_that_check(monkeypatch):
 
 
 def test_a_fault_in_set_up_names_its_suite(monkeypatch, capsys):
-    # sums of classes of M*/M without their reduction mod 6: the addition
-    # table of the enumeration of O(q), disc-group's set-up, leaves the 48
-    # classes outside every claim, so the suite reports the fault as its
-    # own and the command line exits 1, not 2
-    monkeypatch.setattr(lattice, "disc_add", lambda x, y: tuple(a + b for a, b in zip(x, y)))
-    message = "disc-group: addition table: an element left the 48 classes"
+    # reciprocals cleared at cap 7 for 8: the product form of delta_sing,
+    # delta-sing's set-up, is built outside every claim, so the suite
+    # reports the fault as its own and the command line exits 1, not 2
+    exact = cubic.reciprocal_clear
+    monkeypatch.setattr(cubic, "reciprocal_clear", lambda p, cap: exact(p, cap - 1))
+    message = "delta-sing: exponent above reciprocal cap"
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        verify.run_suite("disc-group", 0)
+        verify.run_suite("delta-sing", 0)
     capsys.readouterr()
-    assert cli.main(["verify", "--suite", "disc-group"]) == 1
+    assert cli.main(["verify", "--suite", "delta-sing"]) == 1
     assert json.loads(capsys.readouterr().out)["diagnostics"] == [message]
 
 
@@ -468,6 +510,77 @@ def test_swapped_half_shifts_fail_only_the_orbit_relations(monkeypatch):
     b = heegner.B_SHIFTS
     monkeypatch.setattr(heegner, "B_SHIFTS", (b[0], b[1], b[3], b[2]))
     assert failures("heegner") == {"half-shift-orbit-relations": "input 0: the third half-shift missed the km locus"}
+
+
+_DISAGREE = "input 0: chart and perpendicularity disagree"
+
+
+@pytest.mark.parametrize(
+    "fault, want",
+    [
+        # each divisor tested against the next one's vector: every sampled
+        # locus point reads on another divisor, generic points on none
+        (
+            lambda v: dict(zip(v, [*v.values()][1:] + [*v.values()][:1])),
+            dict.fromkeys(("on-locus-node", "on-locus-eckardt", "on-locus-ns", "on-locus-km"), _DISAGREE),
+        ),
+        # the km vector lost: every point is perpendicular to zero, so all
+        # but the km points, generic ones too, read on the km divisor
+        (
+            lambda v: {**v, "km": (0,) * 6},
+            dict.fromkeys(("on-locus-node", "on-locus-eckardt", "on-locus-ns", "three-descriptions-agree-generic"), _DISAGREE),
+        ),
+    ],
+    ids=["rotated", "zero-km"],
+)
+def test_a_wrong_perpendicular_vector_is_caught(monkeypatch, fault, want):
+    # perp_flags reads PERP_VECTORS, so the complements keep their vectors
+    monkeypatch.setattr(heegner, "PERP_VECTORS", fault(heegner.PERP_VECTORS))
+    assert failures("heegner") == want
+
+
+def test_a_wrong_frozen_complement_is_caught(monkeypatch):
+    # one fault per divisor, one for each of complement_gram_verify's three
+    # requires; PERP_VECTORS was read off the cases at import, so the
+    # perpendicularity tests keep the right vectors
+    cases = {name: (v, list(basis), [list(r) for r in gram]) for name, (v, basis, gram) in heegner.COMPLEMENT_CASES.items()}
+    cases["node"][2][1][1] = -6  # a Gram entry with the wrong sign
+    cases["eckardt"][1][4] = (0, 0, 0, 0, 1, 1)  # e5 + e6 for e5 + 2 e6
+    cases["ns"][1][4] = (0, 0, 0, 0, 2, 0)  # 2 e5 for e5, with its Gram entry
+    cases["ns"][2][4][4] = -16
+    cases["km"] = ((0, 0, 0, 0, 1, 2),) + cases["km"][1:]  # the ns vector for km's
+    monkeypatch.setattr(heegner, "COMPLEMENT_CASES", cases)
+    not_perpendicular = "input 0: frozen basis vector is not perpendicular"
+    assert failures("heegner") == {
+        "complement-gram-node": "input 0: frozen Gram mismatch",
+        "complement-gram-eckardt": not_perpendicular,
+        "complement-gram-ns": "input 0: frozen basis does not span the full complement",
+        "complement-gram-km": not_perpendicular,
+    }
+
+
+def test_the_form_table_with_the_wrong_sign_is_caught(monkeypatch):
+    # qpair read off -GRAM: the quadric is the same, so every chart lift
+    # holds, but t(z) Q conj(z) turns negative, no sampled point is on the
+    # plus component, and every frozen Gram reads negated
+    monkeypatch.setattr(lattice, "_FORM_DIAGONAL", tuple((i, -q) for i, q in lattice._FORM_DIAGONAL))
+    monkeypatch.setattr(lattice, "_FORM_PAIRS", tuple((i, j, -q) for i, j, q in lattice._FORM_PAIRS))
+    not_plus = "input 0: psi needs a point of the plus component"
+    points = [f"on-locus-{name}" for name in verify.LOCI] + ["three-descriptions-agree-generic", "half-shift-orbit-relations"]
+    grams = [f"complement-gram-{name}" for name in verify.LOCI]
+    assert failures("heegner") == {
+        **dict.fromkeys(points, not_plus),
+        **dict.fromkeys(grams, "input 0: frozen Gram mismatch"),
+    }
+
+
+def test_one_wrong_sign_in_the_form_table_moves_the_quadric(monkeypatch):
+    # -2 for q_56: the chart lift no longer lands on the quadric, and the
+    # samplers lift their first point while heegner builds its table
+    pairs = lattice._FORM_PAIRS
+    monkeypatch.setattr(lattice, "_FORM_PAIRS", pairs[:-1] + (pairs[-1][:2] + (-pairs[-1][2],),))
+    with pytest.raises(InvariantViolation, match="^heegner: chart lift missed the quadric$"):
+        verify.run_suite("heegner", 0)
 
 
 def delta_sing_failures(monkeypatch, name, replacement) -> dict:
@@ -552,12 +665,17 @@ def test_a_wrong_coefficient_in_the_kummer_bridge_is_caught(monkeypatch):
 
 
 def test_a_bridge_term_of_the_wrong_degree_is_caught(monkeypatch):
-    # s5^2, of degree 10, added to the degree-12 bridge
+    # s5^2, of degree 10, added to the degree-12 bridge.  delta_km reads the
+    # bridge at the numerators L of lam = L / D and divides by D^12, so the
+    # stray term adds 1 / (D^2 s5) at lam; that still scales by an eighth
+    # whenever doubling lam halves D, as it does at the first seven draws,
+    # and the first draw with odd D = 3 sees the fault
     exact = cubic._km_bridge
     monkeypatch.setattr(cubic, "_km_bridge", lambda s: exact(s) + s[4] * s[4])
-    assert failures("delta-km") == dict.fromkeys(
-        ("bridge-identity", "km-value-at-ones", "km-scales-by-eighth", "kummer-locus-coincidence"), "input 0"
-    )
+    assert failures("delta-km") == {
+        **dict.fromkeys(("bridge-identity", "km-value-at-ones", "kummer-locus-coincidence"), "input 0"),
+        "km-scales-by-eighth": "input 7",
+    }
 
 
 def test_a_repeated_node_of_the_hessian_quartic_is_caught(monkeypatch):
