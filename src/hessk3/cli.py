@@ -14,7 +14,8 @@ they are, and the envelope is serialized once.
 
 Exit codes: 0 on success, 1 when a membership or verification check comes
 back negative or an internal invariant trips, 2 for unusable input or a
-usage error (whose envelope has command "usage" and echoes the arguments).
+usage error (whose envelope has command "usage" and echoes the arguments),
+and 2 with no output when the envelope cannot be written (a closed pipe).
 Each subcommand returns its inputs, outputs and exit code, and main is
 the one place that prints an envelope.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -186,7 +188,15 @@ def emit(command: str, inputs, outputs, code: int, status: str = "ok", diagnosti
         "status": status,
         "diagnostics": list(diagnostics),
     }
-    print(json.dumps(doc, sort_keys=True, default=_json_value))
+    text = json.dumps(doc, sort_keys=True, default=_json_value)
+    try:
+        print(text, flush=True)
+    except OSError:
+        # stdout is gone (a reader that closed its pipe): no envelope can
+        # be written, and stdout goes to devnull so that the flush at exit
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

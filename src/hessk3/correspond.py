@@ -23,6 +23,8 @@ period domain.
 
 from __future__ import annotations
 
+from itertools import starmap
+
 from .eisenstein import (
     OMEGA,
     OMEGA2,
@@ -33,7 +35,7 @@ from .eisenstein import (
     pair_steps,
 )
 from .errors import integer, require
-from .hermitian import _translation, _unit_det, m2e, token_power
+from .hermitian import _checked, _runs, _unit_det, m2e, token_power
 from .lattice import (
     G1,
     G2,
@@ -78,6 +80,9 @@ __all__ = [
 ]
 
 
+_PSI_UNIT_DET = "matrix must have unit determinant"
+
+
 def psi_hom(a):
     """6x6 isometry induced by a unit-determinant 2x2 matrix over Z[w].
 
@@ -85,7 +90,7 @@ def psi_hom(a):
     parameters m of herm_b (m1 = X11, m2 = X22, m3 + w m4 = X12), it is the
     congruence B(m) -> a B(m) a*.
     """
-    _unit_det(a, "matrix must have unit determinant")
+    _unit_det(a, _PSI_UNIT_DET)
     return _psi_hom(a)
 
 
@@ -186,20 +191,26 @@ def orth_word_matrix(word):
 
 
 def herm_token_to_orth(tok):
-    kind = tok[0]
+    return _checked_image(*_checked(tok, _PSI_UNIT_DET))
+
+
+def _checked_image(kind: str, value):
+    """The 6x6 image of a checked token or run: a gBl image is the G0 swap
+    of the translation with its two diagonal slots swapped and negated, so
+    each entry of a translation image has degree at most two in its
+    parameters, as in translation_h."""
     if kind == "gA":
-        return psi_hom(tok[1])
+        return _psi_hom(value)
     if kind == "gBu":
-        return translation_h(*_translation(tok[1]))
-    if kind == "gBl":
-        n1, n2, n3, n4 = _translation(tok[1])
-        return _swap_conj(translation_h(-n2, -n1, n3, n4), 0, 1)
-    raise ValueError(f"unknown token kind {kind!r}")
+        return translation_h(*value)
+    n1, n2, n3, n4 = value
+    return _swap_conj(translation_h(-n2, -n1, n3, n4), 0, 1)
 
 
 def herm_to_orth(uses_t: bool, uses_w: bool, word):
-    """U1^t W0^w times the word image, which is tested for SO0 once."""
-    image = mat_prod(map(herm_token_to_orth, word), _I6)
+    """U1^t W0^w times the word image, which is tested for SO0 once; the
+    image takes one product per run of same-kind tokens (hermitian._runs)."""
+    image = mat_prod(starmap(_checked_image, _runs(word, _PSI_UNIT_DET)), _I6)
     require(is_so0(image), "word image left the even orthogonal subgroup")
     flags = [m for m, used in ((U1, uses_t), (W0, uses_w)) if used]
     return mat_prod(flags + [image], _I6)

@@ -25,7 +25,8 @@ lowers the positive integer P = N(row one) N(row four / 2) of column one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product, starmap
+from operator import itemgetter
 
 from .domain import h2_contains
 from .eisenstein import (
@@ -199,8 +200,15 @@ def g_lower(m):
     return from_blocks(_I2, _Z2, mat_scale(herm_b(m), 2), _I2)
 
 
+_GA_UNIT_DET = "gA block must have unit determinant"
+
+
 def g_a(a):
-    d = _unit_det(a, "gA block must have unit determinant")
+    return _g_a(a, _unit_det(a, _GA_UNIT_DET))
+
+
+def _g_a(a, d):
+    """g_a without its guard, for a block a of unit determinant d."""
     # det A* = conj(d), whose inverse is d for a unit d
     return from_blocks(a, _Z2, _Z2, mat_inv2(mat_conj_transpose(a), d))
 
@@ -249,14 +257,50 @@ def involution_W(tau: Mat2C) -> Mat2C:
 
 
 def token_matrix(tok):
+    return _checked_matrix(*_checked(tok, _GA_UNIT_DET))
+
+
+def _checked(tok, message: str):
+    """tok as (kind, value) once it is a valid token: a gA block whose
+    determinant is not a unit is a ValueError with message, a translation
+    is read as four ints, and any other kind is a ValueError."""
     kind = tok[0]
     if kind == "gA":
-        return g_a(tok[1])
-    if kind == "gBu":
-        return g_upper(tok[1])
-    if kind == "gBl":
-        return g_lower(tok[1])
+        _unit_det(tok[1], message)
+        return kind, tok[1]
+    if kind in ("gBu", "gBl"):
+        return kind, _translation(tok[1])
     raise ValueError(f"unknown token kind {kind!r}")
+
+
+def _runs(word, message: str):
+    """The word as one checked token per run of same-kind tokens, in order.
+
+    Every token is checked as it is read, in word order, by _checked with
+    message, so a word raises what its first bad token raises.  A run has
+    the matrix of its tokens' product, on either side of the dictionary:
+    - a gA run is gA of the product of its blocks: g_a(a) = diag(a, d
+      adj(a*)) for d = det a, adj is anti-multiplicative and so is *, so
+      g_a(a) g_a(b) = g_a(ab); and psi_hom(ab) = psi_hom(a) psi_hom(b);
+    - a gBu or gBl run adds its parameters: B(m) is linear in m, so
+      ((I, B(m)), (0, I)) ((I, B(n)), (0, I)) = ((I, B(m + n)), (0, I)),
+      the same for 2 B in the lower corner; and h(m) h(n) = h(m + n) for
+      the translations h of M, of which a gBl image is a G0 conjugate at
+      parameters linear in m.
+    tests/test_correspond.py proves the identities of psi_hom and of both
+    translation images for every input.  So a word of r runs costs r - 1
+    large products, and a run of k gA tokens k - 1 products of 2x2 blocks.
+    """
+    for kind, run in groupby((_checked(tok, message) for tok in word), itemgetter(0)):
+        values = [value for _, value in run]
+        yield kind, mat_prod(values, _I2) if kind == "gA" else tuple(map(sum, zip(*values)))
+
+
+def _checked_matrix(kind: str, value):
+    """The 4x4 matrix of a checked token or run."""
+    if kind == "gA":
+        return _g_a(value, mat_det2(value))
+    return g_upper(value) if kind == "gBu" else g_lower(value)
 
 
 def token_power(tok, p: int):
@@ -271,7 +315,8 @@ def token_power(tok, p: int):
 
 
 def word_matrix(word):
-    return mat_prod(map(token_matrix, word), _I4)
+    """The product of the token matrices, one 4x4 product per run (_runs)."""
+    return mat_prod(starmap(_checked_matrix, _runs(word, _GA_UNIT_DET)), _I4)
 
 
 # -- decomposition -------------------------------------------------------------
@@ -498,7 +543,7 @@ def decompose_hgamma0(g):
     lift = section_lift(m2e_mod2(blocks(g)[0]))
     rem = mat_mul(g_a(m2e_pow(lift, -1)), g)
     word = _descend_hgamma1(rem)
-    require(mat_mul(g_a(lift), word_matrix(word)) == g, "gamma0 factorization failed")
+    require(word_matrix([("gA", lift), *word]) == g, "gamma0 factorization failed")
     return lift, word
 
 

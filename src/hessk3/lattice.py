@@ -430,7 +430,8 @@ def translation_h(m1: int, m2: int, m3: int, m4: int):
 
     Row two carries the tail -t(a) Q' and the corner -t(a) Q' a / 2, which is
     what t(g) Q g = Q forces.  These form a free abelian group of rank four:
-    h(a) h(b) = h(a + b).
+    h(a) h(b) = h(a + b).  Only +, - and * of the parameters, so every entry
+    is a polynomial of degree at most two in them.
     """
     for m in (m1, m2, m3, m4):
         integer(m, "translation parameter")

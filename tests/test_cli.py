@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -302,6 +303,31 @@ def test_heegner_takes_tau_or_input_not_both(order, tmp_path, capsys):
     assert "not allowed with argument" in message
 
 
+_UNIT_BLOCK = [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+_NON_UNIT_BLOCK = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ([["gBu", [1, 0, 0, 0]], ["gA", _NON_UNIT_BLOCK]], "matrix must have unit determinant"),
+        ([["gA", [[[1, 0], [0, 0]], [[0, 0], 1]]]], "word[0].payload[1][1]: expected a two-element integer array"),
+        ([["gBl", [0, 0, 0.5, 0]]], "word[0].payload[2]: expected an integer, got float"),
+        ([["gBu", [1, 2, 3, 4]], ["gC", [1, 2, 3, 4]]], "word[1]: unknown token kind 'gC'"),
+        ([["gA", _UNIT_BLOCK], ["gA", _NON_UNIT_BLOCK], ["gA", _UNIT_BLOCK]], "matrix must have unit determinant"),
+        (
+            [["gBu", [1, 0, 0, 0]], ["gBu", [0, True, 0, 0]], ["gBu", [0, 0, 1, 0]]],
+            "word[1].payload[1]: expected an integer, got bool",
+        ),
+    ],
+)
+def test_h2o_refuses_a_bad_token_anywhere_in_a_run(word, message, capsys, monkeypatch):
+    # the parser refuses malformed tokens; a unit-determinant failure comes
+    # from herm_to_orth, which checks every token of a run before its product
+    rc, doc = run_cli(["correspond", "h2o"], stdin_doc={"word": word}, monkeypatch=monkeypatch, capsys=capsys)
+    assert (rc, doc["status"], doc["diagnostics"]) == (2, "error", [message])
+
+
 def test_output_too_long_to_print_is_an_input_error(capsys, monkeypatch):
     # the translation corner squares the payload, past the digit limit of
     # int-to-str conversion, so the envelope itself cannot be printed
@@ -461,6 +487,31 @@ def test_verify_reports_are_byte_deterministic_across_processes():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_doc",
+    [
+        (["orth", "check"], {"matrix": [list(r) for r in G1]}),
+        (["verify", "--suite", "delta-sing"], None),
+    ],
+)
+def test_a_closed_stdout_exits_two_without_a_traceback(argv, stdin_doc):
+    # the reader of the pipe closes it before the envelope is written: the
+    # write fails, and the exit code says so with nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hessk3.cli", *argv],
+            input=json.dumps(stdin_doc or {}).encode(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
 
 
 # sha256 of the stdout of `hessk3 verify --suite all --seed N`, N = 0..9: a

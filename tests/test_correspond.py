@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
 from operator import add
 
 import pytest
@@ -23,6 +24,7 @@ from hessk3.correspond import (
 )
 from hessk3.domain import act, psi
 from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein, exact_div
+from hessk3.errors import InputTypeError
 from hessk3.hermitian import (
     equal_mod_units,
     herm_b,
@@ -89,13 +91,18 @@ def _degree_two_points(n: int):
     )
 
 
+def _zw_2x2(x):
+    """The 2x2 matrix over Z[w] with the eight coordinates x."""
+    e = [Eisenstein(x[k], x[k + 1]) for k in range(0, 8, 2)]
+    return ((e[0], e[1]), (e[2], e[3]))
+
+
 def _congruence_failures() -> list:
     """The points a of _degree_two_points(8) where the tail of _psi_hom(a)
     is not the congruence B(m) -> a B(m) a*."""
     failures = []
     for x in _degree_two_points(8):
-        e = [Eisenstein(x[k], x[k + 1]) for k in range(0, 8, 2)]
-        a = ((e[0], e[1]), (e[2], e[3]))
+        a = _zw_2x2(x)
         image = _psi_hom(a)
         assert image[:2] == mat_id(6)[:2] and all(row[:2] == (0, 0) for row in image[2:])
         for j in range(4):
@@ -124,17 +131,19 @@ def test_psi_hom_is_congruence_by_a_on_hermitian_matrices():
 
 def test_w_for_w_squared_in_psi_hom_is_caught(monkeypatch):
     # the B(e4) column as w c1 c2* + w c2 c1*: only a with an off-diagonal
-    # product a2 conj(a3) sees it, so of the frozen images only u0u1 does
+    # product a2 conj(a3) sees it, so of the frozen images only u0u1 does;
+    # herm_to_orth maps the product of each gA run, so a run whose product
+    # has one fails first: at input 3 of enr-iso and 6 of decompose-fuzz
     monkeypatch.setattr(correspond, "OMEGA2", OMEGA)
     assert _congruence_failures() != []
     left = "word image left the even orthogonal subgroup"
     for suite, want in (
         ("group-iso", {"image-u0u1": "input 0", "psi-multiplicative": "input 0"}),
-        ("enr-iso", {"gamma1-words-land-in-enr": f"input 4: {left}"}),
+        ("enr-iso", {"gamma1-words-land-in-enr": f"input 3: {left}"}),
         (
             "decompose-fuzz",
             {
-                "orthogonal-transport-mod-center": f"input 7: {left}",
+                "orthogonal-transport-mod-center": f"input 6: {left}",
                 "hermitian-round-trip-mod-units": f"input 0: {left}",
             },
         ),
@@ -364,12 +373,160 @@ def test_every_token_image_is_the_twisted_exterior_square():
 
 
 def test_the_exterior_square_sees_an_order_two_collapse(monkeypatch):
-    # psi_hom sending each order-two image to the identity, as in the
-    # mutation tests, breaks the tie on diag(1, -1)
-    exact = correspond.psi_hom
+    # the body _psi_hom sending each order-two image to the identity, as in
+    # the mutation tests, breaks the tie on diag(1, -1)
+    exact = correspond._psi_hom
     ident = mat_id(6)
     monkeypatch.setattr(
-        correspond, "psi_hom", lambda a: ident if mat_mul(exact(a), exact(a)) == ident else exact(a)
+        correspond, "_psi_hom", lambda a: ident if mat_mul(exact(a), exact(a)) == ident else exact(a)
     )
     tok = ("gA", m2e(((1, 0), (0, -1))))
     assert herm_token_to_orth(tok) != exterior_image(tok)
+
+
+# -- proofs for every input, by evaluation on the principal lattice -------------
+# A polynomial of total degree at most d in n variables that vanishes on the
+# principal lattice {x in Z>=0^n : x1 + ... + xn <= d}, of C(n + d, d) points,
+# is zero: the set is unisolvent for degree d (Chung and Yao 1977).  The
+# bodies state their degrees, and mat_mul's kernels compute the same
+# polynomials as the schoolbook product (their zero skips and unit-row copies
+# do not change a value), so each identity below holds for every input.
+
+
+def _principal_lattice(n: int, d: int):
+    """The points of Z>=0^n with coordinate sum at most d."""
+    for k in range(d + 1):
+        for multiset in combinations_with_replacement(range(n), k):
+            yield tuple(multiset.count(i) for i in range(n))
+
+
+def _multiplicativity_failures() -> list:
+    """The points (a, b) of the principal lattice of degree four in sixteen
+    coordinates where _psi_hom(ab) != _psi_hom(a) _psi_hom(b)."""
+    failures = []
+    for x in _principal_lattice(16, 4):
+        a, b = _zw_2x2(x[:8]), _zw_2x2(x[8:])
+        if _psi_hom(mat_mul(a, b)) != mat_mul(_psi_hom(a), _psi_hom(b)):
+            failures.append((a, b))
+    return failures
+
+
+def _additivity_failures(kind: str) -> list:
+    """The points (m, n) of the principal lattice of degree four in eight
+    coordinates where the images of (kind, m) and (kind, n) do not multiply
+    to the image of (kind, m + n)."""
+    failures = []
+    for x in _principal_lattice(8, 4):
+        m, n = x[:4], x[4:]
+        total = tuple(map(add, m, n))
+        if mat_mul(herm_token_to_orth((kind, m)), herm_token_to_orth((kind, n))) != herm_token_to_orth((kind, total)):
+            failures.append((m, n))
+    return failures
+
+
+def test_psi_hom_is_multiplicative_for_every_matrix():
+    # _psi_hom has degree two in the eight coordinates of its argument and ab
+    # is bilinear, so both sides have degree at most four in the sixteen
+    # coordinates of a and b: 4845 points prove psi_hom(ab) = psi_hom(a)
+    # psi_hom(b) for every pair of 2x2 matrices over Z[w], on which the
+    # merging of a gA run rests
+    assert len(list(_principal_lattice(16, 4))) == 4845
+    assert _multiplicativity_failures() == []
+
+
+@pytest.mark.parametrize("kind", ["gBu", "gBl"])
+def test_translation_images_add_for_every_parameter(kind):
+    # each image entry has degree at most two in the four parameters, so
+    # h(m) h(n) - h(m + n) has degree at most four in eight: 495 points
+    # prove that a gBu or gBl run's image is the image of its summed
+    # parameters
+    assert len(list(_principal_lattice(8, 4))) == 495
+    assert _additivity_failures(kind) == []
+
+
+def test_a_wrong_psi_hom_coefficient_fails_the_multiplicativity_proof(monkeypatch):
+    # w^2 for w in the B(e4) column, w^2 c1 c2* + w^2 c2 c1*: the body still
+    # has degree two, so the proof's premise holds and its conclusion fails
+    monkeypatch.setattr(correspond, "OMEGA", OMEGA2)
+    assert _multiplicativity_failures() != []
+
+
+@pytest.mark.parametrize("kind", ["gBu", "gBl"])
+def test_a_translation_corner_off_by_one_fails_the_additivity_proof(kind, monkeypatch):
+    exact = correspond.translation_h
+
+    def corner_off(m1, m2, m3, m4):
+        rows = [list(r) for r in exact(m1, m2, m3, m4)]
+        rows[1][0] += 1
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(correspond, "translation_h", corner_off)
+    assert _additivity_failures(kind) != []
+
+
+# -- one product per run of same-kind tokens -------------------------------------
+
+
+def _route_words() -> dict:
+    """Seeded words of each shape of run, by name."""
+    rng = sampling.make_rng(29)
+
+    def token(kind):
+        if kind == "gA":
+            return ("gA", sampling.sample_gl2_matrix(rng, 4))
+        return (kind, tuple(rng.randint(-3, 3) for _ in range(4)))
+
+    words = {f"all-{kind}": [token(kind) for _ in range(5)] for kind in ("gA", "gBu", "gBl")}
+    words["alternating"] = [token(("gA", "gBu", "gBl")[k % 3]) for k in range(9)]
+    words["mixed-runs"] = sampling.sample_hgamma0_word(rng, 14)
+    words.update({f"one-{kind}": [token(kind)] for kind in ("gA", "gBu", "gBl")})
+    words["empty"] = []
+    return words
+
+
+@pytest.mark.parametrize("name", sorted(_route_words()))
+def test_run_products_equal_the_token_by_token_products(name):
+    word = _route_words()[name]
+    assert word_matrix(word) == reduce(mat_mul, map(token_matrix, word), mat_id(4, ONE, ZERO))
+    image = reduce(mat_mul, map(herm_token_to_orth, word), mat_id(6))
+    assert herm_to_orth(False, False, word) == image
+    assert herm_to_orth(True, True, word) == mat_mul(U1, mat_mul(W0, image))
+
+
+_UNIT = m2e(((1, 1), (0, 1)))
+_NON_UNIT = m2e(((1, 0), (0, 2)))
+_UNIT_DET = {"word_matrix": "gA block must have unit determinant", "herm_to_orth": "matrix must have unit determinant"}
+# each bad word with its error type and message, or None for the entry
+# point's own unit-determinant message; every entry point reads the tokens
+# in word order, so the first bad token decides
+BAD_WORDS = {
+    "non-unit-gA": ([("gBu", (1, 0, 0, 0)), ("gA", _NON_UNIT)], ValueError, None),
+    "non-eisenstein-entry": (
+        [("gA", ((ONE, ZERO), (ZERO, 1)))],
+        InputTypeError,
+        "matrix entry: expected an Eisenstein integer",
+    ),
+    "non-int-parameter": (
+        [("gBl", (0, 0, 0.5, 0))],
+        InputTypeError,
+        "translation parameter: expected an integer, got float",
+    ),
+    "unknown-kind": ([("gBu", (1, 2, 3, 4)), ("gC", (1, 2, 3, 4))], ValueError, "unknown token kind 'gC'"),
+    "bad-gA-mid-run": ([("gA", _UNIT), ("gA", _NON_UNIT), ("gA", _UNIT)], ValueError, None),
+    "bad-gBu-mid-run": (
+        [("gBu", (1, 0, 0, 0)), ("gBu", (0, True, 0, 0)), ("gBu", (0, 0, 1, 0))],
+        InputTypeError,
+        "translation parameter: expected an integer, got bool",
+    ),
+    "first-bad-token-decides": ([("gA", _NON_UNIT), ("gZ", None)], ValueError, None),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UNIT_DET))
+@pytest.mark.parametrize("name", sorted(BAD_WORDS))
+def test_bad_words_raise_what_their_first_bad_token_raises(name, entry):
+    word, error, message = BAD_WORDS[name]
+    run = {"word_matrix": word_matrix, "herm_to_orth": lambda w: herm_to_orth(False, False, w)}[entry]
+    with pytest.raises(error) as caught:
+        run(word)
+    assert (type(caught.value), str(caught.value)) == (error, message or _UNIT_DET[entry])

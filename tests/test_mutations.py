@@ -196,14 +196,15 @@ def test_order_two_images_sent_to_the_identity_are_caught(monkeypatch):
 def test_images_outside_the_even_subgroup_are_caught(monkeypatch):
     # rows five and six of every psi_hom image swapped: the image leaves SO0,
     # which herm_to_orth tests once per word, so the transport checks fail
-    # at their first word
-    exact = correspond.psi_hom
+    # at their first word.  The fault sits in the body _psi_hom, which
+    # psi_hom and every gA image of herm_to_orth share
+    exact = correspond._psi_hom
 
     def swapped(a):
         image = exact(a)
         return image[:4] + (image[5], image[4])
 
-    monkeypatch.setattr(correspond, "psi_hom", swapped)
+    monkeypatch.setattr(correspond, "_psi_hom", swapped)
     images = [f"image-{n}" for n in ("g1", "g2", "u0g1u0", "u0u1", "i42", "u2-corrected")]
     psi = ["psi-multiplicative", "psi-kernel-scalars", "psi-mod2-kernel-is-scalar-class"]
     assert failures("group-iso") == dict.fromkeys(images + psi, "input 0")
@@ -216,14 +217,14 @@ def test_images_outside_the_even_subgroup_are_caught(monkeypatch):
 
 
 def test_images_conjugated_inside_the_even_subgroup_are_caught(monkeypatch):
-    # every psi_hom image conjugated by I42: still in SO0, so only the frozen
-    # images and the transport check can see it
-    exact = correspond.psi_hom
+    # every psi_hom image conjugated by I42, in the body _psi_hom: still in
+    # SO0, so only the frozen images and the transport check can see it
+    exact = correspond._psi_hom
 
     def conjugated(a):
         return lattice.mat_mul(lattice.I42, lattice.mat_mul(exact(a), lattice.I42))
 
-    monkeypatch.setattr(correspond, "psi_hom", conjugated)
+    monkeypatch.setattr(correspond, "_psi_hom", conjugated)
     # u0u1, i42 and u2 commute with I42, so their image checks cannot see it
     assert failures("group-iso") == dict.fromkeys(("image-g1", "image-g2", "image-u0g1u0"), "input 0")
     assert failures("decompose-fuzz") == {
@@ -411,7 +412,9 @@ def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch):
             "orthogonal-transport-mod-center": "input 2: transport does not recover the input",
             "hermitian-round-trip-mod-units": f"input 0: {unit_det}",
         },
-        "enr-iso": {"gamma1-words-land-in-enr": f"input 4: {unit_det}"},
+        # herm_to_orth multiplies each gA run's blocks with the kernel: input
+        # 3 has a run of two, whose wrong product leaves SO0
+        "enr-iso": {"gamma1-words-land-in-enr": "input 3: word image left the even orthogonal subgroup"},
         "group-iso": {
             "psi-multiplicative": f"input 0: {unit_det}",
             "psi-mod2-kernel-is-scalar-class": f"input 6: {unit_det}",

@@ -93,10 +93,13 @@ def test_words_match_the_golden_file(name):
 
 
 # At most this many n x n products over the COUNT stored inputs, as (n, total).
+# A word's matrix and its image take one large product per run of
+# same-kind tokens, not one per token (hermitian._runs).
 PRODUCT_CEILINGS = {
-    "orth_to_herm": (6, 896),
+    "orth_to_herm": (6, 755),
     "decompose_so0": (6, 912),
-    "decompose_hgamma0": (4, 360),
+    "decompose_hgamma1": (4, 265),
+    "decompose_hgamma0": (4, 268),
 }
 
 # At most this many n x n products in one verify suite at seed 0 with the
@@ -104,11 +107,12 @@ PRODUCT_CEILINGS = {
 # certificates, and a value a check shows, or one that rows share, is
 # computed once, so a check that proves an answer a second time fails the
 # bound.  No table is cached across calls, so the counts do not depend on
-# what ran before in the process.
+# what ran before in the process.  The 2x2 counts include the products of
+# the blocks of each gA run, each of which saves a 4x4 or 6x6 product.
 SUITE_PRODUCT_CEILINGS = {
-    "decompose-fuzz": {6: 2251, 4: 1677, 2: 661},
-    "enr-iso": {6: 251, 2: 152},
-    "group-iso": {6: 200, 4: 38, 2: 2216},
+    "decompose-fuzz": {6: 1982, 4: 1189, 2: 1115},
+    "enr-iso": {6: 206, 2: 165},
+    "group-iso": {6: 200, 4: 30, 2: 2221},
     "heegner": {4: 9, 2: 14},
     "quotient-group": {6: 888},
 }
