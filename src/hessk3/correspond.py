@@ -35,7 +35,7 @@ from .eisenstein import (
     pair_steps,
 )
 from .errors import integer, require
-from .hermitian import _checked, _runs, _unit_det, m2e, token_power
+from .hermitian import _runs, _unit_det, m2e, token_power
 from .lattice import (
     G1,
     G2,
@@ -72,7 +72,6 @@ __all__ = [
     "ORTH_TOKEN_MATS",
     "orth_word_matrix",
     "decompose_so0",
-    "herm_token_to_orth",
     "orth_to_herm",
     "herm_to_orth",
     "equal_mod_center",
@@ -87,7 +86,7 @@ def psi_hom(a):
     """6x6 isometry induced by a unit-determinant 2x2 matrix over Z[w].
 
     The first hyperbolic plane is fixed.  On coordinates 3..6, read as the
-    parameters m of herm_b (m1 = X11, m2 = X22, m3 + w m4 = X12), it is the
+    parameters m of B(m) (m1 = X11, m2 = X22, m3 + w m4 = X12), it is the
     congruence B(m) -> a B(m) a*.
     """
     _unit_det(a, _PSI_UNIT_DET)
@@ -188,10 +187,6 @@ def _token_power(name: str, p: int):
 
 def orth_word_matrix(word):
     return mat_prod((_token_power(name, p) for name, p in word), _I6)
-
-
-def herm_token_to_orth(tok):
-    return _checked_image(*_checked(tok, _PSI_UNIT_DET))
 
 
 def _checked_image(kind: str, value):

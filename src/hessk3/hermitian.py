@@ -61,16 +61,11 @@ from .tower import Mat2C, from_eisenstein
 
 __all__ = [
     "m2e",
-    "m2e_pow",
     "m2e_mod2",
     "blocks",
     "from_blocks",
     "J_MAT",
     "W_MAT",
-    "herm_b",
-    "g_upper",
-    "g_lower",
-    "g_a",
     "membership",
     "moebius",
     "involution_T",
@@ -137,11 +132,6 @@ def _unit_det(a, message: str) -> Eisenstein:
     return d
 
 
-def m2e_pow(a, k: int):
-    d = _unit_det(a, "determinant is not a unit")
-    return power(a, k, _I2, mat_mul, lambda x: mat_inv2(x, d.conj()))
-
-
 def m2e_mod2(a):
     return tuple(tuple(a[i][j].mod2() for j in range(2)) for i in range(2))
 
@@ -186,31 +176,7 @@ def _translation(m):
     return tuple(integer(x, "translation parameter") for x in m)
 
 
-def herm_b(m):
-    m1, m2, m3, m4 = _translation(m)
-    off = Eisenstein(m3, m4)
-    return ((Eisenstein(m1, 0), off), (off.conj(), Eisenstein(m2, 0)))
-
-
-def g_upper(m):
-    return from_blocks(_I2, herm_b(m), _Z2, _I2)
-
-
-def g_lower(m):
-    return from_blocks(_I2, _Z2, mat_scale(herm_b(m), 2), _I2)
-
-
 _GA_UNIT_DET = "gA block must have unit determinant"
-
-
-def g_a(a):
-    return _g_a(a, _unit_det(a, _GA_UNIT_DET))
-
-
-def _g_a(a, d):
-    """g_a without its guard, for a block a of unit determinant d."""
-    # det A* = conj(d), whose inverse is d for a unit d
-    return from_blocks(a, _Z2, _Z2, mat_inv2(mat_conj_transpose(a), d))
 
 
 def membership(g) -> str:
@@ -279,9 +245,9 @@ def _runs(word, message: str):
     Every token is checked as it is read, in word order, by _checked with
     message, so a word raises what its first bad token raises.  A run has
     the matrix of its tokens' product, on either side of the dictionary:
-    - a gA run is gA of the product of its blocks: g_a(a) = diag(a, d
+    - a gA run is gA of the product of its blocks: gA(a) = diag(a, d
       adj(a*)) for d = det a, adj is anti-multiplicative and so is *, so
-      g_a(a) g_a(b) = g_a(ab); and psi_hom(ab) = psi_hom(a) psi_hom(b);
+      gA(a) gA(b) = gA(ab); and psi_hom(ab) = psi_hom(a) psi_hom(b);
     - a gBu or gBl run adds its parameters: B(m) is linear in m, so
       ((I, B(m)), (0, I)) ((I, B(n)), (0, I)) = ((I, B(m + n)), (0, I)),
       the same for 2 B in the lower corner; and h(m) h(n) = h(m + n) for
@@ -297,21 +263,25 @@ def _runs(word, message: str):
 
 
 def _checked_matrix(kind: str, value):
-    """The 4x4 matrix of a checked token or run."""
+    """The 4x4 matrix of a checked token or run: ((A, 0), (0, (A*)^(-1)))
+    for a gA block A, whose det A* = conj(det A) has inverse det A as a
+    unit, and ((I, B), (0, I)) or ((I, 0), (2 B, I)) for B = B(m)."""
     if kind == "gA":
-        return _g_a(value, mat_det2(value))
-    return g_upper(value) if kind == "gBu" else g_lower(value)
+        return from_blocks(value, _Z2, _Z2, mat_inv2(mat_conj_transpose(value), mat_det2(value)))
+    m1, m2, m3, m4 = value
+    off = Eisenstein(m3, m4)
+    b = ((Eisenstein(m1, 0), off), (off.conj(), Eisenstein(m2, 0)))
+    return from_blocks(_I2, b, _Z2, _I2) if kind == "gBu" else from_blocks(_I2, _Z2, mat_scale(b, 2), _I2)
 
 
 def token_power(tok, p: int):
-    """The token whose matrix is token_matrix(tok) to the power p."""
+    """The token whose matrix is token_matrix(tok) to the power p; a gA
+    block whose determinant is not a unit is a ValueError."""
     integer(p, "token power")
-    kind = tok[0]
+    kind, value = _checked(tok, "determinant is not a unit")
     if kind == "gA":
-        return ("gA", m2e_pow(tok[1], p))
-    if kind in ("gBu", "gBl"):
-        return (kind, tuple(p * x for x in _translation(tok[1])))
-    raise ValueError(f"unknown token kind {kind!r}")
+        return ("gA", power(value, p, _I2, mat_mul, lambda x: mat_inv2(x, mat_det2(x).conj())))
+    return (kind, tuple(p * x for x in value))
 
 
 def word_matrix(word):
@@ -365,8 +335,8 @@ def _descend_hgamma1(g):
 
     def lmul(tok):
         nonlocal work
-        work = mat_mul(token_matrix(tok), work)
         left_inv.append(token_power(tok, -1))
+        work = mat_mul(_checked_matrix(*tok), work)
 
     def clear_even_partner(odd_idx: int, even_idx: int, col: int, slot: int):
         # Shrink work[even_idx][col] to zero against the odd entry above it
@@ -449,7 +419,7 @@ def _descend_hgamma1(g):
     require(all(x.is_zero() for row in c_r for x in row), "lower-left block did not vanish")
     require(mat_det2(a_r).is_unit(), "residual A block is not invertible")
     require(m2e_mod2(a_r) == F4_ID, "residual A block left the congruence kernel")
-    h = mat_mul(m2e_pow(a_r, -1), b_r)
+    h = mat_mul(token_power(("gA", a_r), -1)[1], b_r)
     require(
         h[0][0].b == 0 and h[1][1].b == 0 and h[1][0] == h[0][1].conj(),
         "residual translation block is not Hermitian integral",
@@ -541,7 +511,7 @@ def decompose_hgamma0(g):
     # rem = gA(lift)^(-1) g has A block == I mod 2 and C block lift* C, still
     # even, so it lies in gamma1 and the descent needs no membership test
     lift = section_lift(m2e_mod2(blocks(g)[0]))
-    rem = mat_mul(g_a(m2e_pow(lift, -1)), g)
+    rem = mat_mul(_checked_matrix(*token_power(("gA", lift), -1)), g)
     word = _descend_hgamma1(rem)
     require(word_matrix([("gA", lift), *word]) == g, "gamma0 factorization failed")
     return lift, word

@@ -45,7 +45,7 @@ from . import correspond, cubic, heegner, hermitian, lattice, poly, sampling
 from .domain import act, psi
 from .eisenstein import ONE, UNITS, Eisenstein
 from .errors import InvariantViolation, integer
-from .hermitian import coset_classify, g_upper, m2e_mod2, p1_action, word_matrix
+from .hermitian import coset_classify, m2e_mod2, p1_action, token_matrix, word_matrix
 from .lattice import D1, D2, D3, D4, DISC_GENS, disc_act, mat_mul, to_s5, translation_h
 
 __all__ = ["Check", "SIZES", "SUITES", "run_suite", "run_all"]
@@ -222,7 +222,7 @@ def _dictionary_equivariant(z) -> bool:
     tau = psi(z)
     return (
         all(
-            psi(act(orth, z)) == hermitian.moebius(hermitian.token_matrix(tok), tau)
+            psi(act(orth, z)) == hermitian.moebius(token_matrix(tok), tau)
             for _, orth, tok in correspond.DICTIONARY_PAIRS
         )
         and psi(act(lattice.U1, z)) == hermitian.involution_T(tau)
@@ -231,7 +231,7 @@ def _dictionary_equivariant(z) -> bool:
 
 
 def _w_prime_law(z) -> bool:
-    flip = hermitian.g_a(hermitian.m2e(((0, 1), (1, 0))))
+    flip = token_matrix(("gA", hermitian.m2e(((0, 1), (1, 0)))))
     image = hermitian.moebius(flip, hermitian.involution_W(psi(z)))
     return psi(act(lattice.G0I42, z)) == lattice.mat_transpose(image)
 
@@ -504,9 +504,11 @@ def _heegner(rng, sizes):
     yield draw(
         "half-shift-orbit-relations", sampling.sample_ns_point, lambda z: heegner.orbit_relation_check(psi(z))
     )
-    # coset classification spot checks; g_upper((0,0,0,1)) is the integral
-    # avatar of the third half shift
-    yield Row("coset-of-third-shift", ((0, 0, 0, 1),), lambda shift: coset_classify(g_upper(shift)) == 3)
+    # coset classification spot checks; the gBu matrix at (0,0,0,1) is the
+    # integral avatar of the third half shift
+    yield Row(
+        "coset-of-third-shift", ((0, 0, 0, 1),), lambda shift: coset_classify(token_matrix(("gBu", shift))) == 3
+    )
     # one gamma0 word for the last two rows, embedded once
     word = tuple(sampling.sample_hgamma0_word(rng, 4))
     embed = cache(lambda word: hermitian.embed_from_hgamma0(word_matrix(word)))
@@ -514,7 +516,7 @@ def _heegner(rng, sizes):
     yield Row(
         "shifted-gamma0-classifies-2",
         (word,),
-        lambda w: coset_classify(mat_mul(embed(w), g_upper((0, 1, 0, 0)))) == 2,
+        lambda w: coset_classify(mat_mul(embed(w), token_matrix(("gBu", (0, 1, 0, 0))))) == 2,
     )
 
 

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessk3 import cli, lattice, verify
-from hessk3.correspond import orth_word_matrix
+from hessk3.correspond import herm_to_orth, orth_word_matrix
 from hessk3.domain import Q0
 from hessk3.eisenstein import ONE, ZERO, Eisenstein
-from hessk3.hermitian import W_MAT, g_upper, word_matrix
+from hessk3.errors import InputTypeError
+from hessk3.hermitian import W_MAT, m2e, token_matrix, token_power, word_matrix
 from hessk3.lattice import G1, is_orthogonal, mat_id, translation_h
 from hessk3.tower import Cyclo12
 
@@ -194,7 +195,7 @@ def test_orth_disc_action(capsys, monkeypatch):
 
 def test_herm_check_and_exit_codes(capsys, monkeypatch):
     rc, doc = run_cli(
-        ["herm", "check"], stdin_doc={"matrix": eis_rows(g_upper((1, 0, 0, 0)))},
+        ["herm", "check"], stdin_doc={"matrix": eis_rows(token_matrix(("gBu", (1, 0, 0, 0))))},
         monkeypatch=monkeypatch, capsys=capsys,
     )
     assert rc == 0
@@ -226,7 +227,7 @@ def test_herm_mod2_and_coset(capsys, monkeypatch):
     assert rc == 0
     assert doc["outputs"]["matrix_f4"] == [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
     rc, doc = run_cli(
-        ["herm", "coset"], stdin_doc={"matrix": eis_rows(g_upper((0, 0, 0, 1)))},
+        ["herm", "coset"], stdin_doc={"matrix": eis_rows(token_matrix(("gBu", (0, 0, 0, 1))))},
         monkeypatch=monkeypatch, capsys=capsys,
     )
     assert rc == 0
@@ -326,6 +327,74 @@ def test_h2o_refuses_a_bad_token_anywhere_in_a_run(word, message, capsys, monkey
     # from herm_to_orth, which checks every token of a run before its product
     rc, doc = run_cli(["correspond", "h2o"], stdin_doc={"word": word}, monkeypatch=monkeypatch, capsys=capsys)
     assert (rc, doc["status"], doc["diagnostics"]) == (2, "error", [message])
+
+
+_TOKEN_ENTRIES = {
+    "token_matrix": token_matrix,
+    "token_power": lambda tok: token_power(tok, -1),
+    "word_matrix": lambda tok: word_matrix([tok]),
+    "herm_to_orth": lambda tok: herm_to_orth(False, False, [tok]),
+}
+# each bad token with its JSON form, the error each library entry point
+# raises on it (keyed by the entry points that raise it) and the one
+# diagnostic of `correspond h2o`; the library reads every token through
+# one check, the CLI refuses a malformed one while parsing
+BAD_TOKENS = {
+    "unknown-kind": (
+        ("gC", (1, 2, 3, 4)),
+        ["gC", [1, 2, 3, 4]],
+        {tuple(_TOKEN_ENTRIES): (ValueError, "unknown token kind 'gC'")},
+        "word[0]: unknown token kind 'gC'",
+    ),
+    "non-unit-gA": (
+        ("gA", m2e(((1, 0), (0, 2)))),
+        ["gA", [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]],
+        {
+            ("token_matrix", "word_matrix"): (ValueError, "gA block must have unit determinant"),
+            ("token_power",): (ValueError, "determinant is not a unit"),
+            ("herm_to_orth",): (ValueError, "matrix must have unit determinant"),
+        },
+        "matrix must have unit determinant",
+    ),
+    "non-eisenstein-entry": (
+        ("gA", ((ONE, ZERO), (ZERO, 1))),
+        ["gA", [[[1, 0], [0, 0]], [[0, 0], 1]]],
+        {tuple(_TOKEN_ENTRIES): (InputTypeError, "matrix entry: expected an Eisenstein integer")},
+        "word[0].payload[1][1]: expected a two-element integer array",
+    ),
+    "three-parameters": (
+        ("gBu", (1, 2, 3)),
+        ["gBu", [1, 2, 3]],
+        {tuple(_TOKEN_ENTRIES): (ValueError, "expected four translation parameters")},
+        "word[0]: translation payload must be four integers",
+    ),
+    "five-parameters": (
+        ("gBl", (1, 2, 3, 4, 5)),
+        ["gBl", [1, 2, 3, 4, 5]],
+        {tuple(_TOKEN_ENTRIES): (ValueError, "expected four translation parameters")},
+        "word[0]: translation payload must be four integers",
+    ),
+    "float-parameter": (
+        ("gBu", (0, 0, 0.5, 0)),
+        ["gBu", [0, 0, 0.5, 0]],
+        {tuple(_TOKEN_ENTRIES): (InputTypeError, "translation parameter: expected an integer, got float")},
+        "word[0].payload[2]: expected an integer, got float",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", [*_TOKEN_ENTRIES, "cli"])
+@pytest.mark.parametrize("name", sorted(BAD_TOKENS))
+def test_a_bad_token_raises_one_error_at_each_entry_point(name, entry, capsys, monkeypatch):
+    tok, doc_tok, errors, diagnostic = BAD_TOKENS[name]
+    if entry == "cli":
+        rc, doc = run_cli(["correspond", "h2o"], stdin_doc={"word": [doc_tok]}, monkeypatch=monkeypatch, capsys=capsys)
+        assert (rc, doc["status"], doc["diagnostics"]) == (2, "error", [diagnostic])
+        return
+    [want] = [error for entries, error in errors.items() if entry in entries]
+    with pytest.raises(Exception) as caught:
+        _TOKEN_ENTRIES[entry](tok)
+    assert (type(caught.value), str(caught.value)) == want
 
 
 def test_output_too_long_to_print_is_an_input_error(capsys, monkeypatch):

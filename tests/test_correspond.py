@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, starmap
 from operator import add
 
 import pytest
@@ -15,19 +15,19 @@ from hessk3.correspond import (
     decompose_so0,
     equal_mod_center,
     herm_to_orth,
-    herm_token_to_orth,
     is_so0,
     orth_to_herm,
     orth_word_matrix,
     psi_hom,
+    _checked_image,
     _psi_hom,
 )
 from hessk3.domain import act, psi
 from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein, exact_div
 from hessk3.errors import InputTypeError
 from hessk3.hermitian import (
+    blocks,
     equal_mod_units,
-    herm_b,
     involution_T,
     involution_W,
     m2e,
@@ -107,7 +107,7 @@ def _congruence_failures() -> list:
         assert image[:2] == mat_id(6)[:2] and all(row[:2] == (0, 0) for row in image[2:])
         for j in range(4):
             m = tuple(int(k == j) for k in range(4))
-            y = mat_mul(a, mat_mul(herm_b(m), mat_conj_transpose(a)))
+            y = mat_mul(a, mat_mul(blocks(token_matrix(("gBu", m)))[1], mat_conj_transpose(a)))
             assert y[1][0] == y[0][1].conj() and y[0][0].b == 0 and y[1][1].b == 0
             if tuple(row[2 + j] for row in image[2:]) != (y[0][0].a, y[1][1].a, y[0][1].a, y[0][1].b):
                 failures.append((a, j))
@@ -115,7 +115,7 @@ def _congruence_failures() -> list:
 
 
 def test_psi_hom_is_congruence_by_a_on_hermitian_matrices():
-    # on coordinates 3..6, read as the parameters m of herm_b, psi_hom(a)
+    # on coordinates 3..6, read as the parameters m of B(m), psi_hom(a)
     # sends B(m) to a B(m) a*, for every 2x2 matrix a over Z[w].  Both sides
     # are linear in m, so the four unit vectors pin all sixteen entries.  In
     # the eight integer coordinates of a, both are polynomials of degree at
@@ -183,9 +183,7 @@ def test_psi_hom_kernel_is_the_six_scalars():
 def test_token_table_is_consistent():
     for name, orth, tok in DICTIONARY_PAIRS:
         assert ORTH_TOKEN_MATS[name] == orth
-        assert herm_token_to_orth(tok) == orth, name
-    with pytest.raises(ValueError, match="unknown token kind"):
-        herm_token_to_orth(("gZ", None))
+        assert _checked_image(*tok) == orth, name
 
 
 def test_token_powers_match_square_and_multiply():
@@ -204,7 +202,7 @@ def test_g0_and_u0_conjugates_are_swaps():
         m = tuple(rng.randint(-9, 9) for _ in range(4))
         n1, n2, n3, n4 = m
         want = mat_mul(G0, mat_mul(translation_h(-n2, -n1, n3, n4), G0))
-        assert herm_token_to_orth(("gBl", m)) == want, m
+        assert _checked_image("gBl", m) == want, m
     assert HP_GENS == tuple(mat_mul(G0, mat_mul(h, G0)) for h in H_GENS)
     assert U0G1U0 == mat_mul(U0, mat_mul(G1, U0))
 
@@ -279,12 +277,12 @@ def test_equal_mod_center():
 
 def test_translation_images_compose():
     # transported translations multiply like the lattice translations
-    ha = herm_token_to_orth(("gBu", (2, -1, 0, 3)))
-    hb = herm_token_to_orth(("gBu", (1, 1, 1, -2)))
+    ha = _checked_image("gBu", (2, -1, 0, 3))
+    hb = _checked_image("gBu", (1, 1, 1, -2))
     assert mat_mul(ha, hb) == translation_h(3, 0, 1, 1)
-    la = herm_token_to_orth(("gBl", (2, -1, 0, 3)))
-    lb = herm_token_to_orth(("gBl", (1, 1, 1, -2)))
-    lab = herm_token_to_orth(("gBl", (3, 0, 1, 1)))
+    la = _checked_image("gBl", (2, -1, 0, 3))
+    lb = _checked_image("gBl", (1, 1, 1, -2))
+    lab = _checked_image("gBl", (3, 0, 1, 1))
     assert mat_mul(la, lb) == lab
 
 
@@ -315,7 +313,7 @@ def test_orth_word_matrix_rejects_unknown_tokens():
 # intertwiner P sends an orthogonal vector x to the wedge vector with
 # coordinates y12 = -x2 / 2, y13 = -x5 - w x6, y14 = x3, y23 = -x4,
 # y24 = x5 + w^2 x6, y34 = x1 on e_i ^ e_j, and every token t satisfies
-# herm_token_to_orth(t) = s_t P^-1 wedge(token_matrix(t)) P, with the twist
+# _checked_image(*t) = s_t P^-1 wedge(token_matrix(t)) P, with the twist
 # s_t = det(A)^-1 on gA and 1 on translations.  The test builds no
 # rational: column two uses -2 P e2 = e12 and halves its image at the end.
 # Tying the token images to this map stays on the test side, since
@@ -369,7 +367,7 @@ def test_every_token_image_is_the_twisted_exterior_square():
     tokens = _exterior_tokens()
     assert len(tokens) == 214
     for tok in tokens:
-        assert herm_token_to_orth(tok) == exterior_image(tok), tok
+        assert _checked_image(*tok) == exterior_image(tok), tok
 
 
 def test_the_exterior_square_sees_an_order_two_collapse(monkeypatch):
@@ -381,7 +379,7 @@ def test_the_exterior_square_sees_an_order_two_collapse(monkeypatch):
         correspond, "_psi_hom", lambda a: ident if mat_mul(exact(a), exact(a)) == ident else exact(a)
     )
     tok = ("gA", m2e(((1, 0), (0, -1))))
-    assert herm_token_to_orth(tok) != exterior_image(tok)
+    assert _checked_image(*tok) != exterior_image(tok)
 
 
 # -- proofs for every input, by evaluation on the principal lattice -------------
@@ -419,7 +417,7 @@ def _additivity_failures(kind: str) -> list:
     for x in _principal_lattice(8, 4):
         m, n = x[:4], x[4:]
         total = tuple(map(add, m, n))
-        if mat_mul(herm_token_to_orth((kind, m)), herm_token_to_orth((kind, n))) != herm_token_to_orth((kind, total)):
+        if mat_mul(_checked_image(kind, m), _checked_image(kind, n)) != _checked_image(kind, total):
             failures.append((m, n))
     return failures
 
@@ -488,7 +486,7 @@ def _route_words() -> dict:
 def test_run_products_equal_the_token_by_token_products(name):
     word = _route_words()[name]
     assert word_matrix(word) == reduce(mat_mul, map(token_matrix, word), mat_id(4, ONE, ZERO))
-    image = reduce(mat_mul, map(herm_token_to_orth, word), mat_id(6))
+    image = reduce(mat_mul, starmap(_checked_image, word), mat_id(6))
     assert herm_to_orth(False, False, word) == image
     assert herm_to_orth(True, True, word) == mat_mul(U1, mat_mul(W0, image))
 

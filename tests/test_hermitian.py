@@ -23,16 +23,11 @@ from hessk3.hermitian import (
     equal_mod_units,
     f_mod2,
     from_blocks,
-    g_a,
-    g_lower,
-    g_upper,
     gl2f4_group,
-    herm_b,
     involution_T,
     involution_W,
     m2e,
     m2e_mod2,
-    m2e_pow,
     membership,
     moebius,
     p1_action,
@@ -46,7 +41,7 @@ from hessk3.lattice import mat_conj_transpose, mat_det2, mat_id, mat_mul, mat_ne
 from hessk3.tower import from_eisenstein
 
 I4 = mat_id(4, ONE, ZERO)
-GAMMA0_ONLY = g_a(m2e(((OMEGA, 0), (0, 1))))
+GAMMA0_ONLY = token_matrix(("gA", m2e(((OMEGA, 0), (0, 1)))))
 
 
 def unitary_defect(g):
@@ -54,16 +49,16 @@ def unitary_defect(g):
 
 
 def test_block_round_trip():
-    g = g_upper((1, -2, 0, 3))
+    g = token_matrix(("gBu", (1, -2, 0, 3)))
     assert from_blocks(*blocks(g)) == g
 
 
 def test_generators_are_unitary():
     for g in (
         I4,
-        g_upper((1, 0, -2, 3)),
-        g_lower((0, 1, 1, -1)),
-        g_a(m2e(((1, Eisenstein(0, 2)), (0, 1)))),
+        token_matrix(("gBu", (1, 0, -2, 3))),
+        token_matrix(("gBl", (0, 1, 1, -1))),
+        token_matrix(("gA", m2e(((1, Eisenstein(0, 2)), (0, 1))))),
         GAMMA0_ONLY,
         J_MAT,
     ):
@@ -72,8 +67,8 @@ def test_generators_are_unitary():
 
 def test_membership_levels():
     assert membership(I4) == "gamma1"
-    assert membership(g_upper((2, 1, 0, -1))) == "gamma1"
-    assert membership(g_lower((1, 1, 1, 1))) == "gamma1"
+    assert membership(token_matrix(("gBu", (2, 1, 0, -1)))) == "gamma1"
+    assert membership(token_matrix(("gBl", (1, 1, 1, 1)))) == "gamma1"
     assert membership(GAMMA0_ONLY) == "gamma0"
     assert membership(J_MAT) == "full"
     assert membership(W_MAT) == "none"
@@ -120,32 +115,34 @@ def test_every_entry_of_a_4x4_matrix_is_an_eisenstein_integer(fn, g):
         fn(g)
 
 
-def test_g_a_rejects_non_unit_determinant():
-    with pytest.raises(ValueError, match="unit determinant"):
-        g_a(m2e(((2, 0), (0, 1))))
+def test_gA_tokens_reject_a_non_unit_determinant():
+    with pytest.raises(ValueError, match="gA block must have unit determinant"):
+        token_matrix(("gA", m2e(((2, 0), (0, 1)))))
     with pytest.raises(ValueError, match="determinant is not a unit"):
-        m2e_pow(m2e(((1, 0), (0, 2))), -1)
+        token_power(("gA", m2e(((1, 0), (0, 2)))), -1)
 
 
-def test_herm_b_is_hermitian_and_additive():
-    b = herm_b((2, -1, 3, 5))
+def test_translation_blocks_are_hermitian_and_additive():
+    b = blocks(token_matrix(("gBu", (2, -1, 3, 5))))[1]
+    assert b == ((Eisenstein(2, 0), Eisenstein(3, 5)), (Eisenstein(3, 5).conj(), Eisenstein(-1, 0)))
     assert b[0][0].b == 0 and b[1][1].b == 0
     assert b[1][0] == b[0][1].conj()
+    assert blocks(token_matrix(("gBl", (2, -1, 3, 5))))[2] == tuple(tuple(2 * x for x in r) for r in b)
     ma, mb = (1, 2, -1, 0), (0, -3, 2, 4)
     msum = tuple(x + y for x, y in zip(ma, mb))
-    assert mat_mul(g_upper(ma), g_upper(mb)) == g_upper(msum)
-    assert mat_mul(g_lower(ma), g_lower(mb)) == g_lower(msum)
+    for kind in ("gBu", "gBl"):
+        assert mat_mul(token_matrix((kind, ma)), token_matrix((kind, mb))) == token_matrix((kind, msum))
 
 
 _I3 = tuple(tuple(ONE if i == j else ZERO for j in range(3)) for i in range(3))
 
 
 @pytest.mark.parametrize(
-    "entry", [g_a, lambda a: m2e_pow(a, -1), lambda a: token_matrix(("gA", a))], ids=["g_a", "m2e_pow", "token"]
+    "entry", [lambda a: token_power(("gA", a), -1), lambda a: token_matrix(("gA", a))], ids=["power", "token"]
 )
 def test_gA_blocks_must_be_two_by_two(entry):
-    # a 3x3 identity has a unit top-left determinant; g_a used to build
-    # rows of lengths 5, 5, 4 and 4 from it
+    # a 3x3 identity has a unit top-left determinant; the gA builder used to
+    # build rows of lengths 5, 5, 4 and 4 from it
     with pytest.raises(ValueError, match="expected a 2x2 matrix"):
         entry(_I3)
 
@@ -159,12 +156,12 @@ def test_token_power_reads_four_integer_parameters(payload):
 
 def test_upper_translation_rejects_a_float_parameter():
     with pytest.raises(TypeError, match="translation parameter: expected an integer"):
-        g_upper((0.5, 0, 0, 0))
+        token_matrix(("gBu", (0.5, 0, 0, 0)))
 
 
 def test_lower_translation_rejects_a_fraction_parameter():
     with pytest.raises(TypeError, match="translation parameter: expected an integer"):
-        g_lower((Fraction(1, 2), 0, 0, 0))
+        token_matrix(("gBl", (Fraction(1, 2), 0, 0, 0)))
 
 
 def test_w_mat_relations():
@@ -173,14 +170,14 @@ def test_w_mat_relations():
     # W swaps the two translation families
     for m in ((1, 0, 0, 0), (0, 0, 0, 1), (2, -1, 3, 1)):
         mneg = tuple(-x for x in m)
-        assert mat_mul(W_MAT, g_upper(m)) == mat_mul(g_lower(mneg), W_MAT)
+        assert mat_mul(W_MAT, token_matrix(("gBu", m))) == mat_mul(token_matrix(("gBl", mneg)), W_MAT)
 
 
 def test_moebius_is_an_action():
     rng = sampling.make_rng(21)
     gens = [
-        g_upper((1, 0, -1, 2)),
-        g_lower((0, 1, 1, 0)),
+        token_matrix(("gBu", (1, 0, -1, 2))),
+        token_matrix(("gBl", (0, 1, 1, 0))),
         GAMMA0_ONLY,
         J_MAT,
     ]
@@ -192,8 +189,8 @@ def test_moebius_is_an_action():
         assert moebius(mat_mul(a, b), tau) == moebius(a, moebius(b, tau))
     # the upper translation is literal addition by B(m)
     tau = psi(sampling.sample_chart_point(rng))
-    shifted = moebius(g_upper((1, 2, 0, -1)), tau)
-    bm = tuple(tuple(from_eisenstein(x) for x in r) for r in herm_b((1, 2, 0, -1)))
+    shifted = moebius(token_matrix(("gBu", (1, 2, 0, -1))), tau)
+    bm = tuple(tuple(from_eisenstein(x) for x in r) for r in blocks(token_matrix(("gBu", (1, 2, 0, -1))))[1])
     assert mat_sub(shifted, tau) == bm
 
 
@@ -314,7 +311,7 @@ def test_word_round_trip_gamma0():
         g = word_matrix(word)
         assert membership(g) in ("gamma0", "gamma1")
         lift, tail = decompose_hgamma0(g)
-        assert mat_mul(g_a(lift), word_matrix(tail)) == g
+        assert mat_mul(token_matrix(("gA", lift)), word_matrix(tail)) == g
         assert m2e_mod2(lift) == f_mod2(g)
 
 
@@ -335,7 +332,7 @@ def test_decompose_hgamma0_tests_membership_once(monkeypatch):
         calls.clear()
         lift, tail = decompose_hgamma0(g)
         assert calls == [g]
-        assert mat_mul(g_a(lift), word_matrix(tail)) == g
+        assert mat_mul(token_matrix(("gA", lift)), word_matrix(tail)) == g
 
 
 def _lift(fm):
@@ -379,7 +376,7 @@ def test_section_table_and_group():
         assert mat_det2(_lift(fm)).mod2() != (0, 0)
         lift = section_lift(fm)
         assert m2e_mod2(lift) == fm
-        assert membership(g_a(lift)) in ("gamma0", "gamma1")
+        assert membership(token_matrix(("gA", lift))) in ("gamma0", "gamma1")
     # singular, an entry outside F4, and a third column
     for fm in (
         (((0, 0), (0, 0)), ((0, 0), (0, 0))),
@@ -417,10 +414,10 @@ def test_p1_f4():
 
 
 COSET_CASES = [
-    (g_upper((1, 0, 0, 0)), 1),
-    (g_upper((0, 1, 0, 0)), 2),
-    (g_upper((0, 0, 0, 1)), 3),
-    (g_upper((2, 2, 0, 0)), "uncovered"),
+    (token_matrix(("gBu", (1, 0, 0, 0))), 1),
+    (token_matrix(("gBu", (0, 1, 0, 0))), 2),
+    (token_matrix(("gBu", (0, 0, 0, 1))), 3),
+    (token_matrix(("gBu", (2, 2, 0, 0))), "uncovered"),
     (I4, "uncovered"),
 ]
 
@@ -455,8 +452,8 @@ def test_embed_is_a_homomorphism():
 
 
 def test_equal_mod_units():
-    g = g_upper((1, 2, -1, 0))
+    g = token_matrix(("gBu", (1, 2, -1, 0)))
     scaled = tuple(tuple(x * OMEGA2 for x in r) for r in g)
     assert equal_mod_units(g, scaled)
     assert equal_mod_units(g, mat_neg(g))
-    assert not equal_mod_units(g, g_upper((1, 2, -1, 1)))
+    assert not equal_mod_units(g, token_matrix(("gBu", (1, 2, -1, 1))))

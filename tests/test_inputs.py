@@ -22,7 +22,7 @@ from hessk3.domain import Q0, act, dm_membership, psi
 from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.errors import InputTypeError, integer, rational
 from hessk3.heegner import chart_flags, perp_equivalence, perp_flags
-from hessk3.hermitian import F4_ID, g_a, g_upper, m2e, m2e_pow, membership, p1_action, token_matrix, token_power
+from hessk3.hermitian import F4_ID, m2e, membership, p1_action, token_matrix, token_power
 from hessk3.lattice import G1, GRAM, orthogonal_complement, translation_h
 from hessk3.poly import elem_sym_polys
 from hessk3.tower import C_ZERO, Cyclo12
@@ -169,10 +169,9 @@ def test_m2e_rejects_an_eisenstein_entry_without_int_coordinates(x):
 
 _GA_ENTRY_POINTS = {
     "psi_hom": psi_hom,
-    "g_a": g_a,
-    "m2e_pow": lambda a: m2e_pow(a, 2),
     "token_matrix": lambda a: token_matrix(("gA", a)),
     "token_power": lambda a: token_power(("gA", a), 0),
+    "token_power 2": lambda a: token_power(("gA", a), 2),
 }
 
 
@@ -183,17 +182,18 @@ _GA_ENTRY_POINTS = {
 )
 @pytest.mark.parametrize("name", sorted(_GA_ENTRY_POINTS))
 def test_gA_blocks_are_matrices_of_eisenstein_integers(name, a):
-    # the float coordinate used to be answered by all six, the plain ints
-    # raised AttributeError inside the determinant (m2e_pow answered an int
-    # matrix, token_power the identity), the bool one was answered
+    # the float coordinate used to be answered by every entry point, the
+    # plain ints raised AttributeError inside the determinant (a square
+    # answered an int matrix, token_power at 0 the identity), the bool one
+    # was answered
     with pytest.raises(InputTypeError, match="matrix entry: expected an Eisenstein integer"):
         _GA_ENTRY_POINTS[name](a)
 
 
 @pytest.mark.parametrize("name", sorted(_GA_ENTRY_POINTS))
 def test_gA_blocks_have_unit_determinant(name):
-    # a power used to skip the test: m2e_pow answered diag(4, 1) and
-    # token_power the identity token
+    # a power used to skip the test: a square answered diag(4, 1) and
+    # token_power at 0 the identity token
     with pytest.raises(ValueError, match="unit"):
         _GA_ENTRY_POINTS[name](m2e(((2, 0), (0, 1))))
 
@@ -237,7 +237,7 @@ def _spread(fn):
 # (the allowed lengths, the shape of each entry)
 _ENTRY_POINTS = {
     "translation_h": (_spread(translation_h), ({4}, _INT)),
-    "g_upper": (g_upper, ({4}, _INT)),
+    "token_matrix gBu": (lambda m: token_matrix(("gBu", m)), ({4}, _INT)),
     "herm_to_orth gBu": (lambda m: herm_to_orth(False, False, [("gBu", m)]), ({4}, _INT)),
     "herm_to_orth gBl": (lambda m: herm_to_orth(False, False, [("gBl", m)]), ({4}, _INT)),
     "m2e": (m2e, ({2}, ({2}, _ZW))),

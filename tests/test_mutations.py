@@ -75,6 +75,31 @@ def test_a_frobenius_after_the_p1_action_is_caught(monkeypatch):
     assert failures("group-iso") == {"p1-action-all-even": "input 0", "p1-kernel-order-3": "got 0"}
 
 
+def test_a_p1_action_that_fixes_every_point_under_diagonal_matrices_is_caught(monkeypatch):
+    # diag(a, d) over F4 acts on the five points as x -> (a / d) x; taken
+    # as trivial, the image loses x -> w x and x -> w^2 x, which only
+    # diagonal matrices give, and the kernel grows from the three scalars
+    # to all nine diagonal matrices.  verify imports p1_action by name
+    exact = verify.p1_action
+
+    def fixed(fm, pt):
+        return pt if fm[0][1] == fm[1][0] == (0, 0) else exact(fm, pt)
+
+    monkeypatch.setattr(verify, "p1_action", fixed)
+    assert failures("group-iso") == {"p1-action-order-60": "got 58", "p1-kernel-order-3": "got 9"}
+
+
+def test_a_transposed_inversion_involution_is_caught(monkeypatch):
+    # -1/(2 tau) transposed differs from it unless tau is symmetric: the
+    # W0 dictionary pair and the W-prime law both fail at their first input
+    exact = hermitian.involution_W
+    monkeypatch.setattr(hermitian, "involution_W", lambda tau: lattice.mat_transpose(exact(tau)))
+    assert all_failures() == {
+        "group-iso": {"dictionary-equivariance-on-chart-points": "input 0"},
+        "enr-iso": {"w-prime-is-transpose-flip-inversion": "input 0"},
+    }
+
+
 def test_general_gA_tokens_leave_the_enriques_kernel(monkeypatch):
     # gamma1 words that also draw gA tokens off the congruence kernel
     monkeypatch.setattr(sampling, "sample_hgamma1_word", sampling.sample_hgamma0_word)
@@ -478,7 +503,7 @@ def test_an_entrywise_section_lift_is_caught(monkeypatch):
     }
     # A = ((1, 1), (1, 2 + w)) has determinant 1 + w, but its entrywise
     # lift mod 2, ((1, 1), (1, w)), has determinant w - 1 of norm 3
-    g = hermitian.g_a(m2e(((1, 1), (1, Eisenstein(2, 1)))))
+    g = hermitian.token_matrix(("gA", m2e(((1, 1), (1, Eisenstein(2, 1))))))
     with pytest.raises(InvariantViolation, match="^section lift does not have unit determinant"):
         hermitian.decompose_hgamma0(g)
 

@@ -1,8 +1,10 @@
 """Every public name has a caller: each name in a module's `__all__` is read
 somewhere in `src/hessk3` beyond its own definition, or has its line in
-README's public-by-design section."""
+README's public-by-design section.  Every name README cites as
+`module.name` exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -53,3 +55,19 @@ def test_every_public_name_is_read_in_src_or_public_by_design():
 def test_public_by_design_names_are_exported():
     exported = {f"{m}.{name}" for m, tree in _modules().items() for name in _exports(tree)}
     assert _public_by_design() <= exported
+
+
+def _readme_names() -> list:
+    """(module, name) of each backticked `module.name` or
+    `hessk3.module.name` in README whose module is one of the package's."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    cited = (re.fullmatch(r"(?:hessk3\.)?(\w+)\.(\w+)", span) for span in spans)
+    return [m.groups() for m in cited if m and m.group(1) in modules]
+
+
+def test_every_name_readme_cites_resolves():
+    names = _readme_names()
+    assert names
+    missing = [f"{m}.{name}" for m, name in names if not hasattr(importlib.import_module(f"hessk3.{m}"), name)]
+    assert missing == []

@@ -23,15 +23,3 @@ def test_coset_census(capsys):
         "  beyond the tabulated translates: 10",
     ]
 
-
-def test_invariant_weights(capsys):
-    assert load("invariant_weights").main(["--seed", "0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    weights = dict(line.split()[:2] for line in lines[2:10])
-    assert weights == {
-        "I8": "c^8", "I16": "c^16", "I24": "c^24", "I32": "c^32", "I40": "c^40",
-        "I100": "c^100", "delta_sing": "c^32", "delta_km": "c^-3",
-    }
-    for line in lines[-2:]:
-        lhs, rhs = line.split("  ==  ")
-        assert lhs.rpartition(" = ")[2] == rhs.rpartition(" = ")[2]
