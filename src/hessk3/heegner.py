@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .domain import Point, chart_point, h2_contains, psi
 from .errors import require
 from .hermitian import B_COSETS
-from .lattice import det_int, mat_det2, orthogonal_complement, qpair
+from .lattice import GRAM, det_int, mat_det2, mat_vec, orthogonal_complement, qpair
 from .tower import C_OMEGA, C_OMEGA2, C_ONE, Mat2C, from_eisenstein
 
 __all__ = [
@@ -80,8 +80,19 @@ def chart_flags(z: Point) -> HeegnerFlags:
 
 
 def perp_flags(z: Point) -> HeegnerFlags:
+    """Whether z is perpendicular to each of PERP_VECTORS.
+
+    For an integer vector v, t(z) Q v is the sum of z_i (Q v)_i over the
+    nonzero entries of the integer vector Q v, one field-by-int product
+    each, where qpair(z, v) takes thirteen field products on mostly zero
+    coordinates; a v with Q v = 0 pairs to zero.
+    """
     z = chart_point(z)
-    return HeegnerFlags(**{name: qpair(z, v).is_zero() for name, v in PERP_VECTORS.items()})
+    flags = {}
+    for name, v in PERP_VECTORS.items():
+        terms = [x * q for x, q in zip(z, mat_vec(GRAM, v)) if q]
+        flags[name] = not terms or sum(terms[1:], terms[0]).is_zero()
+    return HeegnerFlags(**flags)
 
 
 def perp_equivalence(z: Point) -> HeegnerFlags:

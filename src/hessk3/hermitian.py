@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby, product, starmap
+from math import lcm
 from operator import itemgetter
 
-from .domain import h2_contains
+from .domain import _c, h2_contains
 from .eisenstein import (
     OMEGA,
     OMEGA2,
@@ -57,7 +58,7 @@ from .lattice import (
     mat_vec,
     power,
 )
-from .tower import Mat2C, from_eisenstein
+from .tower import Mat2C, _eis_times, _make
 
 __all__ = [
     "m2e",
@@ -194,14 +195,34 @@ def membership(g) -> str:
 # -- action on the half-space -------------------------------------------------
 
 
-def _block_to_field(b) -> Mat2C:
-    return tuple(tuple(from_eisenstein(x) for x in r) for r in b)
-
-
 def moebius(g, tau: Mat2C) -> Mat2C:
-    a, b, c, d = (_block_to_field(x) for x in blocks(g))
-    num = mat_add(mat_mul(a, tau), b)
-    den = mat_add(mat_mul(c, tau), d)
+    """(A tau + B)(C tau + D)^(-1) for g = ((A, B), (C, D)) over Z[w].
+
+    tau is read as T / n, integer numerators over the lcm n of its entries'
+    denominators (Cohen 4.2, as in tower).  An Eisenstein x + y w is
+    ((2x - y) + y sqrt3 i) / 2, so each entry of A tau + B and C tau + D is
+    (sum_k 2 A_ik T_kj + 2 n B_ij) / 2n: int products by tower._eis_times
+    and one reduction.  The quotient is then taken in the field.
+    """
+    a, b, c, d = blocks(_zw_block(g, 4))
+    tau = [[_c(x) for x in r] for r in _square(tau, 2)]
+    n = lcm(*(x._den for r in tau for x in r))
+    t = [[tuple(v * (n // x._den) for v in x._n) for x in r] for r in tau]
+    one = (n, 0, 0, 0)
+
+    def entry(m_row, s_entry, j):
+        # row i of m against column j of tau, plus s_ij, over 2n
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3) = (
+            _eis_times(m_row[0], t[0][j]),
+            _eis_times(m_row[1], t[1][j]),
+            _eis_times(s_entry, one),
+        )
+        return _make(p0 + q0 + r0, p1 + q1 + r1, p2 + q2 + r2, p3 + q3 + r3, 2 * n)
+
+    num, den = (
+        tuple(tuple(entry(m_row, s_row[j], j) for j in (0, 1)) for m_row, s_row in zip(m, s))
+        for m, s in ((a, b), (c, d))
+    )
     det = mat_det2(den)
     require(not det.is_zero(), "singular denominator in the matrix action")
     return mat_mul(num, mat_inv2(den, det.inverse()))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .domain import Point, dm_from_chart
 from .eisenstein import UNITS, Eisenstein
 from .hermitian import m2e
-from .lattice import mat_id, mat_prod, U1, W0
+from .lattice import mat_id, mat_neg, mat_prod, U1, W0
 from .tower import Cyclo12
 
 __all__ = [
@@ -51,37 +51,51 @@ def sample_eisenstein(rng, bound: int = 3) -> Eisenstein:
 
 _ID2 = m2e(((1, 0), (0, 1)))
 
+# The samplers draw a word of 2x2 factors and apply each to the running
+# matrix m as it is drawn: m times a factor is a column operation on m in
+# closed form, so no matrix product is taken.
 
-def _elementary(rng, even: bool):
+
+def _times_elementary(rng, m, even: bool):
+    """m ((1, e), (0, 1)), which adds e col0 to col1, or m ((1, 0), (e, 1)),
+    which adds e col1 to col0, for a drawn e (doubled when even)."""
     e = sample_eisenstein(rng, 2)
     if even:
         e = e * 2
+    (a, b), (c, d) = m
     if rng.randrange(2):
-        return m2e(((1, e), (0, 1)))
-    return m2e(((1, 0), (e, 1)))
+        return (a, b + e * a), (c, d + e * c)
+    return (a + e * b, b), (c + e * d, d)
 
 
 def sample_g2_matrix(rng, steps: int = 5):
-    """Unit-determinant matrix congruent to the identity mod 2."""
-
-    def factor():
+    """Unit-determinant matrix congruent to the identity mod 2: a product
+    of steps factors, each an even elementary matrix, diag(1, -1) or -I."""
+    m = _ID2
+    for _ in range(steps):
         kind = rng.randrange(4)
         if kind < 2:
-            return _elementary(rng, even=True)
-        return m2e(((1, 0), (0, -1))) if kind == 2 else m2e(((-1, 0), (0, -1)))
-
-    return mat_prod((factor() for _ in range(steps)), _ID2)
+            m = _times_elementary(rng, m, even=True)
+        elif kind == 2:
+            (a, b), (c, d) = m
+            m = (a, -b), (c, -d)
+        else:
+            m = mat_neg(m)
+    return m
 
 
 def sample_gl2_matrix(rng, steps: int = 5):
-    """Unit-determinant matrix, no congruence constraint."""
-
-    def factor():
+    """Unit-determinant matrix, no congruence constraint: a product of
+    steps factors, each an elementary matrix or diag(u, 1) for a unit u."""
+    m = _ID2
+    for _ in range(steps):
         if rng.randrange(3):
-            return _elementary(rng, even=False)
-        return m2e(((UNITS[rng.randrange(6)], 0), (0, 1)))
-
-    return mat_prod((factor() for _ in range(steps)), _ID2)
+            m = _times_elementary(rng, m, even=False)
+        else:
+            u = UNITS[rng.randrange(6)]
+            (a, b), (c, d) = m
+            m = (a * u, b), (c * u, d)
+    return m
 
 
 def _herm_params(rng, bound: int = 2):

@@ -212,6 +212,15 @@ def from_eisenstein(e: Eisenstein) -> Cyclo12:
     return _make(2 * e.a - e.b, 0, 0, e.b, 2)
 
 
+def _eis_times(e: Eisenstein, n: tuple) -> tuple:
+    """The numerators of 2 e z for z with numerators n: from_eisenstein(e) * z
+    over twice z's denominator, unreduced, in eight int products."""
+    x, y = 2 * e.a - e.b, e.b
+    a, b, c, d = n
+    # (x + y*sqrt3*i)(a + b*sqrt3 + c*i + d*sqrt3*i)
+    return x * a - 3 * y * d, x * b - y * c, x * c + 3 * y * b, x * d + y * a
+
+
 def tower_sign_real(x: Cyclo12) -> int:
     """Exact sign of a real field element; rejects nonreal input."""
     if not x.is_real():

@@ -2,11 +2,13 @@
 
 import pytest
 
-from hessk3 import sampling
+from hessk3 import heegner, sampling
 from hessk3.domain import dm_from_chart, psi
 from hessk3.heegner import (
     B_SHIFTS,
     COMPLEMENT_CASES,
+    PERP_VECTORS,
+    HeegnerFlags,
     chart_flags,
     complement_gram_verify,
     heegner_membership,
@@ -35,6 +37,21 @@ def test_on_locus_points_carry_their_flag(name):
         assert chart_flags(z) == flags
         assert perp_flags(z) == flags
         assert heegner_membership(psi(z)) == flags
+
+
+def test_perp_flags_is_the_pairing_with_each_vector(monkeypatch):
+    # perp_flags pairs z with the integer vector Q v; qpair(z, v) is the
+    # form itself
+    rng = sampling.make_rng(36)
+    for sample in (*SAMPLERS.values(), sampling.sample_chart_point):
+        for _ in range(6):
+            z = sample(rng)
+            want = HeegnerFlags(**{name: qpair(z, v).is_zero() for name, v in PERP_VECTORS.items()})
+            assert perp_flags(z) == want
+    # a zero vector has no nonzero term and pairs to zero
+    assert not perp_flags(z).km
+    monkeypatch.setitem(heegner.PERP_VECTORS, "km", (0,) * 6)
+    assert perp_flags(z).km
 
 
 def test_generic_points_agree_across_views():

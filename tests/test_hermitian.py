@@ -8,7 +8,7 @@ import pytest
 from hessk3 import sampling
 from hessk3.domain import psi
 from hessk3.eisenstein import OMEGA, OMEGA2, ONE, UNITS, ZERO, Eisenstein, eis_divmod
-from hessk3.errors import InputTypeError
+from hessk3.errors import InputTypeError, InvariantViolation
 from hessk3.hermitian import (
     B_COSETS,
     F4_ELEMS,
@@ -37,8 +37,18 @@ from hessk3.hermitian import (
     token_power,
     word_matrix,
 )
-from hessk3.lattice import mat_conj_transpose, mat_det2, mat_id, mat_mul, mat_neg, mat_sub, mat_vec
-from hessk3.tower import from_eisenstein
+from hessk3.lattice import (
+    mat_add,
+    mat_conj_transpose,
+    mat_det2,
+    mat_id,
+    mat_inv2,
+    mat_mul,
+    mat_neg,
+    mat_sub,
+    mat_vec,
+)
+from hessk3.tower import C_OMEGA, C_OMEGA2, C_ONE, I_UNIT, from_eisenstein
 
 I4 = mat_id(4, ONE, ZERO)
 GAMMA0_ONLY = token_matrix(("gA", m2e(((OMEGA, 0), (0, 1)))))
@@ -192,6 +202,58 @@ def test_moebius_is_an_action():
     shifted = moebius(token_matrix(("gBu", (1, 2, 0, -1))), tau)
     bm = tuple(tuple(from_eisenstein(x) for x in r) for r in blocks(token_matrix(("gBu", (1, 2, 0, -1))))[1])
     assert mat_sub(shifted, tau) == bm
+
+
+def _field_moebius(g, tau):
+    """(A tau + B)(C tau + D)^(-1) with every block read into the field
+    first and multiplied there: the oracle for moebius's numerator form."""
+    a, b, c, d = (tuple(tuple(from_eisenstein(x) for x in r) for r in blk) for blk in blocks(g))
+    den = mat_add(mat_mul(c, tau), d)
+    return mat_mul(mat_add(mat_mul(a, tau), b), mat_inv2(den, mat_det2(den).inverse()))
+
+
+def test_moebius_is_the_field_formula():
+    rng = sampling.make_rng(36)
+    loci = (
+        sampling.sample_chart_point,
+        sampling.sample_node_point,
+        sampling.sample_eckardt_point,
+        sampling.sample_ns_point,
+        sampling.sample_km_point,
+    )
+    words = [sampling.sample_hgamma0_word(rng, rng.randint(1, 5)) for _ in range(12)]
+    for g in [I4, *map(word_matrix, words)]:
+        for sample in loci:
+            tau = psi(sample(rng))
+            assert moebius(g, tau) == _field_moebius(g, tau)
+    # C tau + D = -tau is singular at a singular tau
+    with pytest.raises(InvariantViolation, match="^singular denominator in the matrix action$"):
+        moebius(J_MAT, ((C_ONE, C_ONE), (C_ONE, C_ONE)))
+
+
+def test_moebius_reads_int_and_fraction_entries_of_tau():
+    # an upper translation adds B(m) = ((1, -w), (-w^2, 2)) to tau
+    g = token_matrix(("gBu", (1, 2, 0, -1)))
+    assert moebius(g, ((I_UNIT, 0), (0, I_UNIT))) == ((I_UNIT + 1, -C_OMEGA), (-C_OMEGA2, I_UNIT + 2))
+    half = Fraction(1, 2)
+    assert moebius(g, ((half, 0), (0, 3))) == ((C_ONE * Fraction(3, 2), -C_OMEGA), (-C_OMEGA2, C_ONE * 5))
+
+
+@pytest.mark.parametrize(
+    "g, tau, error, message",
+    [
+        (m2e(((0, 1), (1, 0))), None, ValueError, "^expected a 4x4 matrix$"),
+        (mat_id(4), None, InputTypeError, "^matrix entry: expected an Eisenstein integer$"),
+        (I4, ((I_UNIT,),), ValueError, "^expected a 2x2 matrix$"),
+        (I4, ((I_UNIT, 0.5), (0, I_UNIT)), InputTypeError, "^field coordinate: expected an exact rational, got float$"),
+    ],
+    ids=["g-2x2", "g-int-entries", "tau-1x1", "tau-float"],
+)
+def test_moebius_refuses_a_matrix_of_another_shape_or_ring(g, tau, error, message):
+    # the 2x2 g raised IndexError and the int g AttributeError; the 1x1 tau
+    # and the float entry were refused inside the field product
+    with pytest.raises(error, match=message):
+        moebius(g, tau or ((I_UNIT, 0), (0, I_UNIT)))
 
 
 def test_involutions():

@@ -22,8 +22,8 @@ from hessk3.domain import Q0, act, dm_membership, psi
 from hessk3.eisenstein import ONE, ZERO, Eisenstein
 from hessk3.errors import InputTypeError, integer, rational
 from hessk3.heegner import chart_flags, perp_equivalence, perp_flags
-from hessk3.hermitian import F4_ID, m2e, membership, p1_action, token_matrix, token_power
-from hessk3.lattice import G1, GRAM, orthogonal_complement, translation_h
+from hessk3.hermitian import F4_ID, m2e, membership, moebius, p1_action, token_matrix, token_power
+from hessk3.lattice import G1, GRAM, mat_id, orthogonal_complement, translation_h
 from hessk3.poly import elem_sym_polys
 from hessk3.tower import C_ZERO, Cyclo12
 
@@ -242,6 +242,8 @@ _ENTRY_POINTS = {
     "herm_to_orth gBl": (lambda m: herm_to_orth(False, False, [("gBl", m)]), ({4}, _INT)),
     "m2e": (m2e, ({2}, ({2}, _ZW))),
     "membership": (membership, ({4}, ({4}, _EIS))),
+    # the identity's denominator is I, so a well-formed tau is answered
+    "moebius tau": (partial(moebius, mat_id(4, ONE, ZERO)), ({2}, ({2}, _RAT))),
     "orthogonal_complement": (orthogonal_complement, ({6}, _INT)),
     "classify": (classify, ({5}, _RAT)),
     "elem_sym_values": (elem_sym_values, ({5}, _RAT)),

@@ -89,6 +89,15 @@ def test_a_p1_action_that_fixes_every_point_under_diagonal_matrices_is_caught(mo
     assert failures("group-iso") == {"p1-action-order-60": "got 58", "p1-kernel-order-3": "got 9"}
 
 
+def test_the_conjugate_embedding_in_the_matrix_action_is_caught(monkeypatch):
+    # moebius reads each Eisenstein entry with w as w^2: the dictionary
+    # pairs whose Hermitian image has an entry off Z fail; the W-prime
+    # law's flip has entries 0 and 1, which conjugation fixes
+    exact = hermitian._eis_times
+    monkeypatch.setattr(hermitian, "_eis_times", lambda e, n: exact(e.conj(), n))
+    assert all_failures() == {"group-iso": {"dictionary-equivariance-on-chart-points": "input 0"}}
+
+
 def test_a_transposed_inversion_involution_is_caught(monkeypatch):
     # -1/(2 tau) transposed differs from it unless tau is symmetric: the
     # W0 dictionary pair and the W-prime law both fail at their first input
@@ -427,28 +436,61 @@ def test_a_wrong_w_coefficient_in_the_zw_product_is_caught(monkeypatch):
 
     monkeypatch.setattr(lattice, "_zw_mul", dropped_bb)
     # an entry point's input check raises on a product the kernel got
-    # wrong: inside a claim, frozen or drawn, the check fails at that input
-    unit_det = "matrix must have unit determinant"
+    # wrong: inside a claim, frozen or drawn, the check fails at that input.
+    # The samplers apply their factors as column operations, so their draws
+    # do not pass through the kernel: the faulted products are those of the
+    # checks and the entry points
     not_gamma0 = "embedding needs a gamma0 element"
+    not_recovered = "transport does not recover the input"
     assert all_failures() == {
         "decompose-fuzz": {
             "gamma1-words-multiply-back": "input 0: matrix is not in the gamma1 congruence subgroup",
             "gamma0-section-factorization": "input 0: matrix is not in the gamma0 congruence subgroup",
-            "orthogonal-transport-mod-center": "input 2: transport does not recover the input",
-            "hermitian-round-trip-mod-units": f"input 0: {unit_det}",
+            "orthogonal-transport-mod-center": f"input 2: {not_recovered}",
+            "hermitian-round-trip-mod-units": f"input 0: {not_recovered}",
         },
         # herm_to_orth multiplies each gA run's blocks with the kernel: input
         # 3 has a run of two, whose wrong product leaves SO0
         "enr-iso": {"gamma1-words-land-in-enr": "input 3: word image left the even orthogonal subgroup"},
         "group-iso": {
-            "psi-multiplicative": f"input 0: {unit_det}",
-            "psi-mod2-kernel-is-scalar-class": f"input 6: {unit_det}",
-            "identity-preimages-are-unit-scalars": f"input 0: {unit_det}",
+            "psi-multiplicative": "input 0: matrix must have unit determinant",
             "gamma0-words-mod2-in-gl2f4": "input 1: mod-2 reduction needs a gamma0 element",
         },
         "heegner": {
             "gamma0-classifies-uncovered": f"input 0: {not_gamma0}",
             "shifted-gamma0-classifies-2": f"input 0: {not_gamma0}",
+        },
+    }
+
+
+def test_a_lower_column_step_on_the_top_row_only_is_caught(monkeypatch):
+    # the samplers' step m ((1, 0), (e, 1)), which adds e col1 to col0,
+    # applied to the top row only: a drawn matrix loses its unit
+    # determinant, which the first gA block or psi_hom built from it refuses
+    def top_row_only(rng, m, even):
+        e = sampling.sample_eisenstein(rng, 2)
+        if even:
+            e = e * 2
+        (a, b), (c, d) = m
+        if rng.randrange(2):
+            return (a, b + e * a), (c, d + e * c)
+        return (a + e * b, b), (c, d)
+
+    monkeypatch.setattr(sampling, "_times_elementary", top_row_only)
+    unit_det = "matrix must have unit determinant"
+    ga_unit_det = "gA block must have unit determinant"
+    assert all_failures() == {
+        "decompose-fuzz": {
+            "gamma1-words-multiply-back": f"input 3: {ga_unit_det}",
+            "gamma0-section-factorization": f"input 2: {ga_unit_det}",
+            "hermitian-round-trip-mod-units": f"input 3: {unit_det}",
+        },
+        "enr-iso": {"gamma1-words-land-in-enr": f"input 4: {unit_det}"},
+        "group-iso": {
+            "psi-multiplicative": f"input 0: {unit_det}",
+            "psi-mod2-kernel-is-scalar-class": f"input 6: {unit_det}",
+            "identity-preimages-are-unit-scalars": f"input 3: {unit_det}",
+            "gamma0-words-mod2-in-gl2f4": f"input 4: {ga_unit_det}",
         },
     }
 
@@ -565,6 +607,17 @@ def test_a_wrong_perpendicular_vector_is_caught(monkeypatch, fault, want):
     # perp_flags reads PERP_VECTORS, so the complements keep their vectors
     monkeypatch.setattr(heegner, "PERP_VECTORS", fault(heegner.PERP_VECTORS))
     assert failures("heegner") == want
+
+
+def test_a_pairing_against_v_for_q_v_is_caught(monkeypatch):
+    # perp_flags reads Q v off heegner.GRAM; the identity there pairs z with
+    # v itself, so each locus point reads off its divisor, and the eighth
+    # generic point reads on one
+    monkeypatch.setattr(heegner, "GRAM", lattice.mat_id(6))
+    assert failures("heegner") == {
+        **dict.fromkeys(("on-locus-node", "on-locus-eckardt", "on-locus-ns", "on-locus-km"), _DISAGREE),
+        "three-descriptions-agree-generic": "input 7: chart and perpendicularity disagree",
+    }
 
 
 def test_a_wrong_frozen_complement_is_caught(monkeypatch):

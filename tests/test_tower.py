@@ -19,6 +19,8 @@ from hessk3.tower import (
     I_UNIT,
     SQRT3,
     SQRT3_I,
+    _eis_times,
+    _make,
     from_eisenstein,
     tower_sign_real,
 )
@@ -58,6 +60,15 @@ def test_embedding_matches_eisenstein_ring():
     # the norm form comes out as the rational |.|^2
     n = from_eisenstein(x) * from_eisenstein(x).conj()
     assert n.as_rational() == x.norm()
+
+
+def test_eisenstein_times_numerators_is_the_field_product():
+    # the numerator form of from_eisenstein(e) * z, over twice z's denominator
+    rng = random.Random(36)
+    for _ in range(300):
+        e = Eisenstein(rng.randint(-9, 9), rng.randint(-9, 9))
+        z = Cyclo12(*(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)))
+        assert _make(*_eis_times(e, z._n), 2 * z._den) == from_eisenstein(e) * z
 
 
 @given(towers(), towers(), towers())

@@ -108,12 +108,13 @@ PRODUCT_CEILINGS = {
 # computed once, so a check that proves an answer a second time fails the
 # bound.  No table is cached across calls, so the counts do not depend on
 # what ran before in the process.  The 2x2 counts include the products of
-# the blocks of each gA run, each of which saves a 4x4 or 6x6 product.
+# the blocks of each gA run, each of which saves a 4x4 or 6x6 product; the
+# samplers take none, and the matrix action one per call.
 SUITE_PRODUCT_CEILINGS = {
-    "decompose-fuzz": {6: 1982, 4: 1189, 2: 1115},
-    "enr-iso": {6: 206, 2: 165},
-    "group-iso": {6: 200, 4: 30, 2: 2221},
-    "heegner": {4: 9, 2: 14},
+    "decompose-fuzz": {6: 1982, 4: 1189, 2: 745},
+    "enr-iso": {6: 206, 2: 25},
+    "group-iso": {6: 200, 4: 30, 2: 233},
+    "heegner": {4: 9, 2: 12},
     "quotient-group": {6: 888},
 }
 
