@@ -44,7 +44,6 @@ from .eisenstein import (
 )
 from .errors import InputTypeError, integer, require
 from .lattice import (
-    mat_add,
     mat_conj_transpose,
     mat_det2,
     mat_id,
